@@ -173,7 +173,7 @@ def existence_margins(geography: Geography, params: ModelParams,
     d, d_min, radius = pairwise_metrics(geography.sites, geography.system)
 
     tess0 = assign_labels(geography.grid, geography.sites, geography.system,
-                          np.zeros(geography.n_sites))
+                          np.zeros(geography.n_sites), geography.distances)
     agg0 = aggregate_amenities(tess0, geography.amenity, eff.kernel)
     log_abar = np.log(geography.productivities)
     log_B0 = agg0.log_B

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateConstantRecovery,
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .fields import Geography, TradeCostMatrix
 from .geometry import Tessellation, assign_labels, cross_distances
-from .integrals import CellAggregates, KernelSpec, aggregate_amenities
+from .integrals import CellAggregates, KernelSpec, _logsumexp, aggregate_amenities
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +198,7 @@ def composite_params(params: ModelParams, productivities,
 # transformed weight map
 
 def subset_geography(geography: Geography, site_ids) -> Geography:
-    """Restrict a geography to the given site ids (order preserved)."""
+    """Restrict a geography to the given site ids (order preserved); all, in order, return it."""
     id_to_pos = {s.id: p for p, s in enumerate(geography.sites)}
     try:
         idx = [id_to_pos[i] for i in site_ids]
@@ -207,6 +206,8 @@ def subset_geography(geography: Geography, site_ids) -> Geography:
         raise ValueError(f"unknown site id {e.args[0]}") from None
     if len(set(idx)) != len(idx):
         raise ValueError(f"duplicate site ids in {list(site_ids)}")
+    if idx == list(range(geography.n_sites)):
+        return geography
     sites = tuple(geography.sites[p] for p in idx)
     take = np.ix_(idx, idx)
     trade = TradeCostMatrix(values=geography.trade.values[take],
@@ -230,7 +231,8 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
     lam_t = np.asarray(lam_t, dtype=float)
     scale = comp.weight_scale * comp.gamma1
     lam = lam_t / scale
-    tess = assign_labels(geography.grid, geography.sites, geography.system, lam)
+    tess = assign_labels(geography.grid, geography.sites, geography.system, lam,
+                         geography.distances)
     agg = aggregate_amenities(tess, geography.amenity, comp.effective.kernel)
     active = agg.active
     if not active_only and not active.all():
@@ -243,7 +245,7 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
              + comp.gamma_ratio * lam_t[None, active])
     own = np.zeros(len(lam_t))
     own[active] = st * comp.phi1 * agg.log_B[active]
-    g = own + logsumexp(terms, axis=1)
+    g = own + _logsumexp(terms, axis=1)
     return g, tess, agg
 
 
@@ -311,7 +313,7 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
 
     # population-constraint sums run over active districts only
     log_terms = -(agg.log_B[active] + eff.weight_decay * nu[active]) / eff.beta_eff
-    log_S = float(logsumexp(log_terms))
+    log_S = float(_logsumexp(log_terms))
     if eff.variant_kind == "two_sector":
         shift = 0.0
     else:
@@ -374,7 +376,7 @@ def _original_system_residual(lam, log_V, comp: CompositeParams,
     terms = (comp.log_K[sub] + st * comp.phi2 * agg.log_B[None, active]
              + s * comp.gamma2 * lam[None, active])
     rhs = (v_power * log_V + st * comp.phi1 * agg.log_B[active]
-           + logsumexp(terms, axis=1))
+           + _logsumexp(terms, axis=1))
     return float(np.abs(lhs - rhs).max())
 
 
@@ -550,21 +552,21 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     def log_prices(log_w):
         # P_i^(1-sigma) = sum_j T_ji^(1-sigma) A_j^(sigma-1) w_j^(1-sigma)
         t = M.T + (sigma - 1.0) * log_A[None, :] + (1.0 - sigma) * log_w[None, :]
-        return logsumexp(t, axis=1) / (1.0 - sigma)
+        return _logsumexp(t, axis=1) / (1.0 - sigma)
 
     def log_wage_update(log_w, log_P):
         # w_i^sigma L_i = A_i^(sigma-1) sum_j T_ij^(1-sigma) P_j^(sigma-1) w_j L_j
         t = M + (sigma - 1.0) * log_P[None, :] + (log_w + log_L)[None, :]
-        return ((sigma - 1.0) * log_A + logsumexp(t, axis=1) - log_L) / sigma
+        return ((sigma - 1.0) * log_A + _logsumexp(t, axis=1) - log_L) / sigma
 
-    log_w = -logsumexp(log_L) * np.ones(len(labor))  # start at equal wages
+    log_w = -_logsumexp(log_L) * np.ones(len(labor))  # start at equal wages
     for iteration in range(1, max_iter + 1):
         log_P = log_prices(log_w)
         log_w_new = log_wage_update(log_w, log_P)
-        log_w_new -= logsumexp(log_w_new + log_L)  # numeraire
+        log_w_new -= _logsumexp(log_w_new + log_L)  # numeraire
         step = float(np.abs(log_w_new - log_w).max())
         log_w = (1.0 - damping) * log_w + damping * log_w_new
-        log_w -= logsumexp(log_w + log_L)
+        log_w -= _logsumexp(log_w + log_L)
         if step < tol:
             break
     else:

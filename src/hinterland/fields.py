@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .geometry import (
     DomainGrid,
     Site,
     cross_distances,
+    distance_stack,
     site_positions,
     site_productivities,
 )
@@ -25,6 +27,13 @@ class AmenityField:
     values: np.ndarray  # (ny, nx); only inside cells are meaningful
     b_min: float
     b_max: float
+
+    @cached_property
+    def log_inside(self) -> np.ndarray:
+        """log of the inside samples, in raster order (read-only)."""
+        log_values = np.log(self.values[self.grid.inside])
+        log_values.setflags(write=False)
+        return log_values
 
 
 def amenity_from_function(grid: DomainGrid, source) -> AmenityField:
@@ -134,6 +143,11 @@ class Geography:
     @property
     def productivities(self) -> np.ndarray:
         return site_productivities(self.sites)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The weight-independent ``distance_stack``, built on first use."""
+        return distance_stack(self.grid, self.sites, self.system)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -216,6 +217,7 @@ class Tessellation:
 
     Each inside cell carries the index of the site minimizing d_i(x) - w_i at
     the cell center (ties to the lowest index); outside cells carry OUTSIDE.
+    ``own_distance`` holds d_label(x) at the inside cells, in raster order.
     """
 
     grid: DomainGrid
@@ -224,7 +226,7 @@ class Tessellation:
     weights: np.ndarray          # (n,)
     labels: np.ndarray           # int32 (ny, nx), OUTSIDE for cells not in the domain
     cell_measure: np.ndarray     # (n,)
-    neighbors: tuple[frozenset, ...] = field(repr=False)
+    own_distance: np.ndarray = field(repr=False)  # (n_inside,)
 
     @property
     def active_set(self) -> tuple[int, ...]:
@@ -233,6 +235,16 @@ class Tessellation:
     @property
     def n_sites(self) -> int:
         return len(self.sites)
+
+    @cached_property
+    def neighbors(self) -> tuple[frozenset, ...]:
+        """Per site, the sites whose cells share a raster edge with its cell."""
+        adjacent = np.zeros((self.n_sites, self.n_sites), dtype=bool)
+        lab = self.labels
+        for a, b in ((lab[:, :-1], lab[:, 1:]), (lab[:-1, :], lab[1:, :])):
+            edge = (a != b) & (a != OUTSIDE) & (b != OUTSIDE)
+            adjacent[a[edge], b[edge]] = adjacent[b[edge], a[edge]] = True
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adjacent)
 
     def is_active(self, i: int) -> bool:
         return self.cell_measure[i] > 0
@@ -286,44 +298,58 @@ def _check_distinct_positions(sites):
         seen[key] = s.id
 
 
-def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights) -> Tessellation:
+def distance_stack(grid: DomainGrid, sites, system: DistanceSystem) -> np.ndarray:
+    """Read-only (n, ny, nx) stack of d_i at the cell centers; rejects coincident sites."""
+    sites = tuple(sites)
+    _check_distinct_positions(sites)
+    X, Y = grid.cell_centers()
+    stack = np.empty((len(sites), grid.ny, grid.nx))
+    for i, s in enumerate(sites):
+        stack[i] = system.distance(s, i, X, Y)
+    stack.setflags(write=False)
+    return stack
+
+
+def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
+                  distances=None) -> Tessellation:
     """Label every inside cell with the site minimizing d_i(x) - w_i.
 
     Ties are broken toward the lowest site index; adding a common constant to
-    all weights leaves the labeling unchanged. Cell measures, the adjacency
-    graph, and the active set are populated on the result.
+    all weights leaves the labeling unchanged. ``distances`` is the sites'
+    ``distance_stack``, built here when not given.
     """
     sites = tuple(sites)
     if not sites:
         raise ValueError("assign_labels needs at least one site")
-    _check_distinct_positions(sites)
+    if distances is None:
+        distances = distance_stack(grid, sites, system)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(sites),):
         raise ValueError(f"expected {len(sites)} weights, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise NonFiniteWeight(f"weights contain non-finite entries: {weights}")
 
-    X, Y = grid.cell_centers()
-    cost = np.empty((len(sites), grid.ny, grid.nx))
-    for i, s in enumerate(sites):
-        cost[i] = system.distance(s, i, X, Y) - weights[i]
-    labels = np.argmin(cost, axis=0).astype(np.int32)  # first minimum = lowest index
+    # running first minimum: strict < keeps ties with the lowest index,
+    # exactly as argmin over the stacked costs would
+    labels = np.zeros((grid.ny, grid.nx), dtype=np.int32)
+    best = distances[0] - weights[0]
+    cost = np.empty_like(best)
+    for i in range(1, len(sites)):
+        np.subtract(distances[i], weights[i], out=cost)
+        np.copyto(labels, i, where=cost < best)
+        np.minimum(best, cost, out=best)
     labels[~grid.inside] = OUTSIDE
 
-    counts = np.bincount(labels[grid.inside].ravel(), minlength=len(sites))
-    cell_measure = counts.astype(float) * grid.cell_area
-
-    neighbor_sets = [set() for _ in sites]
-    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
-        both_inside = (a != OUTSIDE) & (b != OUTSIDE) & (a != b)
-        for u, v in zip(a[both_inside].ravel(), b[both_inside].ravel()):
-            neighbor_sets[u].add(int(v))
-            neighbor_sets[v].add(int(u))
-    neighbors = tuple(frozenset(s) for s in neighbor_sets)
+    inside_labels = labels[grid.inside]
+    cell_measure = np.bincount(inside_labels, minlength=len(sites)) * grid.cell_area
+    own_distance = np.take(distances, inside_labels.astype(np.intp) * labels.size
+                           + np.flatnonzero(grid.inside))
 
     labels.setflags(write=False)
+    own_distance.setflags(write=False)
     return Tessellation(grid=grid, sites=sites, system=system, weights=weights,
-                        labels=labels, cell_measure=cell_measure, neighbors=neighbors)
+                        labels=labels, cell_measure=cell_measure,
+                        own_distance=own_distance)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Cell functionals: amenity aggregates, resident densities, and boundary
 sensitivities of the aggregates to the tessellation weights.
 
-All kernel sums run in log space (one logsumexp per cell aggregate) because
+All kernel sums run in log space (max-shifted sums per cell aggregate) because
 exp(distance_coeff * d / |beta|) overflows float64 quickly for strong decay.
 """
 
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InactiveSiteWithMass
 from .fields import AmenityField, Geography
@@ -20,6 +19,16 @@ from .geometry import Tessellation, assign_labels, lambda_feasibility, pairwise_
 #: Gradients of two distance functions closer than this are treated as
 #: parallel: the interface edge is skipped and counted in diagnostics.
 DEGENERATE_NORMAL_CUTOFF = 1e-8
+
+
+def _logsumexp(a, axis=None):
+    """Max-shifted log(sum(exp(a))) along ``axis``; an all -inf slice gives -inf."""
+    a = np.asarray(a, dtype=float)
+    peak = a.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        total = np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))
+    return np.squeeze(total + peak, axis=axis)[()]
 
 
 @dataclass(frozen=True)
@@ -40,10 +49,10 @@ class KernelSpec:
         if not self.distance_coeff > 0:
             raise ValueError(f"distance_coeff must be > 0, got {self.distance_coeff}")
 
-    def log_values(self, amenity_values, distances):
-        """log kernel at given amenity samples and distances (vectorized)."""
+    def log_values(self, log_amenity, distances):
+        """log kernel at given log-amenity samples and distances (vectorized)."""
         b = self.beta_eff
-        return (-1.0 / b) * np.log(amenity_values) + (self.distance_coeff / b) * distances
+        return (-1.0 / b) * log_amenity + (self.distance_coeff / b) * distances
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,16 @@ class CellAggregates:
         return np.exp(self.log_raw)
 
 
+def _inside_log_kernel(tess: Tessellation, amenity: AmenityField,
+                       kernel: KernelSpec):
+    """Labels and log kernel values of the inside cells, in raster order."""
+    grid = tess.grid
+    if amenity.grid is not grid and amenity.grid != grid:
+        raise ValueError("tessellation and amenity live on different grids")
+    return (tess.labels[grid.inside],
+            kernel.log_values(amenity.log_inside, tess.own_distance))
+
+
 def aggregate_amenities(tess: Tessellation, amenity: AmenityField,
                         kernel: KernelSpec) -> CellAggregates:
     """Integrate the commuting kernel over every site's cell.
@@ -71,21 +90,14 @@ def aggregate_amenities(tess: Tessellation, amenity: AmenityField,
     I_i sums kernel values over the cells labeled i (midpoint rule);
     B_i = I_i^(-beta_eff). Empty cells yield flagged entries.
     """
-    grid = tess.grid
-    if amenity.grid is not grid and amenity.grid != grid:
-        raise ValueError("tessellation and amenity live on different grids")
-    n = tess.n_sites
-    X, Y = grid.cell_centers()
-    log_area = math.log(grid.cell_area)
-
-    log_raw = np.full(n, -np.inf)
-    for i, site in enumerate(tess.sites):
-        mask = tess.labels == i
-        if not mask.any():
-            continue
-        d = tess.system.distance(site, i, X[mask], Y[mask])
-        log_f = kernel.log_values(amenity.values[mask], d)
-        log_raw[i] = logsumexp(log_f) + log_area
+    labels, log_f = _inside_log_kernel(tess, amenity, kernel)
+    # one grouped sum, shifted by each site's own maximum
+    peak = np.full(tess.n_sites, -np.inf)
+    np.maximum.at(peak, labels, log_f)
+    total = np.bincount(labels, weights=np.exp(log_f - peak[labels]),
+                        minlength=tess.n_sites)
+    with np.errstate(divide="ignore"):
+        log_raw = peak + np.log(total) + math.log(tess.grid.cell_area)
 
     active = np.isfinite(log_raw)
     log_B = np.where(active, -kernel.beta_eff * log_raw, np.nan)
@@ -133,16 +145,10 @@ def resident_density(tess: Tessellation, aggregates: CellAggregates,
             raise InactiveSiteWithMass(
                 f"site {i} has labor {labor[i]:.6g} but an empty cell")
 
+    labels, log_f = _inside_log_kernel(tess, amenity, kernel)
     grid = tess.grid
-    X, Y = grid.cell_centers()
     density = np.zeros((grid.ny, grid.nx))
-    for i, site in enumerate(tess.sites):
-        if not aggregates.active[i] or labor[i] == 0:
-            continue
-        mask = tess.labels == i
-        d = tess.system.distance(site, i, X[mask], Y[mask])
-        log_f = kernel.log_values(amenity.values[mask], d)
-        density[mask] = labor[i] * np.exp(log_f - aggregates.log_raw[i])
+    density[grid.inside] = labor[labels] * np.exp(log_f - aggregates.log_raw[labels])
     return density
 
 
@@ -199,7 +205,7 @@ def amenity_semielasticity(tess: Tessellation, amenity: AmenityField,
                     iy, ix = niy, nix
                     break
         d = tess.system.distance(site_i, i, np.array(x), np.array(y))
-        log_f = kernel.log_values(amenity.values[iy, ix], d)
+        log_f = kernel.log_values(np.log(amenity.values[iy, ix]), d)
         total += math.exp(float(log_f) - log_I) * length * projection / speed_norm
     if diagnostics is not None:
         diagnostics["skipped_edges"] += skipped
@@ -250,7 +256,8 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     best = 0.0
     diag = {"skipped_edges": 0}
     for w in weight_vectors:
-        tess = assign_labels(geography.grid, geography.sites, geography.system, w)
+        tess = assign_labels(geography.grid, geography.sites, geography.system, w,
+                             geography.distances)
         agg = aggregate_amenities(tess, geography.amenity, kernel)
         for i in range(n):
             for k in tess.neighbors[i]:

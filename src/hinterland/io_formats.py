@@ -260,47 +260,45 @@ def _num(v: float) -> str:
 
 def _run_length_rects(values, x_edges, y_edges, tf, color_of) -> list[str]:
     """One rect per run of equal values along each row (skips None colors)."""
+    nx = values.shape[1]
+    run_start = np.ones(values.shape, dtype=bool)
+    run_start[:, 1:] = values[:, 1:] != values[:, :-1]
+    rows, starts = np.nonzero(run_start)
+    ends = np.append(starts[1:], nx)
+    ends[np.append(rows[1:] != rows[:-1], True)] = nx
+    px = tf.x(np.asarray(x_edges))
+    px_text = [_num(v) for v in px]
+    top = tf.y(np.asarray(y_edges))
+    y_text = [_num(v) for v in top[1:]]
+    h_text = [_num(v) for v in top[:-1] - top[1:]]
     parts = []
-    ny, nx = values.shape
-    for iy in range(ny):
-        row = values[iy]
-        ix = 0
-        while ix < nx:
-            value = row[ix]
-            end = ix
-            while end < nx and row[end] == value:
-                end += 1
-            color = color_of(value)
-            if color is not None:
-                x = tf.x(x_edges[ix])
-                y = tf.y(y_edges[iy + 1])
-                w = tf.x(x_edges[end]) - x
-                h = tf.y(y_edges[iy]) - y
-                parts.append(f'<rect x="{_num(x)}" y="{_num(y)}" '
-                             f'width="{_num(w)}" height="{_num(h)}" '
-                             f'fill="{color}"/>')
-            ix = end
+    for row, start, width, value in zip(rows.tolist(), starts.tolist(),
+                                        (px[ends] - px[starts]).tolist(),
+                                        values[rows, starts].tolist()):
+        color = color_of(value)
+        if color is not None:
+            parts.append(f'<rect x="{px_text[start]}" y="{y_text[row]}" '
+                         f'width="{_num(width)}" height="{h_text[row]}" '
+                         f'fill="{color}"/>')
     return parts
 
 
 def _boundary_path(labels, x_edges, y_edges, tf) -> str:
     """A single path outlining every interface between distinct labels."""
-    segs = []
-    diff_v = (labels[:, :-1] != labels[:, 1:]) & (labels[:, :-1] != OUTSIDE) \
-        & (labels[:, 1:] != OUTSIDE)
-    for iy, ix in zip(*np.nonzero(diff_v)):
-        x = x_edges[ix + 1]
-        segs.append((x, y_edges[iy], x, y_edges[iy + 1]))
-    diff_h = (labels[:-1, :] != labels[1:, :]) & (labels[:-1, :] != OUTSIDE) \
-        & (labels[1:, :] != OUTSIDE)
-    for iy, ix in zip(*np.nonzero(diff_h)):
-        y = y_edges[iy + 1]
-        segs.append((x_edges[ix], y, x_edges[ix + 1], y))
+    xs = [_num(v) for v in tf.x(np.asarray(x_edges))]
+    ys = [_num(v) for v in tf.y(np.asarray(y_edges))]
+    inner = labels != OUTSIDE
+    diff_v = (labels[:, :-1] != labels[:, 1:]) & inner[:, :-1] & inner[:, 1:]
+    iy, ix = np.nonzero(diff_v)
+    segs = [f"M {xs[c]} {ys[r]} L {xs[c]} {ys[r + 1]}"
+            for r, c in zip(iy.tolist(), (ix + 1).tolist())]
+    diff_h = (labels[:-1, :] != labels[1:, :]) & inner[:-1, :] & inner[1:, :]
+    iy, ix = np.nonzero(diff_h)
+    segs += [f"M {xs[c]} {ys[r + 1]} L {xs[c + 1]} {ys[r + 1]}"
+             for r, c in zip(iy.tolist(), ix.tolist())]
     if not segs:
         return ""
-    d = " ".join(f"M {_num(tf.x(a))} {_num(tf.y(b))} "
-                 f"L {_num(tf.x(c))} {_num(tf.y(e))}" for a, b, c, e in segs)
-    return f'<path d="{d}" stroke="#000000" stroke-width="1" fill="none"/>'
+    return f'<path d="{" ".join(segs)}" stroke="#000000" stroke-width="1" fill="none"/>'
 
 
 def svg_tessellation(labels, bbox, site_positions=(), labor=None,

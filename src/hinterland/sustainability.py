@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .analysis import KNIFE_EDGE_TOL, existence_margins
 from .equilibrium import (
@@ -26,6 +25,7 @@ from .equilibrium import (
 )
 from .errors import HinterlandError, SiteNotVacant
 from .fields import Geography
+from .integrals import _logsumexp
 
 STRONG_SPILLOVER = "strong_spillover"   # alpha above cutoff: deviations never pay
 WEAK_SPILLOVER = "weak_spillover"       # alpha below cutoff: deviations always pay
@@ -92,7 +92,7 @@ def _log_deviation_sum(solution: EquilibriumSolution, geography: Geography,
              + st * sigma * log_abar
              + (-1.0 / beta) * np.log(solution.B[sol_idx])
              + s * comp.gamma2 * solution.weights[sol_idx])
-    return float(logsumexp(terms))
+    return float(_logsumexp(terms))
 
 
 def potential_weight(solution: EquilibriumSolution, geography: Geography,

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from hinterland.geometry import OUTSIDE
+from hinterland.io_formats import _num
 
 
 def brute_labels(grid, sites, system, weights):
@@ -93,3 +94,63 @@ def disk_quadrature(fn, radius, n=512):
             if r <= radius:
                 total += fn(r)
     return total * h * h
+
+
+def loop_neighbors(labels, n_sites):
+    """Adjacency sets from a Python loop over every edge-sharing cell pair."""
+    sets = [set() for _ in range(n_sites)]
+    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
+        both_inside = (a != OUTSIDE) & (b != OUTSIDE) & (a != b)
+        for u, v in zip(a[both_inside].ravel(), b[both_inside].ravel()):
+            sets[u].add(int(v))
+            sets[v].add(int(u))
+    return tuple(frozenset(s) for s in sets)
+
+
+# The two SVG oracles below are per-cell and per-edge loops. They format
+# numbers with the package's own ``_num`` because the SVG text must stay
+# byte-identical, which is what the tests compare.
+
+def loop_run_length_rects(values, x_edges, y_edges, tf, color_of):
+    """One rect per run of equal values along each row (skips None colors)."""
+    parts = []
+    ny, nx = values.shape
+    for iy in range(ny):
+        row = values[iy]
+        ix = 0
+        while ix < nx:
+            value = row[ix]
+            end = ix
+            while end < nx and row[end] == value:
+                end += 1
+            color = color_of(value)
+            if color is not None:
+                x = tf.x(x_edges[ix])
+                y = tf.y(y_edges[iy + 1])
+                w = tf.x(x_edges[end]) - x
+                h = tf.y(y_edges[iy]) - y
+                parts.append(f'<rect x="{_num(x)}" y="{_num(y)}" '
+                             f'width="{_num(w)}" height="{_num(h)}" '
+                             f'fill="{color}"/>')
+            ix = end
+    return parts
+
+
+def loop_boundary_path(labels, x_edges, y_edges, tf):
+    """A single path outlining every interface between distinct labels."""
+    segs = []
+    diff_v = (labels[:, :-1] != labels[:, 1:]) & (labels[:, :-1] != OUTSIDE) \
+        & (labels[:, 1:] != OUTSIDE)
+    for iy, ix in zip(*np.nonzero(diff_v)):
+        x = x_edges[ix + 1]
+        segs.append((x, y_edges[iy], x, y_edges[iy + 1]))
+    diff_h = (labels[:-1, :] != labels[1:, :]) & (labels[:-1, :] != OUTSIDE) \
+        & (labels[1:, :] != OUTSIDE)
+    for iy, ix in zip(*np.nonzero(diff_h)):
+        y = y_edges[iy + 1]
+        segs.append((x_edges[ix], y, x_edges[ix + 1], y))
+    if not segs:
+        return ""
+    d = " ".join(f"M {_num(tf.x(a))} {_num(tf.y(b))} "
+                 f"L {_num(tf.x(c))} {_num(tf.y(e))}" for a, b, c, e in segs)
+    return f'<path d="{d}" stroke="#000000" stroke-width="1" fill="none"/>'

@@ -20,8 +20,10 @@ from hinterland.equilibrium import (
     variant_transform,
 )
 from hinterland.errors import (
+    CoincidentSites,
     DegenerateGamma1,
     InvalidVariantParams,
+    NonFiniteWeight,
     NotConverged,
     ZeroLabor,
 )
@@ -183,6 +185,28 @@ def test_subset_geography_slices_trade_and_sites():
         subset_geography(geo, [0, 0])
     with pytest.raises(ValueError):
         subset_geography(geo, [7])
+
+
+def test_subset_geography_identity_and_distance_rows():
+    geo = make_geography(((0.2, 0.2), (0.8, 0.2), (0.5, 0.8)))
+    assert subset_geography(geo, [0, 1, 2]) is geo
+    sub = subset_geography(geo, [2, 0])
+    assert np.array_equal(sub.distances, geo.distances[[2, 0]])
+    assert not sub.distances.flags.writeable
+
+
+def test_weight_map_validation_on_cached_stack():
+    geo = make_geography(SYM2)
+    comp = composite_params(PARAMS, geo.productivities, geo.trade)
+    transformed_weight_map(np.zeros(2), comp, geo)
+    assert "distances" in vars(geo)
+    with pytest.raises(NonFiniteWeight):
+        transformed_weight_map(np.array([0.0, np.nan]), comp, geo)
+
+    twins = make_geography(((0.3, 0.5), (0.3, 0.5)))
+    with pytest.raises(CoincidentSites):
+        transformed_weight_map(np.zeros(2), comp, twins)
+    assert "distances" not in vars(twins)
 
 
 # ---------------------------------------------------------------------------

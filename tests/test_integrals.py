@@ -1,9 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
 
-from helpers import disk_quadrature, loop_amenity_integral, loop_cell_integral
+from helpers import (
+    brute_labels,
+    disk_quadrature,
+    loop_amenity_integral,
+    loop_cell_integral,
+    loop_neighbors,
+)
 from hinterland.errors import InactiveSiteWithMass
 from hinterland.fields import (
     Geography,
@@ -20,6 +29,7 @@ from hinterland.geometry import (
 from hinterland.integrals import (
     KernelSpec,
     SemielasticityBound,
+    _logsumexp,
     aggregate_amenities,
     amenity_semielasticity,
     disk_kernel_integral,
@@ -85,7 +95,63 @@ def test_disk_quadrature_matches_closed_form(eps, delta, beta):
 
 
 # ---------------------------------------------------------------------------
+# NumPy logsumexp against scipy's
+
+def test_logsumexp_matches_scipy():
+    rng = np.random.default_rng(3)
+    a = rng.normal(0.0, 4.0, size=(5, 7)) + 10.0
+    a[1, [0, 4]] = -np.inf
+    big = a * 1e3
+    for x in (a, big, -big):
+        assert _logsumexp(x) == pytest.approx(scipy.special.logsumexp(x),
+                                              rel=1e-14, abs=0)
+        np.testing.assert_allclose(_logsumexp(x, axis=1),
+                                   scipy.special.logsumexp(x, axis=1),
+                                   rtol=1e-14, atol=0)
+    assert np.shape(_logsumexp(a)) == ()
+    assert _logsumexp(a, axis=1).shape == (5,)
+
+
+def test_logsumexp_all_neg_inf_row_is_quiet():
+    a = np.array([[0.5, -1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _logsumexp(a, axis=1)
+        whole = _logsumexp(a[1])
+    assert rows[1] == -np.inf and whole == -np.inf
+    assert rows[0] == pytest.approx(scipy.special.logsumexp(a[0]), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # cell aggregates
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stack_path_matches_loop_oracles(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid((0.0, 0.0, 1.0, 0.75), (23, 17),
+                      lambda X, Y: (X - 0.5) ** 2 + (Y - 0.4) ** 2 < 0.3)
+    sites = tuple(Site(i, tuple(rng.uniform(0.05, 0.95, 2))) for i in range(n))
+    system = DistanceSystem("scaled_euclidean",
+                            scales=tuple(rng.uniform(0.5, 2.0, n)))
+    weights = rng.uniform(-0.15, 0.15, n)
+    amen = amenity_from_function(grid, lambda x, y: 1.0 + 0.5 * x * y)
+    kern = KernelSpec(beta_eff=-0.4, distance_coeff=3.0)
+
+    tess = assign_labels(grid, sites, system, weights)
+    agg = aggregate_amenities(tess, amen, kern)
+    assert np.array_equal(tess.labels, brute_labels(grid, sites, system, weights))
+    assert tess.neighbors == loop_neighbors(tess.labels, n)
+    ones = np.ones((grid.ny, grid.nx))
+    for i, site in enumerate(sites):
+        assert tess.cell_measure[i] == loop_cell_integral(grid, tess.labels, i, ones)
+        ref = loop_amenity_integral(grid, tess.labels, i, site, system,
+                                    amen.values, kern.beta_eff, kern.distance_coeff)
+        if ref == 0.0:
+            assert agg.log_raw[i] == -np.inf
+        else:
+            assert agg.log_raw[i] == pytest.approx(math.log(ref), rel=1e-12)
+
 
 def test_aggregate_matches_loop_oracle():
     grid, sites, amen, kern = two_site_setup(n=64)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import loop_boundary_path, loop_run_length_rects
+from hinterland import io_formats
 from hinterland.analysis import SWEEP_CATEGORIES, parameter_sweep
-from hinterland.geometry import OUTSIDE
+from hinterland.geometry import OUTSIDE, DistanceSystem, Site, assign_labels, build_grid
 from hinterland.io_formats import (
     CATEGORY_PALETTE,
     canonical_json,
@@ -221,6 +223,46 @@ def test_svg_region_map_palette_and_boundary():
     legend = [el.text for el in root.iter() if el.tag.endswith("text")]
     assert set(legend) == {SWEEP_CATEGORIES[i]
                            for i in np.unique(sweep.category)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(ny=st.integers(2, 12), nx=st.integers(2, 12), n_labels=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_svg_writers_match_loop_oracles(ny, nx, n_labels, seed):
+    # piecewise-constant rows with outside cells, on a non-square bbox
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(rng.integers(OUTSIDE, n_labels, size=(ny, nx // 2 + 1)),
+                       2, axis=1)[:, :nx].astype(np.int32)
+    bbox = (-0.3, 0.1, 1.7, 0.1 + 2.0 * ny / nx)
+    tf = io_formats._WorldToSvg(bbox, 640)
+    x_edges = np.linspace(bbox[0], bbox[2], nx + 1)
+    y_edges = np.linspace(bbox[1], bbox[3], ny + 1)
+
+    def color_of(label):
+        return None if label == OUTSIDE else f"#{int(label):06d}"
+
+    assert io_formats._run_length_rects(labels, x_edges, y_edges, tf, color_of) \
+        == loop_run_length_rects(labels, x_edges, y_edges, tf, color_of)
+    assert io_formats._boundary_path(labels, x_edges, y_edges, tf) \
+        == loop_boundary_path(labels, x_edges, y_edges, tf)
+
+
+def test_overlay_svg_and_region_map_match_loop_oracles(monkeypatch):
+    grid = build_grid((0.0, 0.0, 1.0, 1.0), (96, 80), lambda X, Y: X + Y < 1.6)
+    sites = (Site(0, (0.2, 0.3)), Site(1, (0.7, 0.2)), Site(2, (0.4, 0.7)))
+    labels = assign_labels(grid, sites, DistanceSystem(), [0.0, 0.05, -0.02]).labels
+    sweep = parameter_sweep("alpha_sigma", alphas=np.linspace(0.0, 0.6, 13),
+                            sigmas=np.linspace(2.0, 12.0, 11), beta=-0.3)
+
+    def render():
+        return (svg_tessellation(labels, grid.bbox, [s.position for s in sites],
+                                 labor=[0.2, 0.3, 0.5]),
+                svg_region_map(sweep, SWEEP_CATEGORIES))
+
+    fast = render()
+    monkeypatch.setattr(io_formats, "_run_length_rects", loop_run_length_rects)
+    monkeypatch.setattr(io_formats, "_boundary_path", loop_boundary_path)
+    assert fast == render()
 
 
 def test_svg_region_map_alpha_beta_vertical_boundary():

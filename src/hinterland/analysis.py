@@ -8,7 +8,7 @@ thresholds are bracketed empirically (see ``bracket_threshold``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,17 +183,11 @@ def existence_margins(geography: Geography, params: ModelParams,
     decay = comp.weight_scale * abs(comp.gamma1)
     creep = tau_rate * (sigma - 1.0)
 
-    n = geography.n_sites
-    margins = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            lhs = (st * (sigma - 1.0) * abs(log_abar[i] - log_abar[j])
-                   + st * abs(comp.phi1) * abs(log_B0[i] - log_B0[j])
-                   - 2.0 * eff.beta_eff * eta_hat * radius)
-            rhs = (decay - creep) * d[i, j]
-            margins[i, j] = rhs - lhs
+    lhs = (st * (sigma - 1.0) * np.abs(log_abar[:, None] - log_abar[None, :])
+           + st * abs(comp.phi1) * np.abs(log_B0[:, None] - log_B0[None, :])
+           - 2.0 * eff.beta_eff * eta_hat * radius)
+    margins = (decay - creep) * d - lhs
+    np.fill_diagonal(margins, np.nan)
     finite = margins[~np.isnan(margins)]
     min_margin = float(finite.min()) if finite.size else math.inf
     return ExistenceReport(
@@ -391,13 +385,9 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     failures = []
     n_converged = 0
     for idx, w0 in enumerate(starts):
-        opts = SolverOptions(
-            damping=options.damping, tol=options.tol, max_iter=options.max_iter,
-            k_shrink=options.k_shrink, weights_init=w0, anchor=options.anchor,
-            market_tol=options.market_tol, market_max_iter=options.market_max_iter,
-            market_damping=options.market_damping)
         try:
-            sol = fixed_point_solve(geography, params, y_star=ids, options=opts)
+            sol = fixed_point_solve(geography, params, y_star=ids,
+                                    options=replace(options, weights_init=w0))
         except HinterlandError as e:
             failures.append((idx, f"{type(e).__name__}: {e}"))
             continue

@@ -131,6 +131,7 @@ def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict
         "amenity_weights": solution.B,
         "residuals": solution.residuals,
         "iterations": solution.iterations,
+        "market_iterations": solution.market_iterations,
         "converged": solution.converged,
         "exited_feasible": solution.exited_feasible,
         "anchor_id": solution.anchor_id,

@@ -283,6 +283,7 @@ class EquilibriumSolution:
     B: np.ndarray
     residuals: dict
     iterations: int
+    market_iterations: int
     converged: bool
     exited_feasible: bool
     anchor_id: int
@@ -358,7 +359,8 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
         site_ids=tuple(s.id for s in geography.sites),
         weights=lam, welfare=math.exp(log_V), labor=labor,
         wages=wages, prices=prices, B=agg.B,
-        residuals=residuals, iterations=iterations, converged=True,
+        residuals=residuals, iterations=iterations,
+        market_iterations=market.iterations, converged=True,
         exited_feasible=exited_feasible,
         anchor_id=geography.sites[anchor_pos].id,
         variant_kind=eff.variant_kind, tessellation=tess, aggregates=agg)
@@ -396,19 +398,11 @@ def _welfare_spread(eff: EffectiveSystem, params: ModelParams, B, wages,
 def _reproject(lam_t, comp: CompositeParams, geography: Geography,
                k_shrink: float) -> np.ndarray:
     """Scale weight differences back inside the k-shrunk feasible set."""
-    scale = comp.weight_scale * comp.gamma1
-    lam = lam_t / scale
-    d = cross_distances(geography.sites, geography.system)
-    t = 1.0
-    n = len(lam)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            diff = lam[i] - lam[j]
-            if diff > 0 and diff > k_shrink * d[i, j]:
-                t = min(t, k_shrink * d[i, j] / diff)
-    return lam_t * t
+    lam = lam_t / (comp.weight_scale * comp.gamma1)
+    bound = k_shrink * cross_distances(geography.sites, geography.system)
+    diff = lam[:, None] - lam[None, :]
+    over = (diff > 0) & (diff > bound)   # never on the diagonal, where diff = 0
+    return lam_t * min(1.0, (bound[over] / diff[over]).min(initial=1.0))
 
 
 def fixed_point_solve(geography: Geography, params: ModelParams,
@@ -523,6 +517,10 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
 # ---------------------------------------------------------------------------
 # market block
 
+ANDERSON_MEMORY = 3   # ΔF columns kept by the market block's Anderson mixing
+ANDERSON_DROP = 1e-8  # relative Gram–Schmidt remainder below which a column is dropped
+
+
 @dataclass(frozen=True)
 class MarketEquilibrium:
     wages: np.ndarray
@@ -531,15 +529,41 @@ class MarketEquilibrium:
     residual: float
 
 
+def _anderson_gamma(dF, f):
+    """Least-squares γ minimising |f − Σ_j γ_j dF[j]| by modified Gram–Schmidt
+    in sums of products (a first BLAS or LAPACK call alone raises peak RSS);
+    a column nearly dependent on the newer ones before it gets γ_j = 0."""
+    qs, kept, b, rest = [], [], [], f.copy()
+    R = np.zeros((len(dF), len(dF)))
+    for j, col in enumerate(dF):
+        v, m = col.copy(), len(qs)
+        for k, q in enumerate(qs):
+            R[k, m] = (q * v).sum()
+            v -= R[k, m] * q
+        norm = math.sqrt((v * v).sum())
+        if norm > ANDERSON_DROP * math.sqrt((col * col).sum()):
+            R[m, m] = norm
+            qs.append(v / norm)
+            kept.append(j)
+            b.append((qs[-1] * rest).sum())
+            rest -= b[-1] * qs[-1]
+    gamma = np.zeros(len(dF))
+    for k in reversed(range(len(qs))):  # back substitution on R γ = Qᵀf
+        gamma[kept[k]] = (b[k] - (R[k, k + 1:len(qs)] * gamma[kept[k + 1:]]).sum()) \
+            / R[k, k]
+    return gamma
+
+
 def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
                              params: ModelParams, tol: float = 1e-12,
                              max_iter: int = 100000, damping: float = 0.5
                              ) -> MarketEquilibrium:
     """Solve the wage/price-index gravity system for given labor masses.
 
-    Damped alternating iteration in logs; the scale is pinned by the
-    numeraire sum(w_i L_i) = 1. Productivities enter through the spillover
-    A_i = productivities_i * L_i^alpha.
+    Anderson mixing with weight ``damping`` of the log-wage map, prices
+    following wages, falling back to the damped step on a non-finite iterate;
+    the scale is pinned by the numeraire sum(w_i L_i) = 1. Productivities
+    enter through the spillover A_i = productivities_i * L_i^alpha.
     """
     labor = np.asarray(labor, dtype=float)
     if np.any(labor <= 0):
@@ -559,22 +583,27 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
         t = M + (sigma - 1.0) * log_P[None, :] + (log_w + log_L)[None, :]
         return ((sigma - 1.0) * log_A + _logsumexp(t, axis=1) - log_L) / sigma
 
-    log_w = -_logsumexp(log_L) * np.ones(len(labor))  # start at equal wages
+    def numeraire(log_w):
+        return log_w - _logsumexp(log_w + log_L)
+
+    log_w = numeraire(np.zeros(len(labor)))  # start at equal wages
+    xs, fs = [], []  # the last ANDERSON_MEMORY + 1 iterates and residuals, newest first
     for iteration in range(1, max_iter + 1):
-        log_P = log_prices(log_w)
-        log_w_new = log_wage_update(log_w, log_P)
-        log_w_new -= _logsumexp(log_w_new + log_L)  # numeraire
-        step = float(np.abs(log_w_new - log_w).max())
-        log_w = (1.0 - damping) * log_w + damping * log_w_new
-        log_w -= _logsumexp(log_w + log_L)
+        f = numeraire(log_wage_update(log_w, log_prices(log_w))) - log_w
+        step = float(np.abs(f).max())
+        xs, fs = [log_w] + xs[:ANDERSON_MEMORY], [f] + fs[:ANDERSON_MEMORY]
+        dX = [a - b for a, b in zip(xs, xs[1:])]
+        dF = [a - b for a, b in zip(fs, fs[1:])]
+        plain = log_w + damping * f
+        mixed = plain - sum(g * (dx + damping * df)
+                            for g, dx, df in zip(_anderson_gamma(dF, f), dX, dF))
+        log_w = numeraire(mixed if np.isfinite(mixed).all() else plain)
         if step < tol:
             break
     else:
         raise NotConverged("market", max_iter, step)
 
     log_P = log_prices(log_w)
-    r_wage = float(np.abs(log_wage_update(log_w, log_P) - log_w).max())
-    r_price = float(np.abs(log_prices(log_w) - log_P).max())
-    return MarketEquilibrium(wages=np.exp(log_w), prices=np.exp(log_P),
-                             iterations=iteration,
-                             residual=max(r_wage, r_price))
+    return MarketEquilibrium(
+        wages=np.exp(log_w), prices=np.exp(log_P), iterations=iteration,
+        residual=float(np.abs(log_wage_update(log_w, log_P) - log_w).max()))

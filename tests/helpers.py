@@ -12,8 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
-from hinterland.geometry import OUTSIDE
+from hinterland.equilibrium import composite_params
+from hinterland.geometry import OUTSIDE, assign_labels, cross_distances, pairwise_metrics
+from hinterland.integrals import aggregate_amenities
 from hinterland.io_formats import _num
 
 
@@ -154,3 +157,74 @@ def loop_boundary_path(labels, x_edges, y_edges, tf):
     d = " ".join(f"M {_num(tf.x(a))} {_num(tf.y(b))} "
                  f"L {_num(tf.x(c))} {_num(tf.y(e))}" for a, b, c, e in segs)
     return f'<path d="{d}" stroke="#000000" stroke-width="1" fill="none"/>'
+
+
+def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
+                        max_iter=100000, damping=0.5):
+    """The plain damped log-wage loop the market block used before Anderson
+    mixing: returns (log wages, log prices, iterations); raises
+    RuntimeError after ``max_iter`` iterations."""
+    sigma = params.sigma
+    log_L = np.log(np.asarray(labor, dtype=float))
+    log_A = np.log(np.asarray(productivities, dtype=float)) + params.alpha * log_L
+    M = (1.0 - sigma) * np.log(trade.values)
+
+    def log_prices(log_w):
+        t = M.T + (sigma - 1.0) * log_A[None, :] + (1.0 - sigma) * log_w[None, :]
+        return logsumexp(t, axis=1) / (1.0 - sigma)
+
+    def log_wage_update(log_w, log_P):
+        t = M + (sigma - 1.0) * log_P[None, :] + (log_w + log_L)[None, :]
+        return ((sigma - 1.0) * log_A + logsumexp(t, axis=1) - log_L) / sigma
+
+    log_w = -logsumexp(log_L) * np.ones(len(log_L))
+    for iteration in range(1, max_iter + 1):
+        log_w_new = log_wage_update(log_w, log_prices(log_w))
+        log_w_new -= logsumexp(log_w_new + log_L)
+        step = float(np.abs(log_w_new - log_w).max())
+        log_w = (1.0 - damping) * log_w + damping * log_w_new
+        log_w -= logsumexp(log_w + log_L)
+        if step < tol:
+            return log_w, log_prices(log_w), iteration
+    raise RuntimeError(f"damped market loop: {max_iter} iterations, step {step:.3e}")
+
+
+def loop_reproject_scale(lam, geography, k_shrink):
+    """Scale factor of the feasible-set reprojection, as a loop over pairs."""
+    d = cross_distances(geography.sites, geography.system)
+    t = 1.0
+    for i in range(len(lam)):
+        for j in range(len(lam)):
+            if i == j:
+                continue
+            diff = lam[i] - lam[j]
+            if diff > 0 and diff > k_shrink * d[i, j]:
+                t = min(t, k_shrink * d[i, j] / diff)
+    return t
+
+
+def loop_existence_margins(geography, params, eta_hat, tau_rate):
+    """Per-pair existence margins as a loop over ordered pairs (NaN diagonal)."""
+    comp = composite_params(params, geography.productivities, geography.trade)
+    eff = comp.effective
+    d, _, radius = pairwise_metrics(geography.sites, geography.system)
+    tess = assign_labels(geography.grid, geography.sites, geography.system,
+                         np.zeros(geography.n_sites))
+    log_B0 = aggregate_amenities(tess, geography.amenity, eff.kernel).log_B
+    log_abar = np.log(geography.productivities)
+    st = comp.sigma_tilde
+    sigma = params.sigma
+    decay = comp.weight_scale * abs(comp.gamma1)
+    creep = tau_rate * (sigma - 1.0)
+    n = geography.n_sites
+    margins = np.full((n, n), np.nan)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            lhs = (st * (sigma - 1.0) * abs(log_abar[i] - log_abar[j])
+                   + st * abs(comp.phi1) * abs(log_B0[i] - log_B0[j])
+                   - 2.0 * eff.beta_eff * eta_hat * radius)
+            rhs = (decay - creep) * d[i, j]
+            margins[i, j] = rhs - lhs
+    return margins

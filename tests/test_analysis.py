@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hinterland.analysis import (
     SWEEP_CATEGORIES,
@@ -25,6 +26,7 @@ from hinterland.errors import NonMetricTradeCosts
 from hinterland.fields import explicit_trade_costs
 from hinterland.integrals import semielasticity_sup
 
+from helpers import loop_existence_margins
 from test_equilibrium import EUCLID, PARAMS, SYM2, make_geography
 
 
@@ -152,6 +154,23 @@ def test_metric_fallback_rate_equals_tau():
     assert a.trade_decay_rate == pytest.approx(0.7)
     assert np.allclose(a.margins[~np.isnan(a.margins)],
                        b.margins[~np.isnan(b.margins)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**16),
+       eta_hat=st.sampled_from([0.0, 0.3, 2.0]), delta=st.sampled_from([0.5, 2.0, 8.0]),
+       scaled=st.booleans())
+def test_margins_match_pair_loop(n, seed, eta_hat, delta, scaled):
+    rng = np.random.default_rng(seed)
+    positions = [(0.15 + 0.18 * i, float(y)) for i, y in
+                 enumerate(rng.uniform(0.1, 0.9, n))]
+    geo = make_geography(positions, productivities=list(rng.uniform(0.8, 1.25, n)),
+                         tau=0.5, n=16,
+                         scales=rng.uniform(1.0, 2.0, n) if scaled else None)
+    p = ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=delta)
+    report = existence_margins(geo, p, eta_hat=eta_hat)
+    expected = loop_existence_margins(geo, p, eta_hat, report.trade_decay_rate)
+    assert np.array_equal(report.margins, expected, equal_nan=True)
 
 
 def test_margin_threshold_bracketing_over_delta():

@@ -276,6 +276,18 @@ def test_solve_writes_all_artifacts(tmp_path):
     ET.fromstring((out / "overlay.svg").read_text())
 
 
+def test_solution_json_records_market_iterations(tmp_path):
+    text = MINIMAL.replace(
+        "  sites:\n",
+        "  sites:\n    - {position: [0.5, 0.2], productivity: 1.1}\n")
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(config),
+                     "--out", str(out)]) == 0
+    count = read_json(out / "solution.json")["market_iterations"]
+    assert isinstance(count, int) and count > 1
+
+
 def test_solve_reruns_are_byte_identical(tmp_path):
     config = write_config(tmp_path)
     assert cli.main(["solve", "--config", str(config),

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import loop_amenity_integral
+import hinterland.equilibrium as equilibrium
+from helpers import damped_market_solve, loop_amenity_integral, loop_reproject_scale
 from hinterland.equilibrium import (
     Baseline,
     CompositeParams,
@@ -11,6 +13,7 @@ from hinterland.equilibrium import (
     ModelParams,
     SolverOptions,
     TwoSector,
+    _reproject,
     composite_params,
     fixed_point_solve,
     market_equilibrium_solve,
@@ -27,14 +30,21 @@ from hinterland.errors import (
     NotConverged,
     ZeroLabor,
 )
-from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
+from hinterland.fields import (
+    Geography,
+    amenity_from_function,
+    explicit_trade_costs,
+    trade_costs_from_metric,
+)
 from hinterland.geometry import DistanceSystem, Site, build_grid
 
 EUCLID = DistanceSystem()
 
 
 def make_geography(positions, productivities=None, tau=0.5, n=64,
-                   amenity_fn=None):
+                   amenity_fn=None, scales=None):
+    """A unit-square geography; per-site ``scales`` make d_i(y_j) asymmetric
+    and take trade costs exp(tau * Euclidean distance) as an explicit matrix."""
     grid = build_grid((0.0, 0.0, 1.0, 1.0), (n, n))
     prods = productivities or [1.0] * len(positions)
     sites = tuple(Site(i, p, prod) for i, (p, prod) in
@@ -42,7 +52,11 @@ def make_geography(positions, productivities=None, tau=0.5, n=64,
     fn = amenity_fn or (lambda x, y: np.ones_like(x))
     amen = amenity_from_function(grid, fn)
     trade = trade_costs_from_metric(sites, EUCLID, tau=tau)
-    return Geography(grid=grid, sites=sites, system=EUCLID, amenity=amen,
+    system = EUCLID
+    if scales is not None:
+        system = DistanceSystem("scaled_euclidean", scales=tuple(scales))
+        trade = explicit_trade_costs(trade.values)
+    return Geography(grid=grid, sites=sites, system=system, amenity=amen,
                      trade=trade)
 
 
@@ -461,6 +475,122 @@ def test_market_blocks_hold_pointwise():
                      * m.wages[j] * L[j] for j in range(3))
         assert m.wages[i] ** p.sigma * L[i] == pytest.approx(
             A[i] ** (p.sigma - 1) * income, rel=1e-9)
+
+
+def _assert_gravity_holds(m, L, abar, trade, p, rel=1e-9):
+    A = [abar[i] * L[i] ** p.alpha for i in range(len(L))]
+    T = trade.values
+    for i in range(len(L)):
+        p_pow = sum(T[j][i] ** (1 - p.sigma) * A[j] ** (p.sigma - 1)
+                    * m.wages[j] ** (1 - p.sigma) for j in range(len(L)))
+        assert m.prices[i] ** (1 - p.sigma) == pytest.approx(p_pow, rel=rel)
+        income = sum(T[i][j] ** (1 - p.sigma) * m.prices[j] ** (p.sigma - 1)
+                     * m.wages[j] * L[j] for j in range(len(L)))
+        assert m.wages[i] ** p.sigma * L[i] == pytest.approx(
+            A[i] ** (p.sigma - 1) * income, rel=rel)
+
+
+@st.composite
+def random_markets(draw):
+    """(labor, productivities, trade, params) on n ∈ 2..8 distinct lattice sites."""
+    n = draw(st.integers(2, 8))
+    sigma = draw(st.sampled_from([5.0, 9.0]))
+    alpha = draw(st.sampled_from([0.05, 1.0 / (sigma - 1.0), 0.2]))
+    cells = draw(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                          min_size=n, max_size=n, unique=True))
+    labor = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    prods = draw(st.lists(st.floats(0.8, 1.25), min_size=n, max_size=n))
+    sites = tuple(Site(i, (0.05 * a, 0.05 * b)) for i, (a, b) in enumerate(cells))
+    return (labor, prods, trade_costs_from_metric(sites, EUCLID, tau=0.5),
+            ModelParams(sigma=sigma, alpha=alpha, beta=-0.3, delta=1.0))
+
+
+# The damped loop's error after its last step is about step / (1 - rate), and
+# its rate nears 1 on slow draws, so both solvers run at tol 1e-13 here.
+@settings(max_examples=40, deadline=None)
+@given(market=random_markets())
+def test_anderson_market_matches_damped_oracle(market):
+    L, abar, trade, p = market
+    log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p,
+                                                          tol=1e-13)
+    m = market_equilibrium_solve(L, abar, trade, p, tol=1e-13)
+    assert np.abs(np.log(m.wages) - log_w).max() < 1e-10
+    assert np.abs(np.log(m.prices) - log_P).max() < 1e-10
+    _assert_gravity_holds(m, L, abar, trade, p)
+    assert m.iterations <= damped_iterations
+
+
+def test_anderson_market_needs_a_quarter_of_the_damped_iterations():
+    rng = np.random.default_rng(3)
+    anderson = damped = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        sigma = float(rng.choice([5.0, 9.0]))
+        alpha = float(rng.choice([0.05, 1 / (sigma - 1), 0.2]))
+        p = ModelParams(sigma=sigma, alpha=alpha, beta=-0.3, delta=1.0)
+        sites = tuple(Site(i, tuple(xy)) for i, xy in
+                      enumerate(rng.uniform(0.0, 1.0, (n, 2))))
+        trade = trade_costs_from_metric(sites, EUCLID, tau=0.5)
+        L, abar = rng.uniform(0.05, 1.0, n), rng.uniform(0.8, 1.25, n)
+        anderson += market_equilibrium_solve(L, abar, trade, p).iterations
+        damped += damped_market_solve(L, abar, trade, p)[2]
+    assert anderson <= damped / 4
+
+
+def test_anderson_drops_dependent_columns_and_falls_back_on_nan(monkeypatch):
+    # two sites: the numeraire leaves one free direction, so the ΔF columns
+    # become parallel and all but the newest are dropped
+    p = ModelParams(sigma=5.0, alpha=0.2, beta=-0.3, delta=1.0)
+    trade = trade_costs_from_metric(
+        (Site(0, (0.3, 0.5)), Site(1, (0.7, 0.5))), EUCLID, tau=0.5)
+    L, abar = [0.3, 0.7], [1.0, 1.0]
+    log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p)
+    solve_gamma = equilibrium._anderson_gamma
+    gammas = []
+
+    def recording(dF, f):
+        gammas.append(solve_gamma(dF, f))
+        return gammas[-1]
+
+    monkeypatch.setattr(equilibrium, "_anderson_gamma", recording)
+    m = market_equilibrium_solve(L, abar, trade, p)
+    assert any(len(g) > 1 and np.count_nonzero(g) < len(g) for g in gammas)
+    assert np.abs(np.log(m.wages) - log_w).max() < 1e-10
+    assert np.abs(np.log(m.prices) - log_P).max() < 1e-10
+    assert m.iterations < damped_iterations
+
+    monkeypatch.setattr(equilibrium, "_anderson_gamma",
+                        lambda dF, f: np.full(len(dF), np.nan))
+    m = market_equilibrium_solve(L, abar, trade, p)  # plain damped steps only
+    assert np.abs(np.log(m.wages) - log_w).max() < 1e-10
+    assert np.abs(np.log(m.prices) - log_P).max() < 1e-10
+    assert abs(m.iterations - damped_iterations) <= 1
+
+
+def test_solution_keeps_market_iterations():
+    geography = make_geography(((0.2, 0.3), (0.8, 0.4), (0.5, 0.8)),
+                               productivities=[1.0, 1.15, 0.9])
+    solution = fixed_point_solve(geography, PARAMS)
+    market = market_equilibrium_solve(solution.labor, geography.productivities,
+                                      geography.trade, PARAMS)
+    damped = damped_market_solve(solution.labor, geography.productivities,
+                                 geography.trade, PARAMS)[2]
+    assert isinstance(solution.market_iterations, int)
+    assert 0 < solution.market_iterations == market.iterations < damped
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6),
+       k_shrink=st.sampled_from([0.25, 0.5, 1.0]), scaled=st.booleans())
+def test_reproject_scale_matches_pair_loop(lam, k_shrink, scaled):
+    positions = [(0.1 + 0.15 * i, 0.2 + 0.1 * (i % 3)) for i in range(len(lam))]
+    scales = [1.0 + 0.5 * i for i in range(len(lam))] if scaled else None
+    geo = make_geography(positions, n=8, scales=scales)
+    comp = composite_params(PARAMS, geo.productivities, geo.trade)
+    scale = comp.weight_scale * comp.gamma1
+    lam_t = np.asarray(lam) * scale
+    t = loop_reproject_scale(lam_t / scale, geo, k_shrink)
+    assert np.array_equal(_reproject(lam_t, comp, geo, k_shrink), lam_t * t)
 
 
 def test_market_rejects_zero_labor():

@@ -172,14 +172,35 @@ def site_configs(draw, max_sites=4):
     return tuple(Site(i, p) for i, p in enumerate(pts)), np.array(weights)
 
 
-@settings(max_examples=40, deadline=None)
-@given(config=site_configs(), shift=st.sampled_from([-2.0, -0.5, 0.25, 1.0, 8.0]))
-def test_labels_invariant_under_common_weight_shift(config, shift):
-    sites, weights = config
+def _assert_shift_only_moves_near_ties(sites, weights, shift):
+    """Labels of d_i - (w_i + shift) equal those of d_i - w_i, except at
+    cells whose two lowest base costs lie within a few ulps of
+    |costs| + |shift|, where the two roundings may order them differently."""
     g = build_grid((-1, -1, 1, 1), (24, 24))
     base = assign_labels(g, sites, EUCLID, weights)
     shifted = assign_labels(g, sites, EUCLID, weights + shift)
-    assert np.array_equal(base.labels, shifted.labels)
+    xs, ys = g.cell_centers()
+    costs = np.stack([np.sqrt((xs - s.position[0]) ** 2 + (ys - s.position[1]) ** 2)
+                      - w for s, w in zip(sites, weights)])
+    lowest = np.sort(costs, axis=0)
+    near_tie = (lowest[1] - lowest[0]
+                <= 8 * np.finfo(float).eps * (np.abs(costs).max(axis=0) + abs(shift)))
+    moved = base.labels != shifted.labels
+    assert np.all(near_tie[moved])  # so every other cell keeps its label
+    return moved
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=site_configs(), shift=st.sampled_from([-2.0, -0.5, 0.25, 1.0, 8.0]))
+def test_labels_invariant_under_common_weight_shift(config, shift):
+    _assert_shift_only_moves_near_ties(*config, shift)
+
+
+def test_common_weight_shift_moves_only_near_ties_regression():
+    sites = (Site(0, (0.0, 0.0)), Site(1, (0.05, -0.4)))
+    moved = _assert_shift_only_moves_near_ties(sites, np.zeros(2), -2.0)
+    # the shifted costs round to the other order at exactly these two cells
+    assert {tuple(c) for c in np.argwhere(moved).tolist()} == {(8, 3), (9, 11)}
 
 
 @settings(max_examples=40, deadline=None)

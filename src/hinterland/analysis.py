@@ -18,15 +18,14 @@ from .equilibrium import (
     SolverOptions,
     composite_params,
     fixed_point_solve,
+    is_knife_edge,
     subset_geography,
     variant_transform,
 )
 from .errors import HinterlandError, NonMetricTradeCosts
 from .fields import Geography
-from .geometry import assign_labels, lambda_feasibility, pairwise_metrics
+from .geometry import assign_labels, pairwise_metrics, sample_feasible_weights
 from .integrals import aggregate_amenities, semielasticity_sup
-
-KNIFE_EDGE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +52,7 @@ def classify_point(alpha: float, beta: float, sigma: float) -> RegimeReport:
     the two-sector variant pass the variant-resolved value.
     """
     cutoff = 1.0 / (sigma - 1.0)
-    if abs(alpha - cutoff) <= KNIFE_EDGE_TOL:
+    if is_knife_edge(alpha, sigma):
         multiplicity = "knife_edge"
     elif alpha > cutoff:
         multiplicity = "multiple"
@@ -367,19 +366,11 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
         raise ValueError("n_starts must be >= 1")
     ids = tuple(y_star) if y_star is not None else tuple(s.id for s in geography.sites)
     sub = subset_geography(geography, ids)
-    n = len(ids)
-    _, d_min, _ = pairwise_metrics(sub.sites, sub.system) if n > 1 else (None, 0.0, None)
-
-    rng = np.random.default_rng(seed)
-    starts = []
-    while len(starts) < n_starts:
-        if n == 1:
-            starts.append(np.zeros(1))
-            continue
-        w = rng.uniform(-0.5 * k_shrink * d_min, 0.5 * k_shrink * d_min, size=n)
-        if lambda_feasibility(sub.sites, sub.system, w, k_shrink).verdict \
-                == "interior":
-            starts.append(w)
+    if len(ids) == 1:
+        starts = [np.zeros(1) for _ in range(n_starts)]
+    else:
+        starts = sample_feasible_weights(sub.sites, sub.system, k_shrink,
+                                         n_starts, seed)
 
     clusters: list[dict] = []
     failures = []

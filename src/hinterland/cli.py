@@ -28,6 +28,7 @@ from .equilibrium import (
     EquilibriumSolution,
     ModelParams,
     fixed_point_solve,
+    is_knife_edge,
     solve_knife_edge_system,
     subset_geography,
     variant_transform,
@@ -47,8 +48,6 @@ from .io_formats import (
     write_table_csv,
 )
 from .sustainability import enumerate_urban_systems
-
-_KNIFE_EDGE_TOL = 1e-12
 
 SITE_CSV_HEADER = ("site_id", "x", "y", "productivity", "weight", "labor",
                    "wage", "price", "real_wage", "amenity_weight")
@@ -101,7 +100,7 @@ def _solver_echo(config: RunConfig) -> dict:
 
 def _is_knife_edge(params: ModelParams) -> bool:
     return (params.variant.kind == "baseline"
-            and abs(params.alpha - params.alpha_cutoff) <= _KNIFE_EDGE_TOL)
+            and is_knife_edge(params.alpha, params.sigma))
 
 
 def _solve_from_config(config: RunConfig):

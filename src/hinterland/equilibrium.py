@@ -98,6 +98,15 @@ class ModelParams:
         return 1.0 / (self.sigma - 1.0)
 
 
+#: Distance from the cutoff 1/(sigma-1) within which alpha is the knife edge.
+KNIFE_EDGE_TOL = 1e-12
+
+
+def is_knife_edge(alpha: float, sigma: float) -> bool:
+    """Whether alpha sits at the knife-edge spillover level 1/(sigma-1)."""
+    return abs(alpha - 1.0 / (sigma - 1.0)) <= KNIFE_EDGE_TOL
+
+
 @dataclass(frozen=True)
 class EffectiveSystem:
     """Variant-resolved constants the solver consumes.
@@ -475,14 +484,14 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
                             ) -> EquilibriumSolution:
     """Solve the all-sites weight system at the knife-edge spillover level.
 
-    Requires alpha = 1/(sigma-1) (within 1e-12; snapped exactly inside).
+    Requires ``is_knife_edge(alpha, sigma)``; alpha is snapped to the cutoff.
     Districts whose cells empty simply drop out of the sums, so the active
     set is an outcome, not an input.
     """
     if params.variant.kind != "baseline":
         raise InvalidVariantParams("the all-sites solver supports the baseline variant")
     cutoff = params.alpha_cutoff
-    if abs(params.alpha - cutoff) > 1e-12:
+    if not is_knife_edge(params.alpha, params.sigma):
         raise InvalidVariantParams(
             f"alpha must equal 1/(sigma-1) = {cutoff!r}, got {params.alpha!r}")
     params = replace(params, alpha=cutoff)

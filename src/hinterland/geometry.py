@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     CoincidentSites,
@@ -95,6 +94,10 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
         If no cell center satisfies the predicate.
     DisconnectedDomain
         If the inside cells split into more than one 4-connected component.
+
+    Connectivity is counted by ``count_components``: the row runs of inside
+    cells are merged, with union-find, wherever two runs in adjacent rows
+    share a column, so diagonal contact does not join components.
     """
     xmin, ymin, xmax, ymax = (float(v) for v in bbox)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -114,13 +117,48 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
 
     if grid.n_inside == 0:
         raise EmptyDomain("inside predicate marked no cell")
-    # 4-connectivity: diagonal contact does not join components.
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, n_components = ndimage.label(grid.inside, structure=structure)
+    n_components = count_components(grid.inside)
     if n_components > 1:
         raise DisconnectedDomain(f"inside mask has {n_components} 4-connected components")
     grid.inside.setflags(write=False)
     return grid
+
+
+def count_components(mask) -> int:
+    """Number of 4-connected components of the True cells of a 2-D mask.
+
+    Each row's maximal runs of True cells are nodes; two runs in adjacent
+    rows are joined when they share a column (cells touching only at a
+    corner are not). The count is the number of union-find roots.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    left = np.zeros_like(mask)
+    left[:, 1:] = mask[:, :-1]
+    starts = mask & ~left
+    # run index of every True cell, numbered in raster order
+    run = np.cumsum(starts, axis=None).reshape(mask.shape) - 1
+    n_runs = int(np.count_nonzero(starts))
+    below = mask[:-1] & mask[1:]
+    upper, lower = run[:-1][below], run[1:][below]
+    # the columns two runs share are adjacent in raster order: keep one link
+    new_link = np.ones(upper.shape, dtype=bool)
+    new_link[1:] = (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
+
+    parent = list(range(n_runs))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]   # path halving
+            i = parent[i]
+        return i
+
+    count = n_runs
+    for a, b in zip(upper[new_link].tolist(), lower[new_link].tolist()):
+        a, b = root(a), root(b)
+        if a != b:
+            parent[b] = a
+            count -= 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -365,33 +403,54 @@ class FeasibilityReport:
     pairs: dict
     verdict: str
 
-    _ORDER = {"interior": 0, "boundary": 1, "infeasible": 2}
+    _STATUSES = ("interior", "boundary", "infeasible")   # best to worst
+
+
+def _band_status(d, weights, k: float) -> np.ndarray:
+    """Status of w_i - w_j for every ordered pair: 0 interior, 1 boundary,
+    2 infeasible (0 on the diagonal). ``weights`` may hold one vector per row."""
+    if not (0.0 < k < 1.0):
+        raise ValueError(f"k must be in (0, 1), got {k}")
+    diff = weights[..., :, None] - weights[..., None, :]
+    # feasible band for w_i - w_j is (-d_j(y_i), d_i(y_j))
+    lo, hi = -d.T, d
+    status = np.where((lo < diff) & (diff < hi),
+                      np.where((k * lo < diff) & (diff < k * hi), 0, 1), 2)
+    status[..., np.eye(len(d), dtype=bool)] = 0
+    return status
 
 
 def lambda_feasibility(sites, system: DistanceSystem, weights, k: float) -> FeasibilityReport:
     """Classify weight differences against the active-cell feasibility bands."""
-    if not (0.0 < k < 1.0):
-        raise ValueError(f"k must be in (0, 1), got {k}")
     sites = tuple(sites)
-    weights = np.asarray(weights, dtype=float)
-    d = cross_distances(sites, system)
-    pairs = {}
-    worst = "interior"
-    for i in range(len(sites)):
-        for j in range(len(sites)):
-            if i == j:
-                continue
-            diff = weights[i] - weights[j]
-            # feasible band for w_i - w_j is (-d_j(y_i), d_i(y_j))
-            lo, hi = -d[j, i], d[i, j]
-            if lo < diff < hi:
-                status = "interior" if (k * lo < diff < k * hi) else "boundary"
-            else:
-                status = "infeasible"
-            pairs[(i, j)] = status
-            if FeasibilityReport._ORDER[status] > FeasibilityReport._ORDER[worst]:
-                worst = status
-    return FeasibilityReport(pairs=pairs, verdict=worst)
+    status = _band_status(cross_distances(sites, system),
+                          np.asarray(weights, dtype=float), k)
+    names = FeasibilityReport._STATUSES
+    pairs = {(i, j): names[code] for i, row in enumerate(status.tolist())
+             for j, code in enumerate(row) if i != j}
+    return FeasibilityReport(pairs=pairs, verdict=names[int(status.max(initial=0))])
+
+
+def sample_feasible_weights(sites, system: DistanceSystem, k_shrink: float,
+                            count: int, seed) -> list[np.ndarray]:
+    """``count`` seeded weight vectors that ``lambda_feasibility`` marks interior.
+
+    Draws uniformly from the box |w_i| < k_shrink * d_min / 2 (so every
+    difference stays below k_shrink * d_min) and rejects vectors that are not
+    interior; the draws and their order depend only on ``seed``.
+    """
+    sites = tuple(sites)
+    d, d_min, _ = pairwise_metrics(sites, system)
+    rng = np.random.default_rng(seed)
+    half_box = 0.5 * k_shrink * d_min
+    samples = []
+    while len(samples) < count:
+        # the rows continue the stream exactly as one draw at a time would
+        draws = rng.uniform(-half_box, half_box,
+                            size=(count - len(samples), len(sites)))
+        interior = _band_status(d, draws, k_shrink).max(axis=(1, 2)) == 0
+        samples.extend(draws[interior])
+    return samples
 
 
 def pairwise_metrics(sites, system: DistanceSystem):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InactiveSiteWithMass
 from .fields import AmenityField, Geography
-from .geometry import Tessellation, assign_labels, lambda_feasibility, pairwise_metrics
+from .geometry import Tessellation, assign_labels, sample_feasible_weights
 
 #: Gradients of two distance functions closer than this are treated as
 #: parallel: the interface edge is skipped and counted in diagnostics.
@@ -243,15 +243,8 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     if n < 2:
         return SemielasticityBound(0.0, False, 1, 0)
 
-    _, d_min, _ = pairwise_metrics(geography.sites, geography.system)
-    rng = np.random.default_rng(seed)
-    weight_vectors = [np.zeros(n)]
-    half_box = 0.5 * k_shrink * d_min  # differences then stay below k*d_min
-    while len(weight_vectors) < n_samples:
-        w = rng.uniform(-half_box, half_box, size=n)
-        if lambda_feasibility(geography.sites, geography.system, w,
-                              k_shrink).verdict == "interior":
-            weight_vectors.append(w)
+    weight_vectors = [np.zeros(n)] + sample_feasible_weights(
+        geography.sites, geography.system, k_shrink, n_samples - 1, seed)
 
     best = 0.0
     diag = {"skipped_edges": 0}

@@ -14,13 +14,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .analysis import KNIFE_EDGE_TOL, existence_margins
+from .analysis import existence_margins
 from .equilibrium import (
     EquilibriumSolution,
     ModelParams,
     SolverOptions,
     composite_params,
     fixed_point_solve,
+    is_knife_edge,
     subset_geography,
 )
 from .errors import HinterlandError, SiteNotVacant
@@ -53,10 +54,9 @@ class PotentialWeight:
 
 
 def _spillover_regime(params: ModelParams) -> str:
-    cutoff = params.alpha_cutoff
-    if abs(params.alpha - cutoff) <= KNIFE_EDGE_TOL:
+    if is_knife_edge(params.alpha, params.sigma):
         return KNIFE_EDGE
-    return STRONG_SPILLOVER if params.alpha > cutoff else WEAK_SPILLOVER
+    return STRONG_SPILLOVER if params.alpha > params.alpha_cutoff else WEAK_SPILLOVER
 
 
 def _geo_positions(geography: Geography):

@@ -228,3 +228,40 @@ def loop_existence_margins(geography, params, eta_hat, tau_rate):
             rhs = (decay - creep) * d[i, j]
             margins[i, j] = rhs - lhs
     return margins
+
+
+def loop_lambda_feasibility(sites, system, weights, k):
+    """Per-pair feasibility statuses and verdict, as a loop over ordered pairs."""
+    order = {"interior": 0, "boundary": 1, "infeasible": 2}
+    weights = np.asarray(weights, dtype=float)
+    d = cross_distances(sites, system)
+    pairs = {}
+    worst = "interior"
+    for i in range(len(sites)):
+        for j in range(len(sites)):
+            if i == j:
+                continue
+            diff = weights[i] - weights[j]
+            # feasible band for w_i - w_j is (-d_j(y_i), d_i(y_j))
+            lo, hi = -d[j, i], d[i, j]
+            if lo < diff < hi:
+                status = "interior" if (k * lo < diff < k * hi) else "boundary"
+            else:
+                status = "infeasible"
+            pairs[(i, j)] = status
+            if order[status] > order[worst]:
+                worst = status
+    return pairs, worst
+
+
+def loop_feasible_starts(sites, system, k_shrink, count, seed):
+    """Seeded rejection sampling of interior weight vectors, one draw at a time."""
+    _, d_min, _ = pairwise_metrics(sites, system)
+    rng = np.random.default_rng(seed)
+    starts = []
+    while len(starts) < count:
+        w = rng.uniform(-0.5 * k_shrink * d_min, 0.5 * k_shrink * d_min,
+                        size=len(sites))
+        if loop_lambda_feasibility(sites, system, w, k_shrink)[1] == "interior":
+            starts.append(w)
+    return starts

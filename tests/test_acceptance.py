@@ -18,7 +18,6 @@ from test_equilibrium import make_geography
 from test_sustainability import geo_with_sites, square_candidates
 
 from hinterland.analysis import (
-    KNIFE_EDGE_TOL,
     classify_point,
     existence_margins,
     multistart_probe,
@@ -27,6 +26,7 @@ from hinterland.analysis import (
 )
 from hinterland.equilibrium import (
     HomeConsumption,
+    KNIFE_EDGE_TOL,
     ModelParams,
     TwoSector,
     composite_params,

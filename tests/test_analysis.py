@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hinterland.analysis as analysis
+import hinterland.integrals as integrals
 from hinterland.analysis import (
     SWEEP_CATEGORIES,
     bracket_threshold,
@@ -22,11 +24,11 @@ from hinterland.equilibrium import (
     composite_params,
     variant_transform,
 )
-from hinterland.errors import NonMetricTradeCosts
+from hinterland.errors import HinterlandError, NonMetricTradeCosts
 from hinterland.fields import explicit_trade_costs
 from hinterland.integrals import semielasticity_sup
 
-from helpers import loop_existence_margins
+from helpers import loop_existence_margins, loop_feasible_starts
 from test_equilibrium import EUCLID, PARAMS, SYM2, make_geography
 
 
@@ -284,6 +286,47 @@ def test_probe_single_start_single_cluster():
     probe = multistart_probe(geo, PARAMS, n_starts=1, seed=0)
     assert len(probe.clusters) == 1
     assert probe.n_starts == 1
+
+
+THREE = ((0.2, 0.3), (0.75, 0.35), (0.45, 0.8))
+
+
+def test_probe_starts_are_the_seeded_feasible_draws(monkeypatch):
+    geo = make_geography(THREE, n=16)
+    starts = []
+
+    def record(geography, params, y_star=None, options=None):
+        starts.append(options.weights_init)
+        raise HinterlandError("start recorded")
+
+    monkeypatch.setattr(analysis, "fixed_point_solve", record)
+    probe = multistart_probe(geo, PARAMS, n_starts=6, seed=11)
+    assert probe.n_converged == 0 and len(probe.failures) == 6
+    expected = loop_feasible_starts(geo.sites, geo.system, 0.5, 6, 11)
+    assert len(starts) == 6
+    assert all(np.array_equal(s, e) for s, e in zip(starts, expected))
+
+    starts.clear()
+    multistart_probe(geo, PARAMS, y_star=[2], n_starts=3, seed=11)
+    assert len(starts) == 3 and all(np.array_equal(s, [0.0]) for s in starts)
+
+
+def test_semielasticity_sup_evaluates_zero_then_seeded_draws(monkeypatch):
+    geo = make_geography(THREE, n=16)
+    weights = []
+    real = integrals.assign_labels
+
+    def record(grid, sites, system, w, distances=None):
+        weights.append(np.asarray(w))
+        return real(grid, sites, system, w, distances)
+
+    monkeypatch.setattr(integrals, "assign_labels", record)
+    bound = semielasticity_sup(geo, variant_transform(PARAMS).kernel,
+                               n_samples=5, seed=4)
+    assert bound.n_weight_vectors == 5
+    expected = [np.zeros(3)] + loop_feasible_starts(geo.sites, geo.system, 0.5, 4, 4)
+    assert len(weights) == 5
+    assert all(np.array_equal(w, e) for w, e in zip(weights, expected))
 
 
 def test_probe_deterministic_in_seed():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hinterland.equilibrium as equilibrium
+from hinterland import cli, sustainability
+from hinterland.analysis import classify_point
 from helpers import damped_market_solve, loop_amenity_integral, loop_reproject_scale
 from hinterland.equilibrium import (
     Baseline,
@@ -414,6 +416,37 @@ def test_knife_edge_requires_exact_cutoff():
                       variant=TwoSector(mu=0.5, beta=-0.2))
     with pytest.raises(InvalidVariantParams):
         solve_knife_edge_system(geo, two)
+
+
+@pytest.mark.parametrize("sigma", [5.0, 4.0, 9.0])
+def test_knife_edge_call_sites_agree_near_the_cutoff(sigma):
+    geo = make_geography(SYM2, n=16)
+    cutoff = 1.0 / (sigma - 1.0)
+    verdicts = {}
+    for offset in (0.0, 1e-12, -1e-12, 2e-12, -2e-12):
+        p = ModelParams(sigma=sigma, alpha=cutoff + offset, beta=-0.5, delta=2.0)
+        try:
+            solve_knife_edge_system(geo, p)
+            solver_accepts = True
+        except InvalidVariantParams:
+            solver_accepts = False
+        sites = {
+            "predicate": equilibrium.is_knife_edge(p.alpha, p.sigma),
+            "cli": cli._is_knife_edge(p),
+            "classify_point": classify_point(p.alpha, p.beta, p.sigma)
+                              .location_multiplicity == "knife_edge",
+            "sustainability": sustainability._spillover_regime(p)
+                              == sustainability.KNIFE_EDGE,
+            "solve_knife_edge_system": solver_accepts,
+        }
+        assert len(set(sites.values())) == 1, (offset, sites)
+        verdicts[offset] = sites["predicate"]
+    assert verdicts[0.0] and not verdicts[2e-12] and not verdicts[-2e-12]
+    # the CLI routes only the baseline variant to the all-sites solver
+    two = ModelParams(sigma=sigma, alpha=cutoff, beta=-0.5, delta=2.0,
+                      variant=TwoSector(mu=0.5, beta=-0.2))
+    assert equilibrium.is_knife_edge(two.alpha, two.sigma)
+    assert not cli._is_knife_edge(two)
 
 
 def test_knife_edge_symmetric_pair():

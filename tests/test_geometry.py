@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from hinterland.errors import (
     CoincidentSites,
@@ -17,12 +20,14 @@ from hinterland.geometry import (
     Site,
     assign_labels,
     build_grid,
+    count_components,
     cross_distances,
     lambda_feasibility,
     pairwise_metrics,
+    sample_feasible_weights,
 )
 
-from helpers import brute_labels
+from helpers import brute_labels, loop_feasible_starts, loop_lambda_feasibility
 
 EUCLID = DistanceSystem()
 
@@ -59,6 +64,96 @@ def test_disconnected_domain_raises():
     with pytest.raises(DisconnectedDomain):
         build_grid((0, 0, 1, 1), (16, 16),
                    lambda X, Y: (X < 0.4) | (X > 0.6))
+
+
+def test_disconnected_domain_message_counts_components():
+    # three vertical bands; the empty check still comes first
+    with pytest.raises(DisconnectedDomain,
+                       match="inside mask has 3 4-connected components"):
+        build_grid((0, 0, 1, 1), (16, 16),
+                   lambda X, Y: (X < 0.2) | ((X > 0.4) & (X < 0.6)) | (X > 0.8))
+    with pytest.raises(EmptyDomain):
+        build_grid((0, 0, 1, 1), (16, 16), lambda X, Y: np.zeros_like(X, dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# 4-connected component count against scipy.ndimage.label
+
+CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+def ndimage_count(mask):
+    return ndimage.label(mask, structure=CROSS)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+def test_component_count_matches_ndimage_label(mask):
+    assert count_components(mask) == ndimage_count(mask)
+
+
+def _mask(rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+HARD_SHAPES = {
+    "row": (_mask(["##.#..##"]), 3),
+    "column": (_mask(["##.#..##"]).T, 3),
+    "full_row": (np.ones((1, 9), dtype=bool), 1),
+    "full_column": (np.ones((9, 1), dtype=bool), 1),
+    "diagonal_blobs": (_mask(["##..",
+                              "##..",
+                              "..##",
+                              "..##"]), 2),
+    "anti_diagonal_blobs": (_mask(["..##",
+                                   "..##",
+                                   "##..",
+                                   "##.."]), 2),
+    # the arms are separate runs in every row until the last one joins them
+    "u_joined_in_last_row": (_mask(["#..#..#",
+                                    "#..#..#",
+                                    "#..#..#",
+                                    "#######"]), 1),
+    "u_without_last_row": (_mask(["#..#..#",
+                                  "#..#..#",
+                                  "#..#..#"]), 3),
+    "ring_with_hole": (_mask(["#####",
+                              "#...#",
+                              "#...#",
+                              "#####"]), 1),
+    "ring_with_island": (_mask(["#######",
+                                "#.....#",
+                                "#..#..#",
+                                "#.....#",
+                                "#######"]), 2),
+    "checkerboard": ((np.indices((7, 6)).sum(axis=0) % 2 == 0), 21),
+    "spiral": (_mask(["#######",
+                      "......#",
+                      "#####.#",
+                      "#...#.#",
+                      "#.###.#",
+                      "#.....#",
+                      "#######"]), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_SHAPES))
+def test_component_count_of_hard_shapes(name):
+    mask, expected = HARD_SHAPES[name]
+    assert count_components(mask) == expected
+    assert ndimage_count(mask) == expected
+
+
+def test_component_check_on_full_256_grid_is_fast():
+    grid = build_grid((0, 0, 1, 1), (256, 256))
+    times = []
+    for _ in range(20):
+        start = time.perf_counter()
+        assert count_components(grid.inside) == 1
+        times.append(time.perf_counter() - start)
+    best = min(times)
+    print(f"count_components, full 256x256 mask: {best * 1e3:.3f} ms (best of 20)")
+    assert best < 2e-3
 
 
 def test_degenerate_resolution_rejected():
@@ -247,6 +342,56 @@ def test_asymmetric_feasibility_under_scaled_metric():
     assert lambda_feasibility(sites, system, [-2.0, 0.0], 0.5).verdict == "boundary"
     assert lambda_feasibility(sites, system, [-3.5, 0.0], 0.5).verdict == "infeasible"
     assert lambda_feasibility(sites, system, [0.9, 0.0], 0.9).verdict == "boundary"
+
+
+def _feasibility_cases(scaled):
+    """Seeded weight vectors over random sites, including exact band edges."""
+    rng = np.random.default_rng(20 + scaled)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        sites = tuple(Site(i, tuple(p)) for i, p in enumerate(rng.uniform(0, 1, (n, 2))))
+        system = (DistanceSystem("scaled_euclidean", scales=tuple(rng.uniform(0.3, 3.0, n)))
+                  if scaled else EUCLID)
+        d = cross_distances(sites, system)
+        k = float(rng.choice([0.1, 0.5, 0.9]))
+        yield sites, system, rng.uniform(-1.2, 1.2, n) * d.max(), k
+        for edge in (d[0, 1], k * d[0, 1], -d[1, 0], -k * d[1, 0]):
+            weights = np.zeros(n)
+            weights[0] = edge
+            yield sites, system, weights, k
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_feasibility_matches_pair_loop(scaled):
+    seen = set()
+    for sites, system, weights, k in _feasibility_cases(scaled):
+        report = lambda_feasibility(sites, system, weights, k)
+        pairs, verdict = loop_lambda_feasibility(sites, system, weights, k)
+        assert list(report.pairs.items()) == list(pairs.items())
+        assert all(type(i) is int and type(j) is int for i, j in report.pairs)
+        assert report.verdict == verdict
+        seen.update(pairs.values())
+    assert seen == {"interior", "boundary", "infeasible"}
+
+
+def test_feasibility_of_a_single_site_is_interior():
+    report = lambda_feasibility((Site(0, (0.0, 0.0)),), EUCLID, [3.0], 0.5)
+    assert report.pairs == {} and report.verdict == "interior"
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_feasible_weight_sampler_pins_the_seeded_draws(scaled):
+    sites = (Site(0, (0.0, 0.0)), Site(1, (1.0, 0.0)), Site(2, (0.3, 0.8)),
+             Site(3, (1.2, 1.1)))
+    system = (DistanceSystem("scaled_euclidean", scales=(1.0, 2.5, 0.7, 1.3))
+              if scaled else EUCLID)
+    got = sample_feasible_weights(sites, system, 0.5, 12, seed=7)
+    expected = loop_feasible_starts(sites, system, 0.5, 12, 7)
+    assert len(got) == 12
+    for w, e in zip(got, expected):
+        assert np.array_equal(w, e)   # bit for bit, same order
+        assert lambda_feasibility(sites, system, w, 0.5).verdict == "interior"
+    assert sample_feasible_weights(sites, system, 0.5, 0, seed=7) == []
 
 
 def test_pairwise_metrics_collinear_example():

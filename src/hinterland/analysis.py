@@ -372,9 +372,8 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
         starts = sample_feasible_weights(sub.sites, sub.system, k_shrink,
                                          n_starts, seed)
 
-    clusters: list[dict] = []
+    clusters: list[SolutionCluster] = []
     failures = []
-    n_converged = 0
     for idx, w0 in enumerate(starts):
         try:
             sol = fixed_point_solve(geography, params, y_star=ids,
@@ -382,19 +381,15 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
         except HinterlandError as e:
             failures.append((idx, f"{type(e).__name__}: {e}"))
             continue
-        n_converged += 1
         diff = sol.weights - sol.weights[0]
-        for c in clusters:
-            if np.abs(c["rep"] - diff).max() < cluster_tol:
-                c["count"] += 1
+        for k, c in enumerate(clusters):
+            if np.abs(c.representative - diff).max() < cluster_tol:
+                clusters[k] = replace(c, count=c.count + 1)
                 break
         else:
-            clusters.append({"rep": diff, "count": 1,
-                             "residual": sol.residuals["weights"],
-                             "welfare": sol.welfare})
-    return ProbeReport(
-        clusters=tuple(SolutionCluster(representative=c["rep"], count=c["count"],
-                                       residual=c["residual"], welfare=c["welfare"])
-                       for c in clusters),
-        n_starts=n_starts, n_converged=n_converged,
-        failures=tuple(failures), seed=seed)
+            clusters.append(SolutionCluster(representative=diff, count=1,
+                                            residual=sol.residuals["weights"],
+                                            welfare=sol.welfare))
+    return ProbeReport(clusters=tuple(clusters), n_starts=n_starts,
+                       n_converged=n_starts - len(failures),
+                       failures=tuple(failures), seed=seed)

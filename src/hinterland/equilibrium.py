@@ -1,10 +1,11 @@
 """Equilibrium solvers for districts on weighted-Voronoi commuting areas.
 
 The weight system is solved in transformed coordinates where the welfare
-scalar drops out, by damped fixed-point iteration with one coordinate
-anchored at zero; welfare, labor masses, wages, and prices are then
-recovered in original variables from the population constraint and the
-gravity trade block.
+scalar drops out, with one coordinate anchored at zero; welfare, labor
+masses, wages, and prices are then recovered in original variables from
+the population constraint and the gravity trade block. All three fixed
+points (anchored weights, knife-edge weights, log wages) run through one
+driver, ``_iterate``: Anderson mixing safeguarded by the damped step.
 """
 
 from __future__ import annotations
@@ -238,8 +239,7 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
     system); otherwise an empty cell raises EmptyCellInSum.
     """
     lam_t = np.asarray(lam_t, dtype=float)
-    scale = comp.weight_scale * comp.gamma1
-    lam = lam_t / scale
+    lam = lam_t / (comp.weight_scale * comp.gamma1)
     tess = assign_labels(geography.grid, geography.sites, geography.system, lam,
                          geography.distances)
     agg = aggregate_amenities(tess, geography.amenity, comp.effective.kernel)
@@ -256,6 +256,88 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
     own[active] = st * comp.phi1 * agg.log_B[active]
     g = own + _logsumexp(terms, axis=1)
     return g, tess, agg
+
+
+# ---------------------------------------------------------------------------
+# iteration driver
+
+ANDERSON_MEMORY = 3   # ΔF columns kept by the Anderson mixing
+ANDERSON_DROP = 1e-8  # relative Gram–Schmidt remainder below which a column is dropped
+
+
+def _anderson_gamma(dF, f):
+    """Least-squares γ minimising |f − Σ_j γ_j dF[j]| by modified Gram–Schmidt
+    in sums of products (a first BLAS or LAPACK call alone raises peak RSS);
+    a column nearly dependent on the newer ones before it gets γ_j = 0."""
+    qs, kept, b, rest = [], [], [], f.copy()
+    R = np.zeros((len(dF), len(dF)))
+    for j, col in enumerate(dF):
+        v, m = col.copy(), len(qs)
+        for k, q in enumerate(qs):
+            R[k, m] = (q * v).sum()
+            v -= R[k, m] * q
+        norm = math.sqrt((v * v).sum())
+        if norm > ANDERSON_DROP * math.sqrt((col * col).sum()):
+            R[m, m] = norm
+            qs.append(v / norm)
+            kept.append(j)
+            b.append((qs[-1] * rest).sum())
+            rest -= b[-1] * qs[-1]
+    gamma = np.zeros(len(dF))
+    for k in reversed(range(len(qs))):  # back substitution on R γ = Qᵀf
+        gamma[kept[k]] = (b[k] - (R[k, k + 1:len(qs)] * gamma[kept[k + 1:]]).sum()) \
+            / R[k, k]
+    return gamma
+
+
+def _iterate(evaluate, x, beta, tol, max_iter, what, project=lambda x: x, leave=None):
+    """Fixed point of G by Anderson mixing, safeguarded by the damped step.
+
+    ``evaluate(x)`` returns ``(G(x), ...)``. Each step mixes the last
+    ANDERSON_MEMORY + 1 residuals f = G(x) − x with weight ``beta``, then
+    applies ``project``. A mixed iterate that is non-finite or whose
+    evaluation raises EmptyCellInSum gives way to the damped step x + beta·f
+    from the same point, and mixing stops for good. After ANDERSON_MEMORY + 1
+    evaluations without a new best max|f|, the history is dropped and damped
+    steps run until one. A damped step that empties a cell is an exit: the
+    first moves to ``leave(x)``, a second raises LeftFeasibleSet. Stops at
+    max|f| < tol; returns ``(x, evaluate(x), next step, evaluations, exits)``.
+    """
+    xs, fs = [], []  # the last ANDERSON_MEMORY + 1 iterates and residuals, newest first
+    accelerate, fallback, exits, step, best, stalled = True, None, 0, math.inf, math.inf, 0
+    for iteration in range(1, max_iter + 1):
+        try:
+            out = evaluate(x)
+        except EmptyCellInSum:
+            if fallback is not None:  # a rejected mixed iterate
+                x, fallback, accelerate = project(fallback), None, False
+                continue
+            exits += 1
+            if exits > 1:
+                raise LeftFeasibleSet(
+                    f"weights left the feasible set twice (iteration {iteration})")
+            x = leave(x)
+            continue
+        f = out[0] - x
+        step = float(np.abs(f).max())
+        best, stalled = (step, 0) if step < best else (best, stalled + 1)
+        nxt, fallback = x + beta * f, None
+        if stalled > ANDERSON_MEMORY:  # damped steps until max|f| sets a new best
+            xs, fs = [], []
+        elif accelerate:
+            xs, fs = [x] + xs[:ANDERSON_MEMORY], [f] + fs[:ANDERSON_MEMORY]
+            dX = [a - b for a, b in zip(xs, xs[1:])]
+            dF = [a - b for a, b in zip(fs, fs[1:])]
+            gamma = _anderson_gamma(dF, f)
+            mixed = nxt - sum(c * (dx + beta * df) for c, dx, df in zip(gamma, dX, dF))
+            if not np.isfinite(mixed).all():
+                accelerate = False
+            elif gamma.any():  # a mix off the damped step
+                nxt, fallback = mixed, nxt
+        if step < tol:
+            return x, out, project(nxt), iteration, exits
+        x, out = project(nxt), None  # drop its rasters before the next evaluation
+    raise NotConverged(what, max_iter, step)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +393,13 @@ class EquilibriumSolution:
 
 def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
                       params: ModelParams, tess: Tessellation,
-                      agg: CellAggregates, g_final, *, iterations, exited_feasible,
+                      agg: CellAggregates, *, iterations, exited_feasible,
                       options: SolverOptions, anchor_pos: int,
                       transformed_residual: float) -> EquilibriumSolution:
     """Lift a fixed point of the anchored map back to original variables."""
     eff = comp.effective
     active = agg.active
-    scale = comp.weight_scale * comp.gamma1
-    nu = lam_t / scale
+    nu = lam_t / (comp.weight_scale * comp.gamma1)
     L_total = params.total_labor
 
     # population-constraint sums run over active districts only
@@ -339,8 +420,7 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
                      / eff.beta_eff)
     labor = np.exp(log_L)
 
-    wages = np.full(len(lam), np.nan)
-    prices = np.full(len(lam), np.nan)
+    wages, prices = np.full((2, len(lam)), np.nan)
     act_idx = np.flatnonzero(active)
     sub_trade = TradeCostMatrix(values=geography.trade.values[np.ix_(act_idx, act_idx)],
                                 origin=geography.trade.origin, tau=geography.trade.tau)
@@ -348,8 +428,7 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
         labor[active], geography.productivities[active], sub_trade, params,
         tol=options.market_tol, max_iter=options.market_max_iter,
         damping=options.market_damping)
-    wages[active] = market.wages
-    prices[active] = market.prices
+    wages[active], prices[active] = market.wages, market.prices
 
     residuals = {
         "weights": transformed_residual,
@@ -419,9 +498,10 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
                       ) -> EquilibriumSolution:
     """Solve the weight system restricted to the active set ``y_star``.
 
-    Damped iteration of the anchored transformed map; on convergence the
+    ``_iterate`` mixes the anchored map G(λ̃) = g(λ̃) − g_anchor(λ̃) with
+    weight ``options.damping`` until max|G(λ̃) − λ̃| < tol; then the
     normalization constant, welfare, labor masses, and the market block are
-    recovered. An iterate that empties a cell triggers one reprojection
+    recovered. A damped step that empties a cell triggers one reprojection
     onto the shrunk feasible set; a second exit aborts.
     """
     ids = tuple(y_star) if y_star is not None else tuple(s.id for s in geography.sites)
@@ -433,37 +513,18 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
         raise ValueError(f"anchor {anchor_id} not in active set {ids}")
     i0 = ids.index(anchor_id)
 
-    scale = comp.weight_scale * comp.gamma1
-    if options.weights_init is not None:
-        w0 = np.asarray(options.weights_init, dtype=float)
-        lam_t = (w0 - w0[i0]) * scale
-    else:
-        lam_t = np.zeros(len(ids))
+    w0 = np.asarray(options.weights_init if options.weights_init is not None
+                    else np.zeros(len(ids)), dtype=float)
 
-    exits = 0
-    theta = options.damping
-    for iteration in range(1, options.max_iter + 1):
-        try:
-            g, tess, agg = transformed_weight_map(lam_t, comp, sub)
-        except EmptyCellInSum:
-            exits += 1
-            if exits > 1:
-                raise LeftFeasibleSet(
-                    f"weights left the feasible set twice (iteration {iteration})")
-            lam_t = _reproject(lam_t, comp, sub, options.k_shrink)
-            continue
-        g_hat = g - g[i0]
-        new = (1.0 - theta) * lam_t + theta * g_hat
-        new[i0] = 0.0
-        step = float(np.abs(new - lam_t).max())
-        lam_t = new
-        if step < options.tol:
-            break
-    else:
-        raise NotConverged("weights", options.max_iter, step)
+    def evaluate(x):
+        g, tess, agg = transformed_weight_map(x, comp, sub)
+        return g - g[i0], g, tess, agg
 
-    # evaluate once more at the fixed point for the recovery constant
-    g, tess, agg = transformed_weight_map(lam_t, comp, sub)
+    lam_t, (_, g, tess, agg), _, iterations, exits = _iterate(
+        evaluate, (w0 - w0[i0]) * (comp.weight_scale * comp.gamma1),
+        options.damping, options.tol, options.max_iter, "weights",
+        project=lambda x: np.where(np.arange(len(x)) == i0, 0.0, x),  # zero the anchor
+        leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
     denom = 1.0 - comp.gamma_ratio
     if abs(denom) < 1e-10:
         raise DegenerateConstantRecovery(
@@ -474,8 +535,8 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
 
     return _recover_solution(
-        lam_t_abs, comp, sub, params, tess, agg, g,
-        iterations=iteration, exited_feasible=exits > 0, options=options,
+        lam_t_abs, comp, sub, params, tess, agg,
+        iterations=iterations, exited_feasible=exits > 0, options=options,
         anchor_pos=i0, transformed_residual=residual)
 
 
@@ -486,7 +547,8 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
 
     Requires ``is_knife_edge(alpha, sigma)``; alpha is snapped to the cutoff.
     Districts whose cells empty simply drop out of the sums, so the active
-    set is an outcome, not an input.
+    set is an outcome, not an input. ``_iterate`` mixes the map with weight
+    ``options.damping`` until max|g(λ̃) − λ̃| < tol.
     """
     if params.variant.kind != "baseline":
         raise InvalidVariantParams("the all-sites solver supports the baseline variant")
@@ -497,38 +559,21 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     params = replace(params, alpha=cutoff)
     comp = composite_params(params, geography.productivities, geography.trade)
 
-    scale = comp.weight_scale * comp.gamma1
-    if options.weights_init is not None:
-        lam_t = np.asarray(options.weights_init, dtype=float) * scale
-    else:
-        lam_t = np.zeros(geography.n_sites)
-
-    theta = options.damping
-    for iteration in range(1, options.max_iter + 1):
-        g, tess, agg = transformed_weight_map(lam_t, comp, geography,
-                                              active_only=True)
-        new = (1.0 - theta) * lam_t + theta * g
-        step = float(np.abs(new - lam_t).max())
-        lam_t = new
-        if step < options.tol:
-            break
-    else:
-        raise NotConverged("knife-edge weights", options.max_iter, step)
-
-    g, tess, agg = transformed_weight_map(lam_t, comp, geography, active_only=True)
+    w0 = np.asarray(options.weights_init if options.weights_init is not None
+                    else np.zeros(geography.n_sites), dtype=float)
+    lam_t, (g, tess, agg), _, iterations, _ = _iterate(
+        lambda x: transformed_weight_map(x, comp, geography, active_only=True),
+        w0 * (comp.weight_scale * comp.gamma1), options.damping, options.tol,
+        options.max_iter, "knife-edge weights")
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
-        lam_t, comp, geography, params, tess, agg, g,
-        iterations=iteration, exited_feasible=False, options=options,
+        lam_t, comp, geography, params, tess, agg,
+        iterations=iterations, exited_feasible=False, options=options,
         anchor_pos=0, transformed_residual=residual)
 
 
 # ---------------------------------------------------------------------------
 # market block
-
-ANDERSON_MEMORY = 3   # ΔF columns kept by the market block's Anderson mixing
-ANDERSON_DROP = 1e-8  # relative Gram–Schmidt remainder below which a column is dropped
-
 
 @dataclass(frozen=True)
 class MarketEquilibrium:
@@ -538,41 +583,16 @@ class MarketEquilibrium:
     residual: float
 
 
-def _anderson_gamma(dF, f):
-    """Least-squares γ minimising |f − Σ_j γ_j dF[j]| by modified Gram–Schmidt
-    in sums of products (a first BLAS or LAPACK call alone raises peak RSS);
-    a column nearly dependent on the newer ones before it gets γ_j = 0."""
-    qs, kept, b, rest = [], [], [], f.copy()
-    R = np.zeros((len(dF), len(dF)))
-    for j, col in enumerate(dF):
-        v, m = col.copy(), len(qs)
-        for k, q in enumerate(qs):
-            R[k, m] = (q * v).sum()
-            v -= R[k, m] * q
-        norm = math.sqrt((v * v).sum())
-        if norm > ANDERSON_DROP * math.sqrt((col * col).sum()):
-            R[m, m] = norm
-            qs.append(v / norm)
-            kept.append(j)
-            b.append((qs[-1] * rest).sum())
-            rest -= b[-1] * qs[-1]
-    gamma = np.zeros(len(dF))
-    for k in reversed(range(len(qs))):  # back substitution on R γ = Qᵀf
-        gamma[kept[k]] = (b[k] - (R[k, k + 1:len(qs)] * gamma[kept[k + 1:]]).sum()) \
-            / R[k, k]
-    return gamma
-
-
 def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
                              params: ModelParams, tol: float = 1e-12,
                              max_iter: int = 100000, damping: float = 0.5
                              ) -> MarketEquilibrium:
     """Solve the wage/price-index gravity system for given labor masses.
 
-    Anderson mixing with weight ``damping`` of the log-wage map, prices
-    following wages, falling back to the damped step on a non-finite iterate;
-    the scale is pinned by the numeraire sum(w_i L_i) = 1. Productivities
-    enter through the spillover A_i = productivities_i * L_i^alpha.
+    ``_iterate`` mixes the log-wage map with weight ``damping``, prices
+    following wages, until max|G(log_w) − log_w| < tol; the numeraire
+    sum(w_i L_i) = 1 pins the scale after each mix. Productivities enter
+    through the spillover A_i = productivities_i * L_i^alpha.
     """
     labor = np.asarray(labor, dtype=float)
     if np.any(labor <= 0):
@@ -595,24 +615,11 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     def numeraire(log_w):
         return log_w - _logsumexp(log_w + log_L)
 
-    log_w = numeraire(np.zeros(len(labor)))  # start at equal wages
-    xs, fs = [], []  # the last ANDERSON_MEMORY + 1 iterates and residuals, newest first
-    for iteration in range(1, max_iter + 1):
-        f = numeraire(log_wage_update(log_w, log_prices(log_w))) - log_w
-        step = float(np.abs(f).max())
-        xs, fs = [log_w] + xs[:ANDERSON_MEMORY], [f] + fs[:ANDERSON_MEMORY]
-        dX = [a - b for a, b in zip(xs, xs[1:])]
-        dF = [a - b for a, b in zip(fs, fs[1:])]
-        plain = log_w + damping * f
-        mixed = plain - sum(g * (dx + damping * df)
-                            for g, dx, df in zip(_anderson_gamma(dF, f), dX, dF))
-        log_w = numeraire(mixed if np.isfinite(mixed).all() else plain)
-        if step < tol:
-            break
-    else:
-        raise NotConverged("market", max_iter, step)
-
+    _, _, log_w, iterations, _ = _iterate(
+        lambda log_w: (numeraire(log_wage_update(log_w, log_prices(log_w))),),
+        numeraire(np.zeros(len(labor))),  # start at equal wages
+        damping, tol, max_iter, "market", project=numeraire)
     log_P = log_prices(log_w)
     return MarketEquilibrium(
-        wages=np.exp(log_w), prices=np.exp(log_P), iterations=iteration,
+        wages=np.exp(log_w), prices=np.exp(log_P), iterations=iterations,
         residual=float(np.abs(log_wage_update(log_w, log_P) - log_w).max()))

@@ -284,9 +284,6 @@ class Tessellation:
             adjacent[a[edge], b[edge]] = adjacent[b[edge], a[edge]] = True
         return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adjacent)
 
-    def is_active(self, i: int) -> bool:
-        return self.cell_measure[i] > 0
-
     def interface_edges(self, i: int, k: int):
         """Cell edges separating the cells of sites i and k.
 

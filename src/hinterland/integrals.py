@@ -146,9 +146,10 @@ def resident_density(tess: Tessellation, aggregates: CellAggregates,
                 f"site {i} has labor {labor[i]:.6g} but an empty cell")
 
     labels, log_f = _inside_log_kernel(tess, amenity, kernel)
+    log_f -= aggregates.log_raw[labels]
     grid = tess.grid
     density = np.zeros((grid.ny, grid.nx))
-    density[grid.inside] = labor[labels] * np.exp(log_f - aggregates.log_raw[labels])
+    density[grid.inside] = labor[labels] * np.exp(log_f, out=log_f)
     return density
 
 

@@ -10,11 +10,20 @@ exactly: dx*dx + dy*dy, sqrt, scale multiply, weight subtract, first-min).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from hinterland.equilibrium import composite_params
+from hinterland import equilibrium
+from hinterland.equilibrium import (
+    SolverOptions,
+    _recover_solution,
+    _reproject,
+    composite_params,
+    subset_geography,
+)
+from hinterland.errors import EmptyCellInSum, LeftFeasibleSet, NotConverged
 from hinterland.geometry import OUTSIDE, assign_labels, cross_distances, pairwise_metrics
 from hinterland.integrals import aggregate_amenities
 from hinterland.io_formats import _num
@@ -187,6 +196,87 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
         if step < tol:
             return log_w, log_prices(log_w), iteration
     raise RuntimeError(f"damped market loop: {max_iter} iterations, step {step:.3e}")
+
+
+# The two weight oracles below are the plain 0.5-damped loops the weight
+# solvers ran before Anderson mixing, with their stop rule (the damped step
+# below tol) and their final evaluation at the fixed point. They call
+# ``equilibrium.transformed_weight_map`` through the module, so a test can
+# count their map evaluations, and lift the result with the package's own
+# ``_recover_solution``.
+
+def damped_fixed_point_solve(geography, params, y_star=None,
+                             options=SolverOptions()):
+    """The damped anchored weight loop: an ``EquilibriumSolution``."""
+    ids = tuple(y_star) if y_star is not None else tuple(s.id for s in geography.sites)
+    sub = subset_geography(geography, ids)
+    comp = composite_params(params, sub.productivities, sub.trade)
+    anchor_id = options.anchor if options.anchor is not None else ids[0]
+    i0 = ids.index(anchor_id)
+    scale = comp.weight_scale * comp.gamma1
+    if options.weights_init is not None:
+        w0 = np.asarray(options.weights_init, dtype=float)
+        lam_t = (w0 - w0[i0]) * scale
+    else:
+        lam_t = np.zeros(len(ids))
+    exits = 0
+    theta = options.damping
+    for iteration in range(1, options.max_iter + 1):
+        try:
+            g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
+        except EmptyCellInSum:
+            exits += 1
+            if exits > 1:
+                raise LeftFeasibleSet(
+                    f"weights left the feasible set twice (iteration {iteration})")
+            lam_t = _reproject(lam_t, comp, sub, options.k_shrink)
+            continue
+        g_hat = g - g[i0]
+        new = (1.0 - theta) * lam_t + theta * g_hat
+        new[i0] = 0.0
+        step = float(np.abs(new - lam_t).max())
+        lam_t = new
+        if step < options.tol:
+            break
+    else:
+        raise NotConverged("weights", options.max_iter, step)
+    g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
+    c = g[i0] / (1.0 - comp.gamma_ratio)
+    lam_t_abs = lam_t + c
+    residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
+    return _recover_solution(
+        lam_t_abs, comp, sub, params, tess, agg, iterations=iteration,
+        exited_feasible=exits > 0, options=options, anchor_pos=i0,
+        transformed_residual=residual)
+
+
+def damped_knife_edge_solve(geography, params, options=SolverOptions()):
+    """The damped all-sites loop at alpha = 1/(sigma-1): an ``EquilibriumSolution``."""
+    params = replace(params, alpha=params.alpha_cutoff)
+    comp = composite_params(params, geography.productivities, geography.trade)
+    scale = comp.weight_scale * comp.gamma1
+    if options.weights_init is not None:
+        lam_t = np.asarray(options.weights_init, dtype=float) * scale
+    else:
+        lam_t = np.zeros(geography.n_sites)
+    theta = options.damping
+    for iteration in range(1, options.max_iter + 1):
+        g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
+                                                          active_only=True)
+        new = (1.0 - theta) * lam_t + theta * g
+        step = float(np.abs(new - lam_t).max())
+        lam_t = new
+        if step < options.tol:
+            break
+    else:
+        raise NotConverged("knife-edge weights", options.max_iter, step)
+    g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
+                                                      active_only=True)
+    residual = float(np.abs(lam_t - g).max())
+    return _recover_solution(
+        lam_t, comp, geography, params, tess, agg, iterations=iteration,
+        exited_feasible=False, options=options, anchor_pos=0,
+        transformed_residual=residual)
 
 
 def loop_reproject_scale(lam, geography, k_shrink):

@@ -139,13 +139,8 @@ def _environment_trade_decay(geography: Geography) -> float:
     if trade.origin == "from_metric":
         return trade.tau
     d, _, _ = pairwise_metrics(geography.sites, geography.system)
-    n = len(geography.sites)
-    best = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                best = max(best, math.log(trade.values[i, j]) / d[i, j])
-    return best
+    off = ~np.eye(len(d), dtype=bool)
+    return max(0.0, float((np.log(trade.values[off]) / d[off]).max()))
 
 
 def existence_margins(geography: Geography, params: ModelParams,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -363,6 +364,7 @@ def _add_common(parser, config_required=True):
                         help="progress messages on stderr")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hinterland",
                      description="Equilibrium urban systems on weighted-"

@@ -26,7 +26,13 @@ from .errors import (
 )
 from .fields import Geography, TradeCostMatrix
 from .geometry import Tessellation, assign_labels, cross_distances
-from .integrals import CellAggregates, KernelSpec, _logsumexp, aggregate_amenities
+from .integrals import (
+    CellAggregates,
+    KernelSpec,
+    NarrowBand,
+    _logsumexp,
+    aggregate_amenities,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +236,23 @@ def subset_geography(geography: Geography, site_ids) -> Geography:
 
 
 def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
-                           active_only: bool = False):
+                           active_only: bool = False, band: NarrowBand | None = None):
     """One evaluation of the transformed weight map g at λ̃.
 
     Returns (g, tessellation, aggregates). The tessellation is induced by
     the original-variable weight differences λ̃ / (weight_scale·γ1). With
     ``active_only`` the sums skip terms of empty cells (the all-sites
-    system); otherwise an empty cell raises EmptyCellInSum.
+    system); otherwise an empty cell raises EmptyCellInSum. Without a
+    ``band`` (a NarrowBand of this geography and kernel), a full pass.
     """
     lam_t = np.asarray(lam_t, dtype=float)
     lam = lam_t / (comp.weight_scale * comp.gamma1)
-    tess = assign_labels(geography.grid, geography.sites, geography.system, lam,
-                         geography.distances)
-    agg = aggregate_amenities(tess, geography.amenity, comp.effective.kernel)
+    if band is None:
+        tess = assign_labels(geography.grid, geography.sites, geography.system, lam,
+                             geography.distances)
+        agg = aggregate_amenities(tess, geography.amenity, comp.effective.kernel)
+    else:
+        tess, agg = band.tessellate(lam)
     active = agg.active
     if not active_only and not active.all():
         raise EmptyCellInSum(
@@ -516,8 +526,10 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(len(ids)), dtype=float)
 
+    band = NarrowBand(sub, comp.effective.kernel)
+
     def evaluate(x):
-        g, tess, agg = transformed_weight_map(x, comp, sub)
+        g, tess, agg = transformed_weight_map(x, comp, sub, band=band)
         return g - g[i0], g, tess, agg
 
     lam_t, (_, g, tess, agg), _, iterations, exits = _iterate(
@@ -561,8 +573,10 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
 
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(geography.n_sites), dtype=float)
+    band = NarrowBand(geography, comp.effective.kernel)
     lam_t, (g, tess, agg), _, iterations, _ = _iterate(
-        lambda x: transformed_weight_map(x, comp, geography, active_only=True),
+        lambda x: transformed_weight_map(x, comp, geography, active_only=True,
+                                         band=band),
         w0 * (comp.weight_scale * comp.gamma1), options.damping, options.tol,
         options.max_iter, "knife-edge weights")
     residual = float(np.abs(lam_t - g).max())

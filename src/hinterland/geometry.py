@@ -345,6 +345,22 @@ def distance_stack(grid: DomainGrid, sites, system: DistanceSystem) -> np.ndarra
     return stack
 
 
+def _first_min_labels(distances, weights) -> np.ndarray:
+    """Per column of ``distances[i]``, the first i minimizing d_i - w_i (int32).
+
+    A running minimum whose strict < keeps ties with the lowest index,
+    exactly as argmin over the stacked costs would.
+    """
+    labels = np.zeros(distances.shape[1:], dtype=np.int32)
+    best = distances[0] - weights[0]
+    cost = np.empty_like(best)
+    for i in range(1, len(distances)):
+        np.subtract(distances[i], weights[i], out=cost)
+        np.copyto(labels, i, where=cost < best)
+        np.minimum(best, cost, out=best)
+    return labels
+
+
 def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
                   distances=None) -> Tessellation:
     """Label every inside cell with the site minimizing d_i(x) - w_i.
@@ -364,15 +380,7 @@ def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
     if not np.all(np.isfinite(weights)):
         raise NonFiniteWeight(f"weights contain non-finite entries: {weights}")
 
-    # running first minimum: strict < keeps ties with the lowest index,
-    # exactly as argmin over the stacked costs would
-    labels = np.zeros((grid.ny, grid.nx), dtype=np.int32)
-    best = distances[0] - weights[0]
-    cost = np.empty_like(best)
-    for i in range(1, len(sites)):
-        np.subtract(distances[i], weights[i], out=cost)
-        np.copyto(labels, i, where=cost < best)
-        np.minimum(best, cost, out=best)
+    labels = _first_min_labels(distances, weights)
     labels[~grid.inside] = OUTSIDE
 
     inside_labels = labels[grid.inside]

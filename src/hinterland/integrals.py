@@ -1,5 +1,6 @@
 """Cell functionals: amenity aggregates, resident densities, and boundary
-sensitivities of the aggregates to the tessellation weights.
+sensitivities of the aggregates to the tessellation weights; the narrow band
+that relabels and re-sums only the cells near the interfaces.
 
 All kernel sums run in log space (max-shifted sums per cell aggregate) because
 exp(distance_coeff * d / |beta|) overflows float64 quickly for strong decay.
@@ -14,7 +15,12 @@ import numpy as np
 
 from .errors import InactiveSiteWithMass
 from .fields import AmenityField, Geography
-from .geometry import Tessellation, assign_labels, sample_feasible_weights
+from .geometry import (
+    Tessellation,
+    _first_min_labels,
+    assign_labels,
+    sample_feasible_weights,
+)
 
 #: Gradients of two distance functions closer than this are treated as
 #: parallel: the interface edge is skipped and counted in diagnostics.
@@ -72,6 +78,26 @@ class CellAggregates:
     def raw_integrals(self) -> np.ndarray:
         return np.exp(self.log_raw)
 
+    @classmethod
+    def from_log_raw(cls, log_raw, kernel: KernelSpec) -> CellAggregates:
+        """Flag the -inf entries inactive and raise the rest to B = I^(-beta_eff)."""
+        active = np.isfinite(log_raw)
+        log_B = np.where(active, -kernel.beta_eff * log_raw, np.nan)
+        B = np.exp(log_B)
+        for a in (log_raw, log_B, B, active):
+            a.setflags(write=False)
+        return cls(log_raw=log_raw, B=B, log_B=log_B, active=active)
+
+
+def _group_log_sum(labels, log_f, n: int) -> np.ndarray:
+    """Per label in range(n), log sum(exp(log_f)) shifted by the group's own
+    maximum; -inf for a label with no entries."""
+    peak = np.full(n, -np.inf)
+    np.maximum.at(peak, labels, log_f)
+    total = np.bincount(labels, weights=np.exp(log_f - peak[labels]), minlength=n)
+    with np.errstate(divide="ignore"):
+        return peak + np.log(total)
+
 
 def _inside_log_kernel(tess: Tessellation, amenity: AmenityField,
                        kernel: KernelSpec):
@@ -91,20 +117,116 @@ def aggregate_amenities(tess: Tessellation, amenity: AmenityField,
     B_i = I_i^(-beta_eff). Empty cells yield flagged entries.
     """
     labels, log_f = _inside_log_kernel(tess, amenity, kernel)
-    # one grouped sum, shifted by each site's own maximum
-    peak = np.full(tess.n_sites, -np.inf)
-    np.maximum.at(peak, labels, log_f)
-    total = np.bincount(labels, weights=np.exp(log_f - peak[labels]),
-                        minlength=tess.n_sites)
-    with np.errstate(divide="ignore"):
-        log_raw = peak + np.log(total) + math.log(tess.grid.cell_area)
+    log_raw = _group_log_sum(labels, log_f, tess.n_sites) + math.log(tess.grid.cell_area)
+    return CellAggregates.from_log_raw(log_raw, kernel)
 
-    active = np.isfinite(log_raw)
-    log_B = np.where(active, -kernel.beta_eff * log_raw, np.nan)
-    B = np.exp(log_B)
-    for a in (log_raw, log_B, B, active):
-        a.setflags(write=False)
-    return CellAggregates(log_raw=log_raw, B=B, log_B=log_B, active=active)
+
+#: Band half-width, in cells along the steepest slope of a cost difference.
+BAND_CELLS = 4
+#: Cells per block of rows when a band is built.
+BLOCK_CELLS = 8192
+
+
+class NarrowBand:
+    """Per-solve state that relabels and re-sums only the cells near interfaces.
+
+    A full pass (``assign_labels`` + ``aggregate_amenities``) sets the
+    reference weights w_ref. The band holds every inside cell where another
+    site's cost d_i − w_ref_i is within T = BAND_CELLS·max(dx, dy)·(largest
+    metric scale) of the cell's best. While w stays near w_ref, with
+    max(w − w_ref) − min(w − w_ref) + slack < T (the slack bounds the cost
+    rounding), no cell outside the band can change label, so only the band is
+    relabelled: labels and cell measures equal a full pass bit for bit, log
+    integrals to rounding. Otherwise a full pass becomes the new reference.
+    Band evaluations update the reference rasters in place: only the latest
+    evaluation's tessellation is valid.
+    """
+
+    def __init__(self, geography: Geography, kernel: KernelSpec):
+        self.geography, self.kernel = geography, kernel
+        grid, n = geography.grid, geography.n_sites
+        self.width = (BAND_CELLS * max(grid.dx, grid.dy)
+                      * geography.system.lipschitz_constants(n)[1])
+        self.d_max = float(geography.distances.max())
+        self.ref = None    # (w_ref, tessellation) of the last full pass
+        self.cells = None  # the band, built at the first evaluation near w_ref
+
+    def tessellate(self, weights) -> tuple[Tessellation, CellAggregates]:
+        """Labels and aggregates at ``weights``: the band near the reference,
+        else a full pass that becomes the new reference."""
+        if self.ref is not None:
+            shift = weights - self.ref[0]
+            slack = 16 * np.finfo(float).eps * (
+                self.d_max + np.abs(weights).max() + np.abs(self.ref[0]).max())
+            if shift.max() - shift.min() + slack < self.width:  # False on NaN
+                if self.cells is None:
+                    self.cells = self._build()
+                return self._relabel(weights)
+        self.ref = self.cells = None  # free the old rasters before the pass
+        geo = self.geography
+        tess = assign_labels(geo.grid, geo.sites, geo.system, weights, geo.distances)
+        agg = aggregate_amenities(tess, geo.amenity, self.kernel)
+        self.ref = weights, tess
+        return tess, agg
+
+    def _build(self):
+        """Band cells, their distance columns and the fixed sums outside them.
+
+        Works through blocks of about BLOCK_CELLS cells, whole rows each, so
+        its temporaries stay a small fraction of a labeling pass's.
+        """
+        w_ref, tess = self.ref
+        geo, grid, n = self.geography, self.geography.grid, self.geography.n_sites
+        d, inside, log_amenity = geo.distances, grid.inside, geo.amenity.log_inside
+        band = np.zeros(inside.shape, dtype=bool)
+        counts, log_rest = np.zeros(n, dtype=np.int64), np.full(n, -np.inf)
+        first = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])  # per row
+        step = max(1, BLOCK_CELLS // grid.nx)
+        for r in range(0, grid.ny, step):
+            rows = slice(r, r + step)
+            best = d[0, rows] - w_ref[0]
+            second, cost = np.full_like(best, np.inf), np.empty_like(best)
+            for i in range(1, n):  # running first and second minimum
+                np.subtract(d[i, rows], w_ref[i], out=cost)
+                np.minimum(second, cost, out=second)
+                np.maximum(second, best, out=second)
+                np.minimum(best, cost, out=best)
+            second -= best
+            block = band[rows]
+            np.logical_and(second <= self.width, inside[rows], out=block)
+            labels = tess.labels[rows][inside[rows] & ~block]
+            rest = ~block[inside[rows]]
+            cells = slice(first[r], first[min(r + step, grid.ny)])
+            log_f = self.kernel.log_values(log_amenity[cells][rest],
+                                           tess.own_distance[cells][rest])
+            counts += np.bincount(labels, minlength=n)
+            log_rest = np.logaddexp(log_rest, _group_log_sum(labels, log_f, n))
+        flat, pos = np.flatnonzero(band), np.flatnonzero(band[inside])
+        sites = np.flatnonzero(np.isfinite(log_rest))
+        return (flat, pos, d.reshape(n, -1)[:, flat], log_amenity[pos], counts,
+                sites, log_rest[sites])
+
+    def _relabel(self, weights):
+        """Relabel the band cells in the reference rasters; re-sum the band."""
+        flat, pos, d, log_amenity, counts, sites, log_rest = self.cells
+        ref = self.ref[1]
+        labels = _first_min_labels(d, weights)
+        own = d[labels, np.arange(len(flat))]
+        for raster, where, values in ((ref.labels, flat, labels),
+                                      (ref.own_distance, pos, own)):
+            raster.setflags(write=True)
+            np.put(raster, where, values)
+            raster.setflags(write=False)
+        grid, n = ref.grid, len(d)
+        tess = Tessellation(
+            grid=grid, sites=ref.sites, system=ref.system, weights=weights,
+            labels=ref.labels, own_distance=ref.own_distance,
+            cell_measure=(counts + np.bincount(labels, minlength=n)) * grid.cell_area)
+        log_raw = _group_log_sum(
+            np.concatenate([sites, labels]),
+            np.concatenate([log_rest, self.kernel.log_values(log_amenity, own)]),
+            n) + math.log(grid.cell_area)
+        return tess, CellAggregates.from_log_raw(log_raw, self.kernel)
 
 
 def disk_kernel_integral(eps: float, delta: float, beta: float) -> float:

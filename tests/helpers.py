@@ -293,6 +293,20 @@ def loop_reproject_scale(lam, geography, k_shrink):
     return t
 
 
+def loop_environment_trade_decay(geography):
+    """Max over ordered pairs of log T_ij / d_i(y_j) (at least 0), as a pair
+    loop; each entry takes the log the package takes (np.log, whose last
+    bit can differ from math.log's)."""
+    d, _, _ = pairwise_metrics(geography.sites, geography.system)
+    n = len(geography.sites)
+    best = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                best = max(best, float(np.log(geography.trade.values[i, j])) / d[i, j])
+    return best
+
+
 def loop_existence_margins(geography, params, eta_hat, tau_rate):
     """Per-pair existence margins as a loop over ordered pairs (NaN diagonal)."""
     comp = composite_params(params, geography.productivities, geography.trade)

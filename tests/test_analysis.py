@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,11 @@ from hinterland.errors import HinterlandError, NonMetricTradeCosts
 from hinterland.fields import explicit_trade_costs
 from hinterland.integrals import semielasticity_sup
 
-from helpers import loop_existence_margins, loop_feasible_starts
+from helpers import (
+    loop_environment_trade_decay,
+    loop_existence_margins,
+    loop_feasible_starts,
+)
 from test_equilibrium import EUCLID, PARAMS, SYM2, make_geography
 
 
@@ -173,6 +178,25 @@ def test_margins_match_pair_loop(n, seed, eta_hat, delta, scaled):
     report = existence_margins(geo, p, eta_hat=eta_hat)
     expected = loop_existence_margins(geo, p, eta_hat, report.trade_decay_rate)
     assert np.array_equal(report.margins, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_environment_trade_decay_matches_pair_loop(scaled):
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5, 8):
+        positions = [(0.1 + 0.11 * i, float(y)) for i, y in
+                     enumerate(rng.uniform(0.1, 0.9, n))]
+        geo = make_geography(positions, n=8,
+                             scales=rng.uniform(0.5, 2.0, n) if scaled else None)
+        # an explicit, asymmetric matrix; one row below 1 tests the floor at 0
+        values = np.exp(rng.uniform(0.0, 1.5, (n, n)))
+        np.fill_diagonal(values, 1.0)
+        if n == 2:
+            values[:, :] = [[1.0, 0.5], [0.7, 1.0]]
+        geo = replace(geo, trade=explicit_trade_costs(values))
+        assert analysis._environment_trade_decay(geo) \
+            == loop_environment_trade_decay(geo)
+    assert loop_environment_trade_decay(geo) > 0
 
 
 def test_margin_threshold_bracketing_over_delta():

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hinterland.equilibrium as equilibrium
+import hinterland.integrals as integrals
 from hinterland import cli, sustainability
 from hinterland.analysis import classify_point
 from helpers import (
@@ -47,6 +50,7 @@ from hinterland.fields import (
     trade_costs_from_metric,
 )
 from hinterland.geometry import DistanceSystem, Site, build_grid
+from hinterland.integrals import NarrowBand
 
 EUCLID = DistanceSystem()
 
@@ -705,6 +709,150 @@ def test_every_fixed_point_runs_through_the_one_driver(monkeypatch):
     assert solved[2:] == ["knife-edge weights", "market"]
     market_equilibrium_solve([0.4, 0.6], [1.0, 1.0], geo.trade, PARAMS)
     assert solved[4:] == ["market"]
+
+
+# ---------------------------------------------------------------------------
+# narrow band
+
+def _evaluate(lam, comp, geo, band=None):
+    """The map at original-variable weights, and whether EmptyCellInSum was
+    raised (then the active-only map gives the rest)."""
+    lam_t = lam * (comp.weight_scale * comp.gamma1)
+    try:
+        return transformed_weight_map(lam_t, comp, geo, band=band), False
+    except EmptyCellInSum:
+        return transformed_weight_map(lam_t, comp, geo, active_only=True,
+                                      band=band), True
+
+
+def _assert_band_matches_full_pass(lam, comp, geo, band):
+    """Evaluate with the band and statelessly; True when the band relabelled."""
+    (g, tess, agg), raised = _evaluate(lam, comp, geo, band)
+    relabelled = band.cells is not None
+    (g_ref, tess_ref, agg_ref), raised_ref = _evaluate(lam, comp, geo)
+    assert raised == raised_ref
+    assert np.array_equal(tess.labels, tess_ref.labels)
+    assert np.array_equal(tess.own_distance, tess_ref.own_distance)
+    assert np.array_equal(tess.cell_measure, tess_ref.cell_measure)
+    assert np.array_equal(agg.active, agg_ref.active)
+    assert np.allclose(agg.log_raw, agg_ref.log_raw, rtol=0, atol=1e-13)
+    assert np.allclose(g, g_ref, rtol=0, atol=1e-12)
+    return relabelled
+
+
+def _tie_through_a_cell_center(lam, geo):
+    """Weights shifted so that the two cheapest sites of the inside cell with
+    the smallest cost gap tie exactly at its center: both costs are 0.0."""
+    d = geo.distances[:, geo.grid.inside]
+    cost = np.sort(d - lam[:, None], axis=0)
+    cell = int(np.argmin(cost[1] - cost[0]))
+    a, b = np.argsort(d[:, cell] - lam, kind="stable")[:2]
+    tied = lam + (d[a, cell] - lam[a])
+    tied[a], tied[b] = d[a, cell], d[b, cell]
+    return tied
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), scaled=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([37, 111, integrals.BLOCK_CELLS]))
+def test_band_evaluations_match_full_passes(n, scaled, seed, block):
+    # a weight walk with steps shrinking geometrically to 1e-14, every third
+    # step moved so that an interface runs exactly through a cell center; the
+    # band is built in blocks of one row, three rows or the whole grid
+    with mock.patch.object(integrals, "BLOCK_CELLS", block):
+        _band_walk(n, scaled, seed)
+
+
+def _band_walk(n, scaled, seed):
+    rng = np.random.default_rng(seed)
+    grid = build_grid((0.0, 0.0, 1.0, 0.75), (37, 29),
+                      lambda X, Y: (X - 0.5) ** 2 + (Y - 0.4) ** 2 < 0.2)
+    sites = tuple(Site(i, (float(x), float(y))) for i, (x, y) in
+                  enumerate(zip(rng.uniform(0.1, 0.9, n), rng.uniform(0.1, 0.65, n))))
+    system = (DistanceSystem("scaled_euclidean", scales=tuple(rng.uniform(0.5, 2.0, n)))
+              if scaled else EUCLID)
+    geo = Geography(grid=grid, sites=sites, system=system,
+                    amenity=amenity_from_function(grid, lambda x, y: 1.0 + 0.5 * x * y),
+                    trade=trade_costs_from_metric(sites, EUCLID, tau=0.5))
+    comp = composite_params(PARAMS, geo.productivities, geo.trade)
+    band = NarrowBand(geo, comp.effective.kernel)
+    lam = rng.uniform(-0.1, 0.1, n)
+    steps = 0.2 * (1e-14 / 0.2) ** (np.arange(60) / 59)   # from about 7 cells
+    relabelled = 0
+    for k, step in enumerate(steps):
+        lam = lam + step * rng.uniform(-1.0, 1.0, n)
+        if k % 3 == 2:
+            lam = _tie_through_a_cell_center(lam, geo)
+        relabelled += _assert_band_matches_full_pass(lam, comp, geo, band)
+    assert relabelled > 0
+
+
+def test_band_follows_a_cell_that_empties_at_the_knife_edge():
+    # site 2 sits between the others with a cell of a few raster cells; a
+    # lower weight empties it while the weights stay within the band's reach
+    geo = make_geography(((0.3, 0.5), (0.7, 0.5), (0.5078125, 0.5078125)), n=64)
+    p = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0)
+    comp = composite_params(p, geo.productivities, geo.trade)
+    band = NarrowBand(geo, comp.effective.kernel)
+    h = geo.grid.dx
+    lam = np.array([0.0, 0.0, -0.2078125 + 1.5 * h])   # d_0(y_2) - w_2 margin 1.5h
+    tess, _ = band.tessellate(lam)
+    assert 0 < tess.cell_measure[2] <= 16 * geo.grid.cell_area
+    emptied = False
+    for k in range(1, 12):
+        lam_k = lam - np.array([0.0, 0.0, 0.25 * k * h])
+        g, tess, agg = transformed_weight_map(
+            lam_k * (comp.weight_scale * comp.gamma1), comp, geo,
+            active_only=True, band=band)
+        g_ref, tess_ref, agg_ref = transformed_weight_map(
+            lam_k * (comp.weight_scale * comp.gamma1), comp, geo, active_only=True)
+        assert band.cells is not None   # every step is a band evaluation
+        assert np.array_equal(tess.labels, tess_ref.labels)
+        assert np.array_equal(tess.cell_measure, tess_ref.cell_measure)
+        assert np.array_equal(agg.active, agg_ref.active)
+        assert np.allclose(g, g_ref, rtol=0, atol=1e-12)
+        if tess.cell_measure[2] == 0:
+            emptied = True
+            assert not agg.active[2] and agg.log_raw[2] == -np.inf
+            break
+    assert emptied
+
+
+def test_band_adds_no_raster_to_the_solve_peak(monkeypatch):
+    # one 8-site solve at 192² against the same evaluations done statelessly
+    geo = make_geography(((0.161, 0.282), (0.343, 0.261), (0.635, 0.333),
+                          (0.849, 0.318), (0.153, 0.735), (0.405, 0.66),
+                          (0.639, 0.663), (0.858, 0.674)), n=192,
+                         productivities=[1.07, 1.01, 0.96, 0.98, 0.91, 0.92, 1.03, 1.03])
+    p = ModelParams(sigma=9.0, alpha=0.05, beta=-0.3, delta=2.0)
+    expected = fixed_point_solve(geo, p)   # builds the stack and caches first
+
+    def peak():
+        tracemalloc.start()
+        try:
+            sol = fixed_point_solve(geo, p)
+            return tracemalloc.get_traced_memory()[1], sol
+        finally:
+            tracemalloc.stop()
+
+    with_band, sol = peak()
+    full_pass = equilibrium.transformed_weight_map
+    monkeypatch.setattr(equilibrium, "transformed_weight_map",
+                        lambda *args, band=None, **kwargs: full_pass(*args, **kwargs))
+    stateless, stateless_sol = peak()
+    assert sol.iterations == stateless_sol.iterations == expected.iterations
+    assert np.array_equal(sol.tessellation.labels, stateless_sol.tessellation.labels)
+    assert np.abs(sol.weights - stateless_sol.weights).max() < 1e-12
+    # a raster at 192² is at least 36 KB; small Python objects differ by bytes
+    assert with_band <= stateless + 4096
+
+    full_passes = []
+    assign = integrals.assign_labels
+    monkeypatch.setattr(equilibrium, "transformed_weight_map", full_pass)
+    monkeypatch.setattr(integrals, "assign_labels",
+                        lambda *args: full_passes.append(1) or assign(*args))
+    assert fixed_point_solve(geo, p).iterations == expected.iterations
+    assert 0 < len(full_passes) < expected.iterations
 
 
 # ---------------------------------------------------------------------------

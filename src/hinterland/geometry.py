@@ -227,17 +227,6 @@ class DistanceSystem:
             d = d * s
         return d
 
-    def gradient(self, site: Site, i: int, x: float, y: float) -> tuple[float, float]:
-        """Gradient of d_i at a single point (undefined at the site itself)."""
-        sx, sy = site.position
-        dxv = x - sx
-        dyv = y - sy
-        norm = math.sqrt(dxv * dxv + dyv * dyv)
-        if norm == 0.0:
-            return 0.0, 0.0
-        s = self.scale_of(i)
-        return s * dxv / norm, s * dyv / norm
-
 
 def cross_distances(sites, system: DistanceSystem) -> np.ndarray:
     """Matrix d[i, j] = d_i(y_j), distance from district i's metric to district j."""
@@ -278,49 +267,25 @@ class Tessellation:
     def neighbors(self) -> tuple[frozenset, ...]:
         """Per site, the sites whose cells share a raster edge with its cell."""
         adjacent = np.zeros((self.n_sites, self.n_sites), dtype=bool)
-        lab = self.labels
-        for a, b in ((lab[:, :-1], lab[:, 1:]), (lab[:-1, :], lab[1:, :])):
-            edge = (a != b) & (a != OUTSIDE) & (b != OUTSIDE)
-            adjacent[a[edge], b[edge]] = adjacent[b[edge], a[edge]] = True
+        for _, low, high, _, _ in raster_interfaces(self.labels):
+            adjacent[low, high] = adjacent[high, low] = True
         return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adjacent)
 
-    def interface_edges(self, i: int, k: int):
-        """Cell edges separating the cells of sites i and k.
 
-        Returns an (m, 4) float array of rows (x_mid, y_mid, edge_length,
-        normal_axis) for the shared raster edges, midpoints in domain
-        coordinates. ``normal_axis`` is 0.0 for vertical edges (separating
-        horizontal neighbors, edge normal along x) and 1.0 for horizontal
-        edges. Line integrals over the interface must project onto these
-        normals: summing raw edge lengths measures the staircase, not the
-        curve. Empty when the pair is not adjacent.
-        """
-        if i == k:
-            return np.empty((0, 4))
-        lab = self.labels
-        g = self.grid
-        rows = []
-        # vertical edges between horizontally adjacent cells
-        left, right = lab[:, :-1], lab[:, 1:]
-        mask = ((left == i) & (right == k)) | ((left == k) & (right == i))
-        iy, ix = np.nonzero(mask)
-        if iy.size:
-            x = g.bbox[0] + (ix + 1.0) * g.dx
-            y = g.bbox[1] + (iy + 0.5) * g.dy
-            rows.append(np.column_stack([x, y, np.full(iy.shape, g.dy),
-                                         np.zeros(iy.shape)]))
-        # horizontal edges between vertically adjacent cells
-        low, high = lab[:-1, :], lab[1:, :]
-        mask = ((low == i) & (high == k)) | ((low == k) & (high == i))
-        iy, ix = np.nonzero(mask)
-        if iy.size:
-            x = g.bbox[0] + (ix + 0.5) * g.dx
-            y = g.bbox[1] + (iy + 1.0) * g.dy
-            rows.append(np.column_stack([x, y, np.full(iy.shape, g.dx),
-                                         np.ones(iy.shape)]))
-        if not rows:
-            return np.empty((0, 4))
-        return np.concatenate(rows, axis=0)
+def raster_interfaces(labels):
+    """Every raster edge between two inside cells with different labels.
+
+    Yields ``(axis, low, high, iy, ix)`` once per axis: ``axis`` 0 for the
+    vertical edges between horizontal neighbours (edge normal along x), then
+    1 for the horizontal edges between vertical neighbours (normal along y);
+    the labels of the left/low and right/high cell; and the (iy, ix) of the
+    left/low cell, all in raster order.
+    """
+    for axis, low, high in ((0, labels[:, :-1], labels[:, 1:]),
+                            (1, labels[:-1, :], labels[1:, :])):
+        edge = (low != high) & (low != OUTSIDE) & (high != OUTSIDE)
+        iy, ix = np.nonzero(edge)
+        yield axis, low[edge], high[edge], iy, ix
 
 
 def _check_distinct_positions(sites):

@@ -19,7 +19,9 @@ from .geometry import (
     Tessellation,
     _first_min_labels,
     assign_labels,
+    raster_interfaces,
     sample_feasible_weights,
+    site_positions,
 )
 
 #: Gradients of two distance functions closer than this are treated as
@@ -275,64 +277,64 @@ def resident_density(tess: Tessellation, aggregates: CellAggregates,
     return density
 
 
+def semielasticity_matrix(tess: Tessellation, amenity: AmenityField,
+                          kernel: KernelSpec,
+                          aggregates: CellAggregates | None = None):
+    """Semielasticities of every B_i in every weight: ``(eta, skipped)``.
+
+    ``eta[i, k]``, i != k, sums over the raster edges between the cells of i
+    and k the kernel at the edge midpoint (with the i-side cell's amenity)
+    over I_i, times the edge length projected on the interface normal, over
+    the speed |grad d_i - grad d_k|, times |beta_eff|; ``eta[i, i]`` is row
+    i's sum. ``skipped`` counts the edges with speed under
+    DEGENERATE_NORMAL_CUTOFF.
+    """
+    if aggregates is None:
+        aggregates = aggregate_amenities(tess, amenity, kernel)
+    grid, n = tess.grid, tess.n_sites
+    spacing = np.array([[grid.dx], [grid.dy]])
+    pos = site_positions(tess.sites).T - np.reshape(grid.bbox[:2], (2, 1))
+    scales = np.array([tess.system.scale_of(s) for s in range(n)])
+    eta, skipped = np.zeros(n * n), np.zeros(n * n, dtype=np.int64)
+    for axis, low, high, iy, ix in raster_interfaces(tess.labels):
+        # row 0 sees each edge from its low/left cell, row 1 from the other
+        sides = np.stack([low, high])
+        cells = iy * grid.nx + ix + [[0], [(1, grid.nx)[axis]]]
+        mid = np.stack([ix, iy]) + 0.5
+        mid[axis] += 0.5
+        g = (mid * spacing)[:, None] - pos[:, sides]
+        r = np.hypot(*g)
+        g *= scales[sides] / np.where(r > 0, r, np.inf)  # 0 at the site itself
+        u = g[:, 0] - g[:, 1]
+        speed = np.hypot(*u)
+        skip = speed < DEGENERATE_NORMAL_CUTOFF
+        speed[skip] = np.inf   # a skipped edge adds exactly 0
+        # projected: raw edge lengths would measure the staircase, not the curve
+        reach = (grid.dy, grid.dx)[axis] * (np.abs(u[axis]) / speed) / speed
+        log_f = kernel.log_values(np.log(amenity.values.flat[cells]), r * scales[sides])
+        pair = sides * n + sides[::-1]
+        eta += np.bincount(pair.ravel(), (np.exp(log_f - aggregates.log_raw[sides])
+                                          * reach).ravel(), n * n)
+        skipped += np.bincount(pair[:, skip].ravel(), minlength=n * n)
+    eta = abs(kernel.beta_eff) * eta.reshape(n, n)
+    eta[np.diag_indices(n)] = eta.sum(axis=1)
+    return eta, skipped.reshape(n, n)
+
+
 def amenity_semielasticity(tess: Tessellation, amenity: AmenityField,
                            kernel: KernelSpec, i: int, k: int,
                            aggregates: CellAggregates | None = None,
                            diagnostics: dict | None = None) -> float:
-    """Semielasticity of B_i with respect to the weight of site k.
+    """Entry (i, k) of ``semielasticity_matrix``: B_i's semielasticity in w_k.
 
-    Assembles the moving-boundary term of the shape derivative as a sum over
-    raster interface edges: kernel value on the i side, times the inverse
-    speed 1/||grad d_i - grad d_k||, times the edge length, normalized by
-    I_i. Non-adjacent pairs return exactly 0. With i == k, returns the
-    own-weight magnitude, the sum over all of i's interfaces.
-
-    Edges where the two gradients are nearly parallel are skipped and
-    counted in ``diagnostics['skipped_edges']`` when a dict is supplied.
+    With i == k, the own-weight magnitude. The pair's skipped edges (all of
+    i's when i == k) are added to ``diagnostics['skipped_edges']``.
     """
-    if aggregates is None:
-        aggregates = aggregate_amenities(tess, amenity, kernel)
+    eta, skipped = semielasticity_matrix(tess, amenity, kernel, aggregates)
     if diagnostics is not None:
-        diagnostics.setdefault("skipped_edges", 0)
-    if i == k:
-        return sum(amenity_semielasticity(tess, amenity, kernel, i, kk,
-                                          aggregates=aggregates, diagnostics=diagnostics)
-                   for kk in sorted(tess.neighbors[i]))
-    edges = tess.interface_edges(i, k)
-    if edges.shape[0] == 0:
-        return 0.0
-
-    grid = tess.grid
-    site_i, site_k = tess.sites[i], tess.sites[k]
-    log_I = aggregates.log_raw[i]
-    total = 0.0
-    skipped = 0
-    for x, y, length, axis in edges:
-        gi = tess.system.gradient(site_i, i, x, y)
-        gk = tess.system.gradient(site_k, k, x, y)
-        du = (gi[0] - gk[0], gi[1] - gk[1])
-        speed_norm = math.hypot(du[0], du[1])
-        if speed_norm < DEGENERATE_NORMAL_CUTOFF:
-            skipped += 1
-            continue
-        # project the interface normal onto this raster edge's normal axis;
-        # unprojected sums would measure the staircase length instead
-        projection = abs(du[int(axis)]) / speed_norm
-        # amenity is cell-sampled: take the i-side cell's value
-        iy, ix = grid.cell_of((x, y))
-        if tess.labels[iy, ix] != i:
-            # edge midpoint landed in the k-side cell; step to the i side
-            for niy, nix in ((iy, ix - 1), (iy, ix + 1), (iy - 1, ix), (iy + 1, ix)):
-                if 0 <= niy < grid.ny and 0 <= nix < grid.nx \
-                        and tess.labels[niy, nix] == i:
-                    iy, ix = niy, nix
-                    break
-        d = tess.system.distance(site_i, i, np.array(x), np.array(y))
-        log_f = kernel.log_values(np.log(amenity.values[iy, ix]), d)
-        total += math.exp(float(log_f) - log_I) * length * projection / speed_norm
-    if diagnostics is not None:
-        diagnostics["skipped_edges"] += skipped
-    return abs(kernel.beta_eff) * total
+        diagnostics["skipped_edges"] = diagnostics.get("skipped_edges", 0) + int(
+            skipped[i].sum() if i == k else skipped[i, k])
+    return float(eta[i, k])
 
 
 @dataclass(frozen=True)
@@ -354,9 +356,10 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
                        seed: int = 0) -> SemielasticityBound:
     """Estimate the supremum of the cross-weight semielasticity over Λ^k.
 
-    Evaluates every adjacent pair at the unweighted tessellation plus
-    ``n_samples - 1`` seeded random weight vectors kept inside the shrunk
-    feasible set; returns the max. Single-site geographies give 0.
+    The largest off-diagonal ``semielasticity_matrix`` entry over the
+    unweighted tessellation and ``n_samples - 1`` seeded weight vectors in
+    the shrunk feasible set; an edge skips twice, once per ordered pair.
+    Single-site geographies give 0.
     """
     if not (0 < k_shrink < 1):
         raise ValueError(f"k_shrink must be in (0, 1), got {k_shrink}")
@@ -369,18 +372,14 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     weight_vectors = [np.zeros(n)] + sample_feasible_weights(
         geography.sites, geography.system, k_shrink, n_samples - 1, seed)
 
-    best = 0.0
-    diag = {"skipped_edges": 0}
+    best, skipped = 0.0, 0
     for w in weight_vectors:
         tess = assign_labels(geography.grid, geography.sites, geography.system, w,
                              geography.distances)
-        agg = aggregate_amenities(tess, geography.amenity, kernel)
-        for i in range(n):
-            for k in tess.neighbors[i]:
-                eta = amenity_semielasticity(tess, geography.amenity, kernel, i, k,
-                                             aggregates=agg, diagnostics=diag)
-                if eta > best:
-                    best = eta
+        eta, skip = semielasticity_matrix(tess, geography.amenity, kernel)
+        np.fill_diagonal(eta, 0.0)
+        best = max(best, float(eta.max()))
+        skipped += int(skip.sum())
     return SemielasticityBound(value=best, certified=False,
                                n_weight_vectors=len(weight_vectors),
-                               skipped_edges=diag["skipped_edges"])
+                               skipped_edges=skipped)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import OUTSIDE
+from .geometry import OUTSIDE, raster_interfaces
 
 OUTSIDE_BYTE = 255
 
@@ -287,15 +287,10 @@ def _boundary_path(labels, x_edges, y_edges, tf) -> str:
     """A single path outlining every interface between distinct labels."""
     xs = [_num(v) for v in tf.x(np.asarray(x_edges))]
     ys = [_num(v) for v in tf.y(np.asarray(y_edges))]
-    inner = labels != OUTSIDE
-    diff_v = (labels[:, :-1] != labels[:, 1:]) & inner[:, :-1] & inner[:, 1:]
-    iy, ix = np.nonzero(diff_v)
-    segs = [f"M {xs[c]} {ys[r]} L {xs[c]} {ys[r + 1]}"
-            for r, c in zip(iy.tolist(), (ix + 1).tolist())]
-    diff_h = (labels[:-1, :] != labels[1:, :]) & inner[:-1, :] & inner[1:, :]
-    iy, ix = np.nonzero(diff_h)
-    segs += [f"M {xs[c]} {ys[r + 1]} L {xs[c + 1]} {ys[r + 1]}"
-             for r, c in zip(iy.tolist(), ix.tolist())]
+    # the edge after cell (r, c) along its axis ends at corner (c + 1, r + 1)
+    segs = [f"M {xs[c + 1 - axis]} {ys[r + axis]} L {xs[c + 1]} {ys[r + 1]}"
+            for axis, _, _, iy, ix in raster_interfaces(labels)
+            for r, c in zip(iy.tolist(), ix.tolist())]
     if not segs:
         return ""
     return f'<path d="{" ".join(segs)}" stroke="#000000" stroke-width="1" fill="none"/>'

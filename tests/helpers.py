@@ -119,6 +119,66 @@ def loop_neighbors(labels, n_sites):
     return tuple(frozenset(s) for s in sets)
 
 
+def loop_interface_edges(labels):
+    """Every raster edge between two inside cells with different labels, as
+    ((iy, ix), (jy, jx)) pairs of its cells, from a loop over each cell's
+    right and upper neighbour."""
+    ny, nx = labels.shape
+    edges = []
+    for iy in range(ny):
+        for ix in range(nx):
+            for jy, jx in ((iy, ix + 1), (iy + 1, ix)):
+                if jy < ny and jx < nx:
+                    a, b = labels[iy, ix], labels[jy, jx]
+                    if a != b and a != OUTSIDE and b != OUTSIDE:
+                        edges.append(((iy, ix), (jy, jx)))
+    return edges
+
+
+def loop_semielasticity(tess, amenity, kernel, aggregates, cutoff):
+    """Semielasticity matrix and per-pair skipped-edge counts from a loop
+    over interface edges, each seen once from either cell.
+
+    An edge adds, to (i, k) for its i-side cell, the kernel at the edge
+    midpoint (with that cell's amenity) over I_i, times the edge length
+    times |u_a| / |u|^2, u = grad d_i - grad d_k and a the edge normal's
+    axis; edges with |u| < cutoff are counted instead. The diagonal is the
+    row sum; every entry is scaled by |beta_eff|.
+    """
+    grid, n = tess.grid, tess.n_sites
+    xmin, ymin, _, _ = grid.bbox
+    eta = np.zeros((n, n))
+    skipped = np.zeros((n, n), dtype=np.int64)
+
+    def grad(i, x, y):
+        sx, sy = tess.sites[i].position
+        r = math.sqrt((x - sx) ** 2 + (y - sy) ** 2)
+        s = tess.system.scale_of(i)
+        return (0.0, 0.0, 0.0) if r == 0.0 else (s * (x - sx) / r, s * (y - sy) / r, s * r)
+
+    for cells in loop_interface_edges(tess.labels):
+        (iy, ix), (jy, jx) = cells
+        axis = 0 if jy == iy else 1  # normal along x for a vertical edge
+        x = xmin + (0.5 * (ix + jx) + 0.5) * grid.dx
+        y = ymin + (0.5 * (iy + jy) + 0.5) * grid.dy
+        length = grid.dy if axis == 0 else grid.dx
+        for (cy, cx), (oy, ox) in (cells, cells[::-1]):
+            i, k = int(tess.labels[cy, cx]), int(tess.labels[oy, ox])
+            gi, gk = grad(i, x, y), grad(k, x, y)
+            u = (gi[0] - gk[0], gi[1] - gk[1])
+            speed = math.hypot(u[0], u[1])
+            if speed < cutoff:
+                skipped[i, k] += 1
+                continue
+            log_f = (-math.log(amenity.values[cy, cx])
+                     + kernel.distance_coeff * gi[2]) / kernel.beta_eff
+            eta[i, k] += (math.exp(log_f - aggregates.log_raw[i])
+                          * length * abs(u[axis]) / speed / speed)
+    for i in range(n):
+        eta[i, i] = sum(eta[i, k] for k in range(n) if k != i)
+    return abs(kernel.beta_eff) * eta, skipped
+
+
 # The two SVG oracles below are per-cell and per-edge loops. They format
 # numbers with the package's own ``_num`` because the SVG text must stay
 # byte-identical, which is what the tests compare.

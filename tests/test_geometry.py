@@ -415,30 +415,3 @@ def test_pairwise_metrics_scaled_asymmetry():
 def test_pairwise_metrics_needs_two_sites():
     with pytest.raises(SingleSite):
         pairwise_metrics((Site(0, (0.0, 0.0)),), EUCLID)
-
-
-def test_interface_edges_of_plane_bisector():
-    g = build_grid((-1, -1, 3, 1), (64, 32))
-    tess = assign_labels(g, two_sites(2.0), EUCLID, [0.0, 0.0])
-    edges = tess.interface_edges(0, 1)
-    # vertical bisector at x=1: total interface length equals the domain height
-    assert edges[:, 2].sum() == pytest.approx(2.0)
-    assert np.allclose(edges[:, 0], 1.0)
-    # every edge of a vertical interface is a vertical edge (normal along x)
-    assert np.all(edges[:, 3] == 0.0)
-    assert tess.interface_edges(0, 0).shape == (0, 4)
-
-
-def test_interface_edges_of_oblique_bisector_measure_staircase():
-    # 45-degree bisector: raw raster edge lengths sum to the Manhattan
-    # (staircase) length, sqrt(2) times the true diagonal length; callers
-    # must project via the normal_axis column
-    g = build_grid((0, 0, 1, 1), (64, 64))
-    sites = (Site(0, (0.25, 0.25)), Site(1, (0.75, 0.75)))
-    tess = assign_labels(g, sites, EUCLID, [0.0, 0.0])
-    edges = tess.interface_edges(0, 1)
-    diag = math.sqrt(2.0)
-    assert edges[:, 2].sum() == pytest.approx(diag * math.sqrt(2.0), rel=0.05)
-    # projecting each edge onto the bisector normal (1,1)/sqrt(2) recovers it
-    projected = (edges[:, 2] / math.sqrt(2.0)).sum()
-    assert projected == pytest.approx(diag, rel=0.05)

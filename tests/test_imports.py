@@ -21,9 +21,11 @@ def test_package_import_loads_no_scipy_module():
     assert result.stdout.split() == []
 
 
-# np.linalg, np.dot, .dot(, the @ operator, matmul and einsum; a decorator's
-# "@" starts its line, so only an "@" after an operand counts
-BLAS_CALL = re.compile(r"np\.linalg|np\.dot\b|\.dot\(|matmul|einsum|[\w)\]]\s*@")
+# np.linalg, np.dot, .dot(, np.inner, tensordot, the @ operator, matmul and
+# einsum; a decorator's "@" starts its line, so only an "@" after an operand
+# counts
+BLAS_CALL = re.compile(
+    r"np\.linalg|np\.dot\b|\.dot\(|np\.inner\b|tensordot|matmul|einsum|[\w)\]]\s*@")
 
 
 def test_package_source_makes_no_blas_or_lapack_call():

@@ -11,8 +11,11 @@ from helpers import (
     disk_quadrature,
     loop_amenity_integral,
     loop_cell_integral,
+    loop_interface_edges,
     loop_neighbors,
+    loop_semielasticity,
 )
+from hinterland import integrals
 from hinterland.errors import InactiveSiteWithMass
 from hinterland.fields import (
     Geography,
@@ -35,6 +38,7 @@ from hinterland.integrals import (
     disk_kernel_integral,
     inscribed_radius,
     resident_density,
+    semielasticity_matrix,
     semielasticity_sup,
 )
 
@@ -354,6 +358,34 @@ def test_semielasticity_counts_degenerate_edges():
     assert diag["skipped_edges"] == 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 8), scaled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_semielasticity_matrix_matches_edge_loop(n, scaled, seed):
+    rng = np.random.default_rng(seed)
+    # a disk on a grid with dx != dy
+    grid = build_grid((0.0, 0.0, 1.0, 0.8), (36, 26),
+                      lambda X, Y: (X - 0.5) ** 2 + (Y - 0.4) ** 2 < 0.16)
+    sites = tuple(Site(i, tuple(rng.uniform(0.15, 0.85, 2) * (1.0, 0.8)))
+                  for i in range(n))
+    system = (DistanceSystem("scaled_euclidean", scales=tuple(rng.uniform(0.5, 2.0, n)))
+              if scaled else EUCLID)
+    amen = amenity_from_function(grid, lambda x, y: 1.0 + 0.5 * x * y + 0.3 * np.sin(7 * x))
+    kern = KernelSpec(beta_eff=-0.4, distance_coeff=1.3)
+    tess = assign_labels(grid, sites, system, rng.uniform(-0.05, 0.05, n))
+    agg = aggregate_amenities(tess, amen, kern)
+
+    eta, skipped = semielasticity_matrix(tess, amen, kern, agg)
+    ref, ref_skipped = loop_semielasticity(tess, amen, kern, agg,
+                                           integrals.DEGENERATE_NORMAL_CUTOFF)
+    np.testing.assert_allclose(eta, ref, rtol=1e-12, atol=0)
+    assert np.array_equal(skipped, ref_skipped)
+    neighbors = loop_neighbors(tess.labels, n)
+    for i in range(n):
+        for k in range(n):
+            if k != i and k not in neighbors[i]:
+                assert eta[i, k] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # sampled supremum
 
@@ -402,3 +434,26 @@ def test_semielasticity_sup_deterministic_and_dominates_samples():
     one = semielasticity_sup(geo, kern, n_samples=1, seed=11)
     assert a.value >= one.value
     assert isinstance(a, SemielasticityBound)
+
+
+def test_semielasticity_skips_every_edge_under_an_infinite_cutoff(monkeypatch):
+    monkeypatch.setattr(integrals, "DEGENERATE_NORMAL_CUTOFF", math.inf)
+    geo = _simple_geography(delta_positions=((0.2, 0.3), (0.8, 0.6), (0.4, 0.9)))
+    kern = KernelSpec(-0.4, 1.0)
+    tess = assign_labels(geo.grid, geo.sites, EUCLID, np.zeros(3))
+    agg = aggregate_amenities(tess, geo.amenity, kern)
+    edges = np.zeros((3, 3), dtype=int)
+    for (iy, ix), (jy, jx) in loop_interface_edges(tess.labels):
+        i, k = tess.labels[iy, ix], tess.labels[jy, jx]
+        edges[i, k] += 1
+        edges[k, i] += 1
+    assert (edges[~np.eye(3, dtype=bool)] > 0).all()
+    for i in range(3):
+        for k in range(3):
+            diag = {}
+            assert amenity_semielasticity(tess, geo.amenity, kern, i, k,
+                                          aggregates=agg, diagnostics=diag) == 0.0
+            assert diag["skipped_edges"] == (edges[i].sum() if i == k else edges[i, k])
+    bound = semielasticity_sup(geo, kern, n_samples=1)
+    assert bound.value == 0.0
+    assert bound.skipped_edges == edges.sum()  # every edge once per ordered pair

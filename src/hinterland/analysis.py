@@ -16,6 +16,7 @@ from .equilibrium import (
     CompositeParams,
     ModelParams,
     SolverOptions,
+    _gammas,
     composite_params,
     fixed_point_solve,
     is_knife_edge,
@@ -58,8 +59,7 @@ def classify_point(alpha: float, beta: float, sigma: float) -> RegimeReport:
         multiplicity = "multiple"
     else:
         multiplicity = "spread"
-    gamma1 = 1.0 - (sigma - 1.0) * alpha - sigma * beta
-    gamma2 = 1.0 + sigma * alpha + (sigma - 1.0) * beta
+    gamma1, gamma2 = _gammas(alpha, beta, sigma)
     ratio = abs(gamma2 / gamma1) if gamma1 != 0.0 else math.inf
     unique = ratio < 1.0
     return RegimeReport(
@@ -347,15 +347,17 @@ class ProbeReport:
         return len(self.clusters) == 1 and self.n_converged > 0
 
 
+CLUSTER_TOL = 1e-6   # sup-norm distance below which two fixed points are one
+
+
 def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
                      n_starts: int = 16, seed: int = 0,
                      k_shrink: float = 0.5,
-                     options: SolverOptions = SolverOptions(),
-                     cluster_tol: float = 1e-6) -> ProbeReport:
+                     options: SolverOptions = SolverOptions()) -> ProbeReport:
     """Solve from seeded random feasible starts and cluster the fixed points.
 
     Clustering compares anchored weight differences in sup norm at
-    ``cluster_tol``; a single cluster is evidence (not proof) of uniqueness.
+    CLUSTER_TOL; a single cluster is evidence (not proof) of uniqueness.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -371,14 +373,14 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     failures = []
     for idx, w0 in enumerate(starts):
         try:
-            sol = fixed_point_solve(geography, params, y_star=ids,
+            sol = fixed_point_solve(sub, params,
                                     options=replace(options, weights_init=w0))
         except HinterlandError as e:
             failures.append((idx, f"{type(e).__name__}: {e}"))
             continue
         diff = sol.weights - sol.weights[0]
         for k, c in enumerate(clusters):
-            if np.abs(c.representative - diff).max() < cluster_tol:
+            if np.abs(c.representative - diff).max() < CLUSTER_TOL:
                 clusters[k] = replace(c, count=c.count + 1)
                 break
         else:

@@ -110,13 +110,8 @@ def _solve_from_config(config: RunConfig):
     params = config.require_params()
     active = config.active_sites
     work = subset_geography(geography, active) if active else geography
-    if _is_knife_edge(params):
-        solution = solve_knife_edge_system(work, params,
-                                           config.solver.options)
-    else:
-        solution = fixed_point_solve(geography, params, y_star=active,
-                                     options=config.solver.options)
-    return solution, work
+    solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
+    return solve(work, params, options=config.solver.options), work
 
 
 def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict:

@@ -29,7 +29,7 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
       trade:                    # [r]
         kind: from_metric | explicit
         tau: t                  # from_metric [r]
-        file: trade.csv         # explicit [r]; square, headerless
+        file: trade.csv         # explicit [r]; square, headerless, > 0
     params:                     # needed by solve / classify / enumerate
       sigma: s                  # [r] > 1
       alpha: a                  # [r]
@@ -116,6 +116,10 @@ def _walk(node, path, lines, source, constructor):
     return constructor.construct_object(node, deep=True)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Section:
     """A mapping under validation: typed take(), then finish() rejects leftovers."""
 
@@ -163,7 +167,7 @@ class _Section:
         value = self._take(key, default)
         if value is None and default is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             self.error(f"'{key}' must be an integer, got {value!r}", key)
         if minimum is not None and value < minimum:
             self.error(f"'{key}' must be >= {minimum}, got {value}", key)
@@ -193,8 +197,7 @@ class _Section:
                        f"got {len(value)}", key)
         return [float(v) for v in value]
 
-    def take_value(self, key, default=_MISSING):
-        return self._take(key, default)
+    take_value = _take
 
     def take_section(self, key):
         """Pop a sub-mapping; returns None when absent."""
@@ -360,8 +363,7 @@ def _build_geography(section, base_dir):
                       "bbox")
     resolution = section.take_value("resolution", [128, 128])
     reso_sec_ok = (isinstance(resolution, list) and len(resolution) == 2
-                   and all(isinstance(v, int) and not isinstance(v, bool)
-                           and v >= 2 for v in resolution))
+                   and all(_is_int(v) and v >= 2 for v in resolution))
     if not reso_sec_ok:
         section.error(f"'resolution' must be [nx, ny] with integers >= 2, "
                       f"got {resolution!r}", "resolution")
@@ -426,6 +428,9 @@ def _build_geography(section, base_dir):
             trade_sec.error(f"trade matrix is {values.shape[0]}x"
                             f"{values.shape[1]} but there are "
                             f"{len(sites)} sites", "file")
+        if not ((values > 0) & (values < np.inf)).all():
+            trade_sec.error("trade matrix entries must be finite and > 0",
+                            "file")
         trade_sec.finish()
         trade = explicit_trade_costs(values)
 
@@ -476,8 +481,7 @@ def _build_solver(section):
                                   exclusive=True, maximum=1.0)
     seed = section.take_int("seed", 0, minimum=0)
     anchor = section.take_value("anchor", None)
-    if anchor is not None and (not isinstance(anchor, int)
-                               or isinstance(anchor, bool)):
+    if anchor is not None and not _is_int(anchor):
         section.error(f"'anchor' must be a site id or null, got {anchor!r}",
                       "anchor")
     section.finish()
@@ -524,8 +528,7 @@ def _build_enumerate(section):
         return EnumerateConfig(sizes=(2,), max_subsets=256)
     sizes_raw = section.take_value("sizes", [2])
     if (not isinstance(sizes_raw, list) or not sizes_raw
-            or any(isinstance(v, bool) or not isinstance(v, int) or v < 1
-                   for v in sizes_raw)):
+            or any(not _is_int(v) or v < 1 for v in sizes_raw)):
         section.error(f"'sizes' must be a list of integers >= 1, "
                       f"got {sizes_raw!r}", "sizes")
     max_subsets = section.take_int("max_subsets", 256, minimum=1)
@@ -541,8 +544,7 @@ def _build_active_sites(section, geography):
     if ids is None:
         return None
     if (not isinstance(ids, list) or not ids
-            or any(isinstance(v, bool) or not isinstance(v, int)
-                   for v in ids)):
+            or not all(_is_int(v) for v in ids)):
         section.error(f"'active_sites' must be a non-empty list of site ids "
                       f"or null, got {ids!r}", "active_sites")
     if geography is not None:

@@ -183,6 +183,12 @@ class CompositeParams:
         return self.gamma2 / self.gamma1
 
 
+def _gammas(alpha: float, b: float, sigma: float) -> tuple[float, float]:
+    """(gamma1, gamma2) of the weight system at congestion weight ``b``."""
+    return (1.0 - (sigma - 1.0) * alpha - sigma * b,
+            1.0 + sigma * alpha + (sigma - 1.0) * b)
+
+
 def composite_params(params: ModelParams, productivities,
                      trade: TradeCostMatrix) -> CompositeParams:
     """Assemble the composite constants and the pairwise kernel matrix."""
@@ -190,8 +196,7 @@ def composite_params(params: ModelParams, productivities,
     sigma, alpha = params.sigma, params.alpha
     b = eff.congestion_weight
     sigma_tilde = (sigma - 1.0) / (2.0 * sigma - 1.0)
-    gamma1 = 1.0 - (sigma - 1.0) * alpha - sigma * b
-    gamma2 = 1.0 + sigma * alpha + (sigma - 1.0) * b
+    gamma1, gamma2 = _gammas(alpha, b, sigma)
     phi1 = (1.0 - (sigma - 1.0) * alpha) / eff.beta_eff
     phi2 = -(1.0 + sigma * alpha) / eff.beta_eff
     if abs(gamma1) < 1e-12:
@@ -361,9 +366,6 @@ class SolverOptions:
     k_shrink: float = 0.5
     weights_init: np.ndarray | None = None   # original-variable differences
     anchor: int | None = None                # site id; default: first of Y*
-    market_tol: float = 1e-12
-    market_max_iter: int = 100000
-    market_damping: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -404,7 +406,7 @@ class EquilibriumSolution:
 def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
                       params: ModelParams, tess: Tessellation,
                       agg: CellAggregates, *, iterations, exited_feasible,
-                      options: SolverOptions, anchor_pos: int,
+                      anchor_pos: int,
                       transformed_residual: float) -> EquilibriumSolution:
     """Lift a fixed point of the anchored map back to original variables."""
     eff = comp.effective
@@ -435,9 +437,7 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
     sub_trade = TradeCostMatrix(values=geography.trade.values[np.ix_(act_idx, act_idx)],
                                 origin=geography.trade.origin, tau=geography.trade.tau)
     market = market_equilibrium_solve(
-        labor[active], geography.productivities[active], sub_trade, params,
-        tol=options.market_tol, max_iter=options.market_max_iter,
-        damping=options.market_damping)
+        labor[active], geography.productivities[active], sub_trade, params)
     wages[active], prices[active] = market.wages, market.prices
 
     residuals = {
@@ -526,6 +526,11 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(len(ids)), dtype=float)
 
+    denom = 1.0 - comp.gamma_ratio
+    if abs(denom) < 1e-10:
+        raise DegenerateConstantRecovery(
+            f"gamma2/gamma1 = {comp.gamma_ratio:.12g}; the normalization "
+            "constant is not recoverable")
     band = NarrowBand(sub, comp.effective.kernel)
 
     def evaluate(x):
@@ -537,18 +542,13 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
         options.damping, options.tol, options.max_iter, "weights",
         project=lambda x: np.where(np.arange(len(x)) == i0, 0.0, x),  # zero the anchor
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
-    denom = 1.0 - comp.gamma_ratio
-    if abs(denom) < 1e-10:
-        raise DegenerateConstantRecovery(
-            f"gamma2/gamma1 = {comp.gamma_ratio:.12g}; the normalization "
-            "constant is not recoverable")
     c = g[i0] / denom
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
 
     return _recover_solution(
         lam_t_abs, comp, sub, params, tess, agg,
-        iterations=iterations, exited_feasible=exits > 0, options=options,
+        iterations=iterations, exited_feasible=exits > 0,
         anchor_pos=i0, transformed_residual=residual)
 
 
@@ -582,7 +582,7 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
         lam_t, comp, geography, params, tess, agg,
-        iterations=iterations, exited_feasible=False, options=options,
+        iterations=iterations, exited_feasible=False,
         anchor_pos=0, transformed_residual=residual)
 
 
@@ -597,13 +597,16 @@ class MarketEquilibrium:
     residual: float
 
 
+MARKET_MAX_ITER = 100000   # log-wage map evaluations before NotConverged
+MARKET_DAMPING = 0.5       # weight of the damped log-wage step
+
+
 def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
-                             params: ModelParams, tol: float = 1e-12,
-                             max_iter: int = 100000, damping: float = 0.5
+                             params: ModelParams, tol: float = 1e-12
                              ) -> MarketEquilibrium:
     """Solve the wage/price-index gravity system for given labor masses.
 
-    ``_iterate`` mixes the log-wage map with weight ``damping``, prices
+    ``_iterate`` mixes the log-wage map with weight MARKET_DAMPING, prices
     following wages, until max|G(log_w) − log_w| < tol; the numeraire
     sum(w_i L_i) = 1 pins the scale after each mix. Productivities enter
     through the spillover A_i = productivities_i * L_i^alpha.
@@ -632,7 +635,7 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     _, _, log_w, iterations, _ = _iterate(
         lambda log_w: (numeraire(log_wage_update(log_w, log_prices(log_w))),),
         numeraire(np.zeros(len(labor))),  # start at equal wages
-        damping, tol, max_iter, "market", project=numeraire)
+        MARKET_DAMPING, tol, MARKET_MAX_ITER, "market", project=numeraire)
     log_P = log_prices(log_w)
     return MarketEquilibrium(
         wages=np.exp(log_w), prices=np.exp(log_P), iterations=iterations,

@@ -109,7 +109,12 @@ def trade_costs_from_metric(sites, system: DistanceSystem, tau: float) -> TradeC
 
 
 def explicit_trade_costs(values) -> TradeCostMatrix:
-    """Wrap a user-supplied trade cost matrix (validated by validate_geography)."""
+    """Wrap a user-supplied trade cost matrix as given, unchecked.
+
+    Config loading rejects entries that are not finite and > 0; the model's
+    other assumptions (symmetry, unit diagonal, triangle bound) are only
+    diagnosed when ``validate_geography`` is called.
+    """
     values = np.array(values, dtype=float)
     values.setflags(write=False)
     return TradeCostMatrix(values=values, origin="explicit")

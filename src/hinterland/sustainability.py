@@ -26,6 +26,7 @@ from .equilibrium import (
 )
 from .errors import HinterlandError, SiteNotVacant
 from .fields import Geography
+from .geometry import cross_distances
 from .integrals import _logsumexp
 
 STRONG_SPILLOVER = "strong_spillover"   # alpha above cutoff: deviations never pay
@@ -63,36 +64,27 @@ def _geo_positions(geography: Geography):
     return {s.id: p for p, s in enumerate(geography.sites)}
 
 
-def _active_positions(solution: EquilibriumSolution, geography: Geography):
-    """Geography-frame indices and solution-frame indices of active sites."""
-    pos = _geo_positions(geography)
-    geo_idx, sol_idx = [], []
-    for si, sid in enumerate(solution.site_ids):
-        if sid in solution.active_ids:
-            geo_idx.append(pos[sid])
-            sol_idx.append(si)
-    return np.array(geo_idx), np.array(sol_idx)
-
-
-def _log_deviation_sum(solution: EquilibriumSolution, geography: Geography,
-                       comp, q_geo_index: int) -> float:
+def _log_trade_access(solution: EquilibriumSolution, geography: Geography,
+                      comp) -> np.ndarray:
     """log sum_j T_qj^(1-sigma) Abar_j^(st*sigma) B_j^(-1/beta) e^(s*g2*lam_j).
 
     The trade-access sum entering both the potential weight and the
-    deviation inequality, taken over the solution's active sites.
+    deviation inequality, taken over the solution's active sites j, for
+    every site q of the geography (one entry per geography position).
     """
-    geo_idx, sol_idx = _active_positions(solution, geography)
+    pos = _geo_positions(geography)
+    sol_idx = list(solution.tessellation.active_set)
+    geo_idx = [pos[solution.site_ids[i]] for i in sol_idx]
     sigma = comp.sigma
     st = comp.sigma_tilde
     beta = comp.effective.beta_eff
     s = comp.weight_scale
-    T_row = geography.trade.values[q_geo_index, geo_idx]
     log_abar = np.log(geography.productivities[geo_idx])
-    terms = ((1.0 - sigma) * np.log(T_row)
+    terms = ((1.0 - sigma) * np.log(geography.trade.values[:, geo_idx])
              + st * sigma * log_abar
              + (-1.0 / beta) * np.log(solution.B[sol_idx])
              + s * comp.gamma2 * solution.weights[sol_idx])
-    return float(_logsumexp(terms))
+    return _logsumexp(terms, axis=1)
 
 
 def potential_weight(solution: EquilibriumSolution, geography: Geography,
@@ -114,7 +106,7 @@ def potential_weight(solution: EquilibriumSolution, geography: Geography,
     sigma = comp.sigma
     beta = comp.effective.beta_eff
     p_geo = pos[y_p]
-    log_sum = _log_deviation_sum(solution, geography, comp, p_geo)
+    log_sum = float(_log_trade_access(solution, geography, comp)[p_geo])
     log_v_term = math.log(solution.welfare) / beta
     own = st * (sigma - 1.0) * math.log(geography.productivities[p_geo])
     lam_p = (log_v_term + own + log_sum) / (params.delta * st * sigma)
@@ -142,8 +134,8 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
     """Decide whether the restricted equilibrium survives vacant-site entry."""
     regime = _spillover_regime(params)
     pos = _geo_positions(geography)
-    vacant = tuple(s.id for s in geography.sites
-                   if s.id not in solution.active_ids)
+    active = set(solution.active_ids)
+    vacant = tuple(s.id for s in geography.sites if s.id not in active)
 
     if regime == STRONG_SPILLOVER:
         return SustainabilityReport(
@@ -160,28 +152,19 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
     comp = composite_params(params, geography.productivities, geography.trade)
     st = comp.sigma_tilde
     sigma = comp.sigma
-    id_of_label = dict(enumerate(solution.site_ids))
+    abar = geography.productivities
+    log_S = _log_trade_access(solution, geography, comp).tolist()
+    d = cross_distances(geography.sites, geography.system)
     margins = {}
     hosts = {}
     for v in vacant:
         p_geo = pos[v]
-        p_site = geography.sites[p_geo]
-        iy, ix = geography.grid.cell_of(p_site.position)
-        host_label = int(solution.tessellation.labels[iy, ix])
-        host_id = id_of_label[host_label]
-        hosts[v] = host_id
-        host_geo = pos[host_id]
-        host_site = geography.sites[host_geo]
-        d_host = float(geography.system.distance(
-            host_site, host_geo,
-            np.array(p_site.position[0]), np.array(p_site.position[1])))
-        log_S_p = _log_deviation_sum(solution, geography, comp, p_geo)
-        log_S_i = _log_deviation_sum(solution, geography, comp, host_geo)
-        lhs = (st * (sigma - 1.0)
-               * math.log(geography.productivities[p_geo]
-                          / geography.productivities[host_geo])
-               + (log_S_p - log_S_i)
-               + st * sigma * params.delta * d_host)
+        iy, ix = geography.grid.cell_of(geography.sites[p_geo].position)
+        hosts[v] = solution.site_ids[solution.tessellation.labels[iy, ix]]
+        host_geo = pos[hosts[v]]
+        lhs = (st * (sigma - 1.0) * math.log(abar[p_geo] / abar[host_geo])
+               + (log_S[p_geo] - log_S[host_geo])
+               + st * sigma * params.delta * float(d[host_geo, p_geo]))
         margins[v] = -lhs
 
     if not margins:
@@ -322,17 +305,15 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
 
     pos = _geo_positions(geography)
     c_geo, p_geo = pos[y_c], pos[y_p]
-    c_site = geography.sites[c_geo]
-    p_site = geography.sites[p_geo]
-    swap_distance = float(geography.system.distance(
-        c_site, c_geo, np.array(p_site.position[0]), np.array(p_site.position[1])))
+    d = cross_distances(geography.sites, geography.system)
+    swap_distance = float(d[c_geo, p_geo])
     ratio = float(geography.productivities[c_geo] / geography.productivities[p_geo])
 
     def run(subset):
         sub = subset_geography(geography, subset)
         margin = existence_margins(sub, params).min_margin
         try:
-            fixed_point_solve(geography, params, y_star=subset, options=options)
+            fixed_point_solve(sub, params, options=options)
             return margin, True, ""
         except HinterlandError as e:
             return margin, False, f"{type(e).__name__}: {e}"

@@ -25,7 +25,7 @@ from hinterland.equilibrium import (
 )
 from hinterland.errors import EmptyCellInSum, LeftFeasibleSet, NotConverged
 from hinterland.geometry import OUTSIDE, assign_labels, cross_distances, pairwise_metrics
-from hinterland.integrals import aggregate_amenities
+from hinterland.integrals import _logsumexp, aggregate_amenities
 from hinterland.io_formats import _num
 
 
@@ -306,7 +306,7 @@ def damped_fixed_point_solve(geography, params, y_star=None,
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
     return _recover_solution(
         lam_t_abs, comp, sub, params, tess, agg, iterations=iteration,
-        exited_feasible=exits > 0, options=options, anchor_pos=i0,
+        exited_feasible=exits > 0, anchor_pos=i0,
         transformed_residual=residual)
 
 
@@ -335,7 +335,7 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
         lam_t, comp, geography, params, tess, agg, iterations=iteration,
-        exited_feasible=False, options=options, anchor_pos=0,
+        exited_feasible=False, anchor_pos=0,
         transformed_residual=residual)
 
 
@@ -429,3 +429,76 @@ def loop_feasible_starts(sites, system, k_shrink, count, seed):
         if loop_lambda_feasibility(sites, system, w, k_shrink)[1] == "interior":
             starts.append(w)
     return starts
+
+
+# The deviation oracle below is the per-vacant-site loop sustainability
+# checks ran before the trade-access sums became one vector: each vacant
+# site and its host rebuild their own sum over the active sites, and the
+# host distance is a one-point ``DistanceSystem.distance`` call. Its float
+# expressions are the package's, so the tests compare with ==.
+
+def _active_positions(solution, geography):
+    pos = {s.id: p for p, s in enumerate(geography.sites)}
+    geo_idx, sol_idx = [], []
+    for si, sid in enumerate(solution.site_ids):
+        if sid in solution.active_ids:
+            geo_idx.append(pos[sid])
+            sol_idx.append(si)
+    return np.array(geo_idx), np.array(sol_idx)
+
+
+def loop_log_deviation_sum(solution, geography, comp, q_geo_index):
+    """log sum over active j of T_qj^(1-sigma) Abar_j^(st*sigma)
+    B_j^(-1/beta) e^(s*g2*lam_j), for the geography site at ``q_geo_index``."""
+    geo_idx, sol_idx = _active_positions(solution, geography)
+    sigma = comp.sigma
+    st = comp.sigma_tilde
+    beta = comp.effective.beta_eff
+    s = comp.weight_scale
+    T_row = geography.trade.values[q_geo_index, geo_idx]
+    log_abar = np.log(geography.productivities[geo_idx])
+    terms = ((1.0 - sigma) * np.log(T_row)
+             + st * sigma * log_abar
+             + (-1.0 / beta) * np.log(solution.B[sol_idx])
+             + s * comp.gamma2 * solution.weights[sol_idx])
+    return float(_logsumexp(terms))
+
+
+def loop_potential_weight(solution, geography, params, y_p):
+    """Knife-edge potential weight of the vacant site ``y_p``."""
+    comp = composite_params(params, geography.productivities, geography.trade)
+    st, sigma = comp.sigma_tilde, comp.sigma
+    p_geo = [s.id for s in geography.sites].index(y_p)
+    log_sum = loop_log_deviation_sum(solution, geography, comp, p_geo)
+    log_v_term = math.log(solution.welfare) / comp.effective.beta_eff
+    own = st * (sigma - 1.0) * math.log(geography.productivities[p_geo])
+    return (log_v_term + own + log_sum) / (params.delta * st * sigma)
+
+
+def loop_deviation_margins(solution, geography, params):
+    """Knife-edge deviation margins and host ids, keyed by vacant site id."""
+    pos = {s.id: p for p, s in enumerate(geography.sites)}
+    vacant = [s.id for s in geography.sites if s.id not in solution.active_ids]
+    comp = composite_params(params, geography.productivities, geography.trade)
+    st, sigma = comp.sigma_tilde, comp.sigma
+    id_of_label = dict(enumerate(solution.site_ids))
+    margins, hosts = {}, {}
+    for v in vacant:
+        p_geo = pos[v]
+        p_site = geography.sites[p_geo]
+        iy, ix = geography.grid.cell_of(p_site.position)
+        host_id = id_of_label[int(solution.tessellation.labels[iy, ix])]
+        hosts[v] = host_id
+        host_geo = pos[host_id]
+        d_host = float(geography.system.distance(
+            geography.sites[host_geo], host_geo,
+            np.array(p_site.position[0]), np.array(p_site.position[1])))
+        log_S_p = loop_log_deviation_sum(solution, geography, comp, p_geo)
+        log_S_i = loop_log_deviation_sum(solution, geography, comp, host_geo)
+        lhs = (st * (sigma - 1.0)
+               * math.log(geography.productivities[p_geo]
+                          / geography.productivities[host_geo])
+               + (log_S_p - log_S_i)
+               + st * sigma * params.delta * d_host)
+        margins[v] = -lhs
+    return margins, hosts

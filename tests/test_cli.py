@@ -213,6 +213,21 @@ def test_explicit_trade_matrix(tmp_path):
         load_config(write_config(tmp_path, wrong, "wrong.yaml"))
 
 
+@pytest.mark.parametrize("entry", [0.0, -1.5, float("nan"), float("inf")])
+def test_explicit_trade_entries_must_be_finite_and_positive(tmp_path, entry):
+    write_matrix_csv(tmp_path / "trade.csv", [[1.0, entry], [1.2, 1.0]])
+    text = MINIMAL.replace(
+        "  trade:\n    kind: from_metric\n    tau: 0.5",
+        "  trade:\n    kind: explicit\n    file: trade.csv")
+    config = write_config(tmp_path, text)
+    file_line = text.splitlines().index("    file: trade.csv") + 1
+    with pytest.raises(ConfigError, match="finite and > 0") as exc:
+        load_config(config)
+    assert exc.value.path == f"{config}:{file_line}"
+    assert cli.main(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+
+
 def test_active_sites_validation():
     good = MINIMAL + "solve:\n  active_sites: [1]\n"
     assert parse_config(good).active_sites == (1,)

@@ -35,6 +35,7 @@ from hinterland.equilibrium import (
 )
 from hinterland.errors import (
     CoincidentSites,
+    DegenerateConstantRecovery,
     DegenerateGamma1,
     EmptyCellInSum,
     InvalidVariantParams,
@@ -643,9 +644,10 @@ def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
 
 def test_damped_step_that_empties_a_cell_is_an_exit(monkeypatch):
     # from the start, the first step has no history to mix: when it empties
-    # a cell, both solvers reproject at once instead of retrying it
+    # a cell, both solvers reproject at once instead of retrying it (alpha is
+    # not -beta, which is rejected before the first step)
     geo = make_geography(SYM2, productivities=[1.0, 2.0])
-    p = ModelParams(sigma=9.0, alpha=0.3, beta=-0.3, delta=2.0)
+    p = ModelParams(sigma=9.0, alpha=0.32, beta=-0.3, delta=2.0)
     evaluate = equilibrium.transformed_weight_map
     points = {}
     for name, solve in (("anderson", fixed_point_solve),
@@ -664,6 +666,30 @@ def test_damped_step_that_empties_a_cell_is_an_exit(monkeypatch):
     assert np.array_equal(reprojected, _reproject(step, comp, geo, 0.5))
     for a, b in zip(points["anderson"][:3], points["damped"][:3]):
         assert np.array_equal(a, b)
+
+
+def test_alpha_equal_to_minus_beta_fails_before_any_evaluation(
+        tmp_path, map_evaluations, capsys):
+    # gamma1 = gamma2 = 1 + alpha: the normalization constant is lost, so the
+    # solve stops before the first map evaluation, and the CLI exits 1
+    geo = make_geography(((0.2, 0.3), (0.8, 0.3), (0.5, 0.8)))
+    p = ModelParams(sigma=9.0, alpha=0.3, beta=-0.3, delta=2.0)
+    with pytest.raises(DegenerateConstantRecovery):
+        fixed_point_solve(geo, p)
+    with pytest.raises(DegenerateConstantRecovery):
+        fixed_point_solve(geo, p, y_star=[0, 2])
+    assert map_evaluations == []
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "geography:\n  resolution: [48, 48]\n  sites:\n"
+        "    - {position: [0.2, 0.3]}\n    - {position: [0.8, 0.3]}\n"
+        "    - {position: [0.5, 0.8]}\n"
+        "  trade: {kind: from_metric, tau: 0.5}\n"
+        "params: {sigma: 9.0, alpha: 0.3, beta: -0.3, delta: 2.0}\n")
+    assert cli.main(["solve", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "normalization constant" in capsys.readouterr().err
+    assert map_evaluations == []
 
 
 def test_stalled_acceleration_pauses_for_damped_steps(monkeypatch, map_evaluations):

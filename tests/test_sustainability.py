@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from helpers import loop_deviation_margins, loop_potential_weight
 
-from hinterland.analysis import bracket_threshold, regime_classify
+from hinterland import fields
+from hinterland.analysis import bracket_threshold, multistart_probe, regime_classify
+from hinterland.config import parse_config
 from hinterland.equilibrium import (
     ModelParams,
     fixed_point_solve,
     solve_knife_edge_system,
 )
-from hinterland.errors import SiteNotVacant
+from hinterland.errors import HinterlandError, SiteNotVacant
 from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
 from hinterland.geometry import DistanceSystem, Site, build_grid
+from hinterland.io_formats import write_matrix_csv
 from hinterland.sustainability import (
+    BOUNDARY_TOL,
     KNIFE_EDGE,
     STRONG_SPILLOVER,
     WEAK_SPILLOVER,
@@ -204,6 +209,120 @@ def test_clone_margin_sits_on_boundary():
     report = sustainability_check(sol, geo, KNIFE)
     assert abs(report.margins[2]) < 1e-10
     assert report.verdict == "boundary"
+
+
+def _knife_edge_batch(tmp_path):
+    """Seeded (geography, restricted solution) pairs at the knife edge, 48².
+
+    3–6 sites with uniform or one-bump amenities and a random proper active
+    set; one scaled-metric geography whose trade costs come from an explicit
+    file; and a vacant clone of an active site. Failed solves are dropped.
+    """
+    rng = np.random.default_rng(20261018)
+    cases = []
+    while len(cases) < 34:
+        n = int(rng.integers(3, 7))
+        positions = []
+        while len(positions) < n:
+            p = tuple(float(v) for v in rng.uniform(0.1, 0.9, size=2))
+            if all(math.dist(p, q) >= 0.2 for q in positions):
+                positions.append(p)
+        size = int(rng.integers(1, n))
+        active = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
+        # vacant sites range down to weak ones, so some active sets survive
+        specs = [(p, float(rng.uniform(0.9, 1.1) if i in active
+                           else rng.uniform(0.2, 1.1)))
+                 for i, p in enumerate(positions)]
+        geo = geo_with_sites(specs, tau=float(rng.uniform(0.2, 0.8)), n=48)
+        if rng.random() < 0.5:
+            cx, cy, w = (float(v) for v in rng.uniform([0.2, 0.2, 0.1],
+                                                       [0.8, 0.8, 0.3]))
+            geo = Geography(
+                grid=geo.grid, sites=geo.sites, system=geo.system, trade=geo.trade,
+                amenity=amenity_from_function(geo.grid, lambda x, y: 1.0 + np.exp(
+                    -((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * w * w))))
+        cases.append((geo, active))
+
+    values = np.array([[1.0, 1.4, 1.7, 1.2], [1.4, 1.0, 1.3, 1.6],
+                       [1.7, 1.3, 1.0, 1.5], [1.2, 1.6, 1.5, 1.0]])
+    write_matrix_csv(tmp_path / "trade.csv", values)
+    scaled = parse_config("""\
+geography:
+  resolution: [48, 48]
+  metric: scaled_euclidean
+  scales: [1.0, 1.3, 0.8, 1.1]
+  sites:
+    - {position: [0.2, 0.25], productivity: 1.0}
+    - {position: [0.75, 0.3], productivity: 1.2}
+    - {position: [0.5, 0.8], productivity: 0.9}
+    - {position: [0.3, 0.6], productivity: 1.05}
+  trade: {kind: explicit, file: trade.csv}
+""", base_dir=tmp_path).geography
+    cases.append((scaled, [0, 1, 2]))
+    cases.append((scaled, [1, 3]))
+    clone = (((0.3, 0.5), 1.0), ((0.7, 0.5), 1.1), ((0.3, 0.5), 1.0))
+    cases.append((geo_with_sites(clone, n=48), [0, 1]))
+
+    solved = []
+    for geo, active in cases:
+        try:
+            solved.append((geo, fixed_point_solve(geo, KNIFE, y_star=active)))
+        except HinterlandError:
+            continue
+    return solved
+
+
+def test_deviation_sums_match_the_per_site_loop_exactly(tmp_path):
+    # one trade-access vector per solution gives the margins, verdicts, hosts
+    # and potential weights of the per-site loop, bit for bit
+    solved = _knife_edge_batch(tmp_path)
+    assert len(solved) >= 30
+    clone_margin = None
+    for geo, sol in solved:
+        report = sustainability_check(sol, geo, KNIFE)
+        margins, hosts = loop_deviation_margins(sol, geo, KNIFE)
+        assert report.margins == margins
+        assert report.host_ids == hosts
+        worst = min(margins.values())
+        expected = ("unsustainable" if worst <= -BOUNDARY_TOL else
+                    "boundary" if worst < BOUNDARY_TOL else "sustainable")
+        assert report.verdict == expected
+        for v in report.vacant_ids:
+            assert (potential_weight(sol, geo, KNIFE, v).value
+                    == loop_potential_weight(sol, geo, KNIFE, v))
+        if geo.sites[-1].position == geo.sites[0].position:
+            clone_margin = report.margins[2]
+    assert clone_margin is not None and abs(clone_margin) < 1e-10
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """A list that counts each ``distance_stack`` build behind Geography.distances."""
+    calls = []
+    build = fields.distance_stack
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "distance_stack", counting)
+    return calls
+
+
+def test_probe_of_a_proper_subset_builds_one_distance_stack(stack_builds):
+    geo = geo_with_sites(THREE, n=48)
+    report = multistart_probe(geo, STRONG, y_star=[0, 2], n_starts=16, seed=3)
+    assert report.n_converged == 16
+    assert len(stack_builds) == 1
+
+
+def test_swap_builds_one_distance_stack_per_active_set(stack_builds):
+    specs = (((0.2, 0.5), 1.0), ((0.8, 0.5), 1.0), ((0.81, 0.5), 1.0))
+    geo = geo_with_sites(specs, tau=0.2, n=48)
+    p = ModelParams(sigma=5.0, alpha=0.3, beta=-0.5, delta=6.0)
+    report = site_swap_experiment(geo, p, [0, 1], y_c=1, y_p=2)
+    assert report.base_converged and report.swapped_converged
+    assert len(stack_builds) == 2
 
 
 # ---------------------------------------------------------------------------

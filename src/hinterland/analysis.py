@@ -145,8 +145,7 @@ def _environment_trade_decay(geography: Geography) -> float:
 
 def existence_margins(geography: Geography, params: ModelParams,
                       k_shrink: float = 0.5, eta_hat: float | None = None,
-                      use_sharper_trade_bound: bool = False,
-                      n_samples: int = 16, seed: int = 0) -> ExistenceReport:
+                      use_sharper_trade_bound: bool = False) -> ExistenceReport:
     """Margins of the condition keeping the weight map inside the band.
 
     lhs stacks the fundamental asymmetries (productivity and unweighted
@@ -162,8 +161,8 @@ def existence_margins(geography: Geography, params: ModelParams,
                 else _environment_trade_decay(geography))
 
     if eta_hat is None:
-        eta_hat = semielasticity_sup(geography, eff.kernel, k_shrink=k_shrink,
-                                     n_samples=n_samples, seed=seed).value
+        eta_hat = semielasticity_sup(geography, eff.kernel,
+                                     k_shrink=k_shrink).value
     d, d_min, radius = pairwise_metrics(geography.sites, geography.system)
 
     tess0 = assign_labels(geography.grid, geography.sites, geography.system,
@@ -216,8 +215,7 @@ def separation_report(geography: Geography, params: ModelParams,
         d_min=d_min, existence=report)
 
 
-def bracket_threshold(fn, lo: float, hi: float, tol: float = 1e-6,
-                      max_iter: int = 200) -> float:
+def bracket_threshold(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
     """Bisect a sign change of a scalar margin function on [lo, hi]."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
@@ -226,7 +224,7 @@ def bracket_threshold(fn, lo: float, hi: float, tol: float = 1e-6,
         return hi
     if (flo > 0) == (fhi > 0):
         raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
         if fm == 0.0 or (hi - lo) < tol:
@@ -352,9 +350,11 @@ CLUSTER_TOL = 1e-6   # sup-norm distance below which two fixed points are one
 
 def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
                      n_starts: int = 16, seed: int = 0,
-                     k_shrink: float = 0.5,
                      options: SolverOptions = SolverOptions()) -> ProbeReport:
     """Solve from seeded random feasible starts and cluster the fixed points.
+
+    The starts are drawn from the same shrunk set Λ^k as the solver's
+    reprojection, ``options.k_shrink``.
 
     Clustering compares anchored weight differences in sup norm at
     CLUSTER_TOL; a single cluster is evidence (not proof) of uniqueness.
@@ -366,8 +366,8 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     if len(ids) == 1:
         starts = [np.zeros(1) for _ in range(n_starts)]
     else:
-        starts = sample_feasible_weights(sub.sites, sub.system, k_shrink,
-                                         n_starts, seed)
+        starts = sample_feasible_weights(sub.sites, sub.system,
+                                         options.k_shrink, n_starts, seed)
 
     clusters: list[SolutionCluster] = []
     failures = []

@@ -201,8 +201,7 @@ def cmd_solve(args) -> int:
 def cmd_classify(args) -> int:
     config = _load(args)
     report = regime_classify(config.require_params())
-    document = {
-        "command": "classify",
+    fields = {
         "alpha": report.alpha, "beta": report.beta, "sigma": report.sigma,
         "alpha_cutoff": report.alpha_cutoff,
         "location_multiplicity": report.location_multiplicity,
@@ -210,14 +209,12 @@ def cmd_classify(args) -> int:
         "labor_uniqueness": report.labor_uniqueness,
         "reconciliation": report.reconciliation,
     }
-    for key in ("alpha", "beta", "sigma", "alpha_cutoff",
-                "location_multiplicity", "gamma_ratio", "labor_uniqueness",
-                "reconciliation"):
-        value = document[key]
+    for key, value in fields.items():
         if isinstance(value, bool):
             value = str(value).lower()
         print(f"{key} = {value}")
-    write_json(_out_dir(args) / "classify.json", document)
+    write_json(_out_dir(args) / "classify.json",
+               {"command": "classify", **fields})
     return 0
 
 
@@ -267,16 +264,17 @@ def cmd_enumerate(args) -> int:
         max_subsets=config.enumerate.max_subsets, seed=config.solver.seed,
         options=config.solver.options)
     out = _out_dir(args)
-    rows = []
-    for entry in catalog.entries:
-        rows.append({
-            "subset": _id_list(entry.subset),
-            "active_ids": _id_list(entry.active_ids),
-            "verdict": entry.verdict,
-            "min_margin": entry.min_margin,
-            "welfare": entry.solution.welfare,
-            "labor": ";".join(repr(float(v)) for v in entry.solution.labor),
-        })
+    records = [{"subset": list(entry.subset),
+                "active_ids": list(entry.active_ids),
+                "verdict": entry.verdict,
+                "min_margin": entry.min_margin,
+                "welfare": entry.solution.welfare,
+                "weights": entry.solution.weights,
+                "labor": entry.solution.labor} for entry in catalog.entries]
+    rows = [{**record, "subset": _id_list(record["subset"]),
+             "active_ids": _id_list(record["active_ids"]),
+             "labor": ";".join(repr(float(v)) for v in record["labor"])}
+            for record in records]
     for subset, verdict in catalog.rejected:
         rows.append({"subset": _id_list(subset), "active_ids": "",
                      "verdict": verdict, "min_margin": "", "welfare": "",
@@ -288,15 +286,7 @@ def cmd_enumerate(args) -> int:
         "seed": catalog.seed,
         "sizes": list(catalog.sizes),
         "max_subsets": catalog.max_subsets,
-        "entries": [{
-            "subset": list(entry.subset),
-            "active_ids": list(entry.active_ids),
-            "verdict": entry.verdict,
-            "min_margin": entry.min_margin,
-            "welfare": entry.solution.welfare,
-            "weights": entry.solution.weights,
-            "labor": entry.solution.labor,
-        } for entry in catalog.entries],
+        "entries": records,
         "rejected": [{"subset": list(subset), "verdict": verdict}
                      for subset, verdict in catalog.rejected],
         "failures": [{"subset": list(subset), "error": error}
@@ -346,17 +336,15 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _add_common(parser, config_required=True):
-    if config_required:
-        parser.add_argument("--config", required=True,
-                            help="path to the YAML run configuration")
-    parser.add_argument("--out", default=".",
-                        help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="thread budget (0 = all cores); results are "
-                             "thread-count invariant")
-    parser.add_argument("--verbose", action="store_true",
-                        help="progress messages on stderr")
+COMMANDS = (
+    (cmd_solve, "solve the configured active set and write all solution "
+                "artifacts"),
+    (cmd_classify, "print and save the parameter-regime classification"),
+    (cmd_sweep, "classify a parameter grid; write CSV and region-map SVG"),
+    (cmd_enumerate, "enumerate sustainable equilibria over active-site "
+                    "subsets"),
+    (cmd_render, "convert saved artifacts to SVG"),
+)
 
 
 @functools.cache
@@ -365,35 +353,25 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Equilibrium urban systems on weighted-"
                                  "Voronoi commuting areas.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve the configured active set and "
-                                     "write all solution artifacts")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("classify", help="print and save the parameter-"
-                                        "regime classification")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("sweep", help="classify a parameter grid; write CSV "
-                                     "and region-map SVG")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("enumerate", help="enumerate sustainable equilibria "
-                                         "over active-site subsets")
-    _add_common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("render", help="convert saved artifacts to SVG")
-    _add_common(p, config_required=False)
-    p.add_argument("--input", required=True,
-                   help="solve output directory or .pgm label raster")
-    p.add_argument("--style", choices=("overlay", "boundaries"),
-                   default="overlay")
-    p.add_argument("--width", type=int, default=640)
-    p.set_defaults(func=cmd_render)
+    for func, help_text in COMMANDS:
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help_text)
+        p.set_defaults(func=func)
+        if func is not cmd_render:
+            p.add_argument("--config", required=True,
+                           help="path to the YAML run configuration")
+        p.add_argument("--out", default=".",
+                       help="output directory (created if missing)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="thread budget (0 = all cores); results are "
+                            "thread-count invariant")
+        p.add_argument("--verbose", action="store_true",
+                       help="progress messages on stderr")
+        if func is cmd_render:
+            p.add_argument("--input", required=True,
+                           help="solve output directory or .pgm label raster")
+            p.add_argument("--style", choices=("overlay", "boundaries"),
+                           default="overlay")
+            p.add_argument("--width", type=int, default=640)
     return parser
 
 

@@ -200,10 +200,8 @@ class _Section:
     take_value = _take
 
     def take_section(self, key):
-        """Pop a sub-mapping; returns None when absent."""
-        if key not in self._data:
-            return None
-        return _Section(self._data.pop(key), self._path + (key,),
+        """Pop a sub-mapping; an absent key reads as an empty one."""
+        return _Section(self._data.pop(key, {}), self._path + (key,),
                         self._lines, self._source)
 
     def take_sections(self, key, required=False):
@@ -280,9 +278,24 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # block builders
 
+def _take_raster(section, read, what, base_dir, resolution, bbox):
+    """Read the raster named by ``file``; its shape and bbox must match."""
+    name = section.take_str("file")
+    try:
+        values, file_bbox = read(base_dir / name)
+    except (OSError, ValueError) as exc:
+        section.error(f"cannot read {what} raster: {exc}", "file")
+    if values.shape != (resolution[1], resolution[0]):
+        section.error(f"{what} raster is {values.shape[1]}x{values.shape[0]}, "
+                      f"resolution says {resolution[0]}x{resolution[1]}",
+                      "file")
+    if not np.allclose(file_bbox, bbox, rtol=1e-9, atol=1e-12):
+        section.error(f"{what} raster bbox {file_bbox} does not match "
+                      f"geography bbox {tuple(bbox)}", "file")
+    return values
+
+
 def _build_domain_predicate(section, resolution, base_dir, bbox):
-    if section is None:
-        return None
     kind = section.take_str("kind", "all",
                             choices=("all", "disk", "mask"))
     x0, y0, x1, y1 = bbox
@@ -296,26 +309,13 @@ def _build_domain_predicate(section, resolution, base_dir, bbox):
         section.finish()
         return lambda X, Y: (X - center[0]) ** 2 + (Y - center[1]) ** 2 \
             <= radius ** 2
-    name = section.take_str("file")
-    try:
-        labels, file_bbox = read_label_raster(base_dir / name)
-    except (OSError, ValueError) as exc:
-        section.error(f"cannot read mask raster: {exc}", "file")
-    if labels.shape != (resolution[1], resolution[0]):
-        section.error(f"mask raster is {labels.shape[1]}x{labels.shape[0]}, "
-                      f"resolution says {resolution[0]}x{resolution[1]}",
-                      "file")
-    if not np.allclose(file_bbox, bbox, rtol=1e-9, atol=1e-12):
-        section.error(f"mask raster bbox {file_bbox} does not match "
-                      f"geography bbox {tuple(bbox)}", "file")
-    inside = labels >= 0
+    inside = _take_raster(section, read_label_raster, "mask", base_dir,
+                          resolution, bbox) >= 0
     section.finish()
     return lambda X, Y: inside
 
 
 def _build_amenity(section, grid, base_dir):
-    if section is None:
-        return amenity_from_function(grid, lambda X, Y: np.ones_like(X))
     kind = section.take_str("kind", "uniform",
                             choices=("uniform", "bumps", "raster"))
     if kind == "uniform":
@@ -341,17 +341,8 @@ def _build_amenity(section, grid, base_dir):
             return values
 
         return amenity_from_function(grid, source)
-    name = section.take_str("file")
-    try:
-        values, file_bbox = read_field_raster(base_dir / name)
-    except (OSError, ValueError) as exc:
-        section.error(f"cannot read amenity raster: {exc}", "file")
-    if values.shape != (grid.ny, grid.nx):
-        section.error(f"amenity raster is {values.shape[1]}x{values.shape[0]}, "
-                      f"resolution says {grid.nx}x{grid.ny}", "file")
-    if not np.allclose(file_bbox, grid.bbox, rtol=1e-9, atol=1e-12):
-        section.error(f"amenity raster bbox {file_bbox} does not match "
-                      f"geography bbox {tuple(grid.bbox)}", "file")
+    values = _take_raster(section, read_field_raster, "amenity", base_dir,
+                          (grid.nx, grid.ny), grid.bbox)
     section.finish()
     return amenity_from_function(grid, values)
 
@@ -401,17 +392,16 @@ def _build_geography(section, base_dir):
                           "metric", "scales")
         system = DistanceSystem()
 
-    domain_sec = section.take_section("domain")
-    predicate = _build_domain_predicate(domain_sec, resolution, base_dir,
-                                        bbox)
+    predicate = _build_domain_predicate(section.take_section("domain"),
+                                        resolution, base_dir, bbox)
     grid = build_grid(tuple(bbox), (resolution[0], resolution[1]), predicate)
 
     amenity = _build_amenity(section.take_section("amenity"), grid, base_dir)
 
-    trade_sec = section.take_section("trade")
-    if trade_sec is None:
+    if not section.has("trade"):
         section.error("a 'trade' block is required (kind: from_metric "
                       "with tau, or kind: explicit with file)")
+    trade_sec = section.take_section("trade")
     trade_kind = trade_sec.take_str("kind",
                                     choices=("from_metric", "explicit"))
     if trade_kind == "from_metric":
@@ -428,11 +418,11 @@ def _build_geography(section, base_dir):
             trade_sec.error(f"trade matrix is {values.shape[0]}x"
                             f"{values.shape[1]} but there are "
                             f"{len(sites)} sites", "file")
-        if not ((values > 0) & (values < np.inf)).all():
-            trade_sec.error("trade matrix entries must be finite and > 0",
-                            "file")
+        try:
+            trade = explicit_trade_costs(values)
+        except ValueError as exc:
+            trade_sec.error(str(exc), "file")
         trade_sec.finish()
-        trade = explicit_trade_costs(values)
 
     section.finish()
     return Geography(grid=grid, sites=sites, system=system, amenity=amenity,
@@ -444,22 +434,19 @@ def _build_params(section):
     alpha = section.take_float("alpha")
     beta = section.take_float("beta")
     delta = section.take_float("delta")
-    tau = section.take_float("tau", 0.0)
-    total_labor = section.take_float("total_labor", 1.0)
+    tau = section.take_float("tau", ModelParams.tau)
+    total_labor = section.take_float("total_labor", ModelParams.total_labor)
     variant_sec = section.take_section("variant")
-    if variant_sec is None:
-        variant = Baseline()
+    kind = variant_sec.take_str(
+        "kind", "baseline",
+        choices=("baseline", "home_consumption", "two_sector"))
+    if kind == "two_sector":
+        mu = variant_sec.take_float("mu")
+        beta_tilde = variant_sec.take_float("beta_tilde")
+        variant = TwoSector(mu=mu, beta=beta_tilde)
     else:
-        kind = variant_sec.take_str(
-            "kind", "baseline",
-            choices=("baseline", "home_consumption", "two_sector"))
-        if kind == "two_sector":
-            mu = variant_sec.take_float("mu")
-            beta_tilde = variant_sec.take_float("beta_tilde")
-            variant = TwoSector(mu=mu, beta=beta_tilde)
-        else:
-            variant = Baseline() if kind == "baseline" else HomeConsumption()
-        variant_sec.finish()
+        variant = Baseline() if kind == "baseline" else HomeConsumption()
+    variant_sec.finish()
     try:
         params = ModelParams(sigma=sigma, alpha=alpha, beta=beta, delta=delta,
                              tau=tau, total_labor=total_labor,
@@ -471,16 +458,15 @@ def _build_params(section):
 
 
 def _build_solver(section):
-    if section is None:
-        return SolverConfig(options=SolverOptions(), seed=0)
-    damping = section.take_float("damping", 0.5, minimum=0.0, exclusive=True,
-                                 maximum=1.0)
-    tol = section.take_float("tol", 1e-12, minimum=0.0, exclusive=True)
-    max_iter = section.take_int("max_iter", 2000, minimum=1)
-    k_shrink = section.take_float("k_shrink", 0.5, minimum=0.0,
-                                  exclusive=True, maximum=1.0)
+    damping = section.take_float("damping", SolverOptions.damping,
+                                 minimum=0.0, exclusive=True, maximum=1.0)
+    tol = section.take_float("tol", SolverOptions.tol, minimum=0.0,
+                             exclusive=True)
+    max_iter = section.take_int("max_iter", SolverOptions.max_iter, minimum=1)
+    k_shrink = section.take_float("k_shrink", SolverOptions.k_shrink,
+                                  minimum=0.0, exclusive=True, maximum=1.0)
     seed = section.take_int("seed", 0, minimum=0)
-    anchor = section.take_value("anchor", None)
+    anchor = section.take_value("anchor", SolverOptions.anchor)
     if anchor is not None and not _is_int(anchor):
         section.error(f"'anchor' must be a site id or null, got {anchor!r}",
                       "anchor")
@@ -508,9 +494,6 @@ def _axis(section, key):
 
 
 def _build_sweep(section):
-    if section is None:
-        return SweepConfig(kind="alpha_beta", alphas=None, betas=None,
-                           sigmas=None, sigma=9.0, beta=-0.3)
     kind = section.take_str("kind", "alpha_beta",
                             choices=("alpha_beta", "alpha_sigma"))
     alphas = _axis(section, "alphas")
@@ -524,8 +507,6 @@ def _build_sweep(section):
 
 
 def _build_enumerate(section):
-    if section is None:
-        return EnumerateConfig(sizes=(2,), max_subsets=256)
     sizes_raw = section.take_value("sizes", [2])
     if (not isinstance(sizes_raw, list) or not sizes_raw
             or any(not _is_int(v) or v < 1 for v in sizes_raw)):
@@ -537,8 +518,6 @@ def _build_enumerate(section):
 
 
 def _build_active_sites(section, geography):
-    if section is None:
-        return None
     ids = section.take_value("active_sites", None)
     section.finish()
     if ids is None:
@@ -578,18 +557,17 @@ def parse_config(text: str, source: str = "<config>",
     root = _Section(data, (), lines, source)
     base_dir = Path(base_dir)
 
-    geo_sec = root.take_section("geography")
-    geography = None
-    if geo_sec is not None:
+    geography = params = None
+    if root.has("geography"):
+        geo_sec = root.take_section("geography")
         try:
             geography = _build_geography(geo_sec, base_dir)
         except ConfigError:
             raise
         except HinterlandError as exc:
             geo_sec.error(str(exc))
-
-    params_sec = root.take_section("params")
-    params = _build_params(params_sec) if params_sec is not None else None
+    if root.has("params"):
+        params = _build_params(root.take_section("params"))
 
     solver = _build_solver(root.take_section("solver"))
     active = _build_active_sites(root.take_section("solve"), geography)

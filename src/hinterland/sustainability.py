@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .analysis import existence_margins
+from .analysis import CLUSTER_TOL, existence_margins
 from .equilibrium import (
     EquilibriumSolution,
     ModelParams,
@@ -220,7 +220,7 @@ def _candidate_subsets(ids, sizes, max_subsets, seed):
     return [all_subsets[i] for i in sorted(pick)], "sampled"
 
 
-def _is_duplicate(entry: CatalogEntry, kept: list, tol: float = 1e-6) -> bool:
+def _is_duplicate(entry: CatalogEntry, kept: list) -> bool:
     for other in kept:
         if set(other.active_ids) != set(entry.active_ids):
             continue
@@ -228,7 +228,7 @@ def _is_duplicate(entry: CatalogEntry, kept: list, tol: float = 1e-6) -> bool:
                  for sid in other.solution.site_ids]
         a = entry.solution.weights[order]
         b = other.solution.weights
-        if np.abs((a - a[0]) - (b - b[0])).max() < tol:
+        if np.abs((a - a[0]) - (b - b[0])).max() < CLUSTER_TOL:
             return True
     return False
 
@@ -241,7 +241,7 @@ def enumerate_urban_systems(geography: Geography, params: ModelParams,
 
     Exhausts all subsets of the requested sizes up to ``max_subsets``, then
     falls back to seeded sampling; duplicates (same active set and weight
-    differences within 1e-6) are dropped. Solver errors are recorded per
+    differences within CLUSTER_TOL) are dropped. Solver errors are recorded per
     subset, never fatal.
     """
     ids = tuple(s.id for s in geography.sites)
@@ -295,7 +295,10 @@ class SwapReport:
 def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
                          y_c: int, y_p: int,
                          options: SolverOptions = SolverOptions()) -> SwapReport:
-    """Rerun existence margins and the solver after swapping y_c for y_p."""
+    """Rerun existence margins and the solver after swapping y_c for y_p.
+
+    The margins take the solver's shrunk set Λ^k, ``options.k_shrink``.
+    """
     y_star = tuple(y_star)
     if y_c not in y_star:
         raise ValueError(f"{y_c} is not in the active set {y_star}")
@@ -311,7 +314,8 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
 
     def run(subset):
         sub = subset_geography(geography, subset)
-        margin = existence_margins(sub, params).min_margin
+        margin = existence_margins(sub, params,
+                                   k_shrink=options.k_shrink).min_margin
         try:
             fixed_point_solve(sub, params, options=options)
             return margin, True, ""

@@ -24,6 +24,7 @@ from hinterland.equilibrium import (
     subset_geography,
 )
 from hinterland.errors import EmptyCellInSum, LeftFeasibleSet, NotConverged
+from hinterland.fields import GeographyCheck
 from hinterland.geometry import OUTSIDE, assign_labels, cross_distances, pairwise_metrics
 from hinterland.integrals import _logsumexp, aggregate_amenities
 from hinterland.io_formats import _num
@@ -429,6 +430,37 @@ def loop_feasible_starts(sites, system, k_shrink, count, seed):
         if loop_lambda_feasibility(sites, system, w, k_shrink)[1] == "interior":
             starts.append(w)
     return starts
+
+
+def loop_triangle_check(geography, seed=0, n_samples=4096):
+    """``validate_geography``'s cross-site triangle check as a loop over pairs.
+
+    Draws the same seeded inside cells and evaluates each d_i there with
+    ``DistanceSystem.distance``; stops at the first failing (i, j) and
+    reports its worst sample.
+    """
+    g = geography
+    rng = np.random.default_rng(seed)
+    X, Y = g.grid.cell_centers()
+    xs, ys = X[g.grid.inside], Y[g.grid.inside]
+    take = rng.integers(0, xs.size, size=min(n_samples, xs.size))
+    px, py = xs[take], ys[take]
+    d_cross = cross_distances(g.sites, g.system)
+    for i, si in enumerate(g.sites):
+        d_i = g.system.distance(si, i, px, py)
+        for j, sj in enumerate(g.sites):
+            if i == j:
+                continue
+            d_j = g.system.distance(sj, j, px, py)
+            slack = d_i - (d_cross[i, j] + d_j)
+            worst = int(np.argmax(slack))
+            if slack[worst] > 1e-12:
+                return GeographyCheck(
+                    "metric_triangle_inequality", False,
+                    f"d_{i}(x) > d_{i}(y_{j}) + d_{j}(x) at "
+                    f"x=({px[worst]:.4g},{py[worst]:.4g}): "
+                    f"{d_i[worst]:.6g} > {d_cross[i, j] + d_j[worst]:.6g}")
+    return GeographyCheck("metric_triangle_inequality", True, "")
 
 
 # The deviation oracle below is the per-vacant-site loop sustainability

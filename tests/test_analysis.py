@@ -21,12 +21,14 @@ from hinterland.analysis import (
 )
 from hinterland.equilibrium import (
     ModelParams,
+    SolverOptions,
     TwoSector,
     composite_params,
     variant_transform,
 )
 from hinterland.errors import HinterlandError, NonMetricTradeCosts
 from hinterland.fields import explicit_trade_costs
+from hinterland.geometry import sample_feasible_weights
 from hinterland.integrals import semielasticity_sup
 
 from helpers import (
@@ -333,6 +335,22 @@ def test_probe_starts_are_the_seeded_feasible_draws(monkeypatch):
     starts.clear()
     multistart_probe(geo, PARAMS, y_star=[2], n_starts=3, seed=11)
     assert len(starts) == 3 and all(np.array_equal(s, [0.0]) for s in starts)
+
+
+def test_probe_draws_its_starts_from_the_solver_shrunk_set(monkeypatch):
+    geo = make_geography(THREE, n=16)
+    starts = []
+
+    def record(geography, params, y_star=None, options=None):
+        starts.append(options.weights_init)
+        raise HinterlandError("start recorded")
+
+    monkeypatch.setattr(analysis, "fixed_point_solve", record)
+    multistart_probe(geo, PARAMS, n_starts=6, seed=11,
+                     options=SolverOptions(k_shrink=0.3))
+    expected = sample_feasible_weights(geo.sites, geo.system, 0.3, 6, 11)
+    assert len(starts) == 6
+    assert all(np.array_equal(s, e) for s, e in zip(starts, expected))
 
 
 def test_semielasticity_sup_evaluates_zero_then_seeded_draws(monkeypatch):

@@ -2,6 +2,7 @@ import csv
 import math
 import textwrap
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,8 +263,91 @@ def test_solver_block_bounds():
     assert cfg.solver.seed == 11 and cfg.solver.options.max_iter == 500
 
 
+# each optional block, spelled out with its defaults, and where it goes
+DEFAULT_BLOCKS = {
+    "domain": ("geography:\n", "{kind: all}"),
+    "amenity": ("geography:\n", "{kind: uniform, value: 1.0}"),
+    "variant": ("params:\n", "{kind: baseline}"),
+    "solver": ("", "{damping: 0.5, tol: 1.0e-12, max_iter: 2000, "
+                   "k_shrink: 0.5, seed: 0, anchor: null}"),
+    "solve": ("", "{active_sites: null}"),
+    "sweep": ("", "{kind: alpha_beta, sigma: 9.0, beta: -0.3}"),
+    "enumerate": ("", "{sizes: [2], max_subsets: 256}"),
+}
+
+
+def _config_facts(cfg):
+    amenity = cfg.geography.amenity
+    return (cfg.params, cfg.solver, cfg.active_sites, cfg.sweep, cfg.enumerate,
+            cfg.threads, cfg.geography.grid.inside.tobytes(),
+            amenity.values.tobytes(), amenity.b_min, amenity.b_max)
+
+
+@pytest.mark.parametrize("block", sorted(DEFAULT_BLOCKS))
+def test_absent_block_equals_empty_and_spelled_out_defaults(block):
+    parent, defaults = DEFAULT_BLOCKS[block]
+
+    def with_block(value):
+        if not parent:
+            return MINIMAL + f"{block}: {value}\n"
+        return MINIMAL.replace(parent, f"{parent}  {block}: {value}\n")
+
+    absent = _config_facts(parse_config(MINIMAL))
+    assert _config_facts(parse_config(with_block("{}"))) == absent
+    assert _config_facts(parse_config(with_block(defaults))) == absent
+
+
+def _write_bad_raster(tmp_path, what, case):
+    write = write_label_raster if what == "mask" else write_field_raster
+    values = np.zeros((48, 48), dtype=np.int32) if what == "mask" \
+        else np.ones((48, 48))
+    name = f"{what}.raster"
+    if case == "shape":
+        write(tmp_path / name, values[:40], (0.0, 0.0, 1.0, 1.0))
+    elif case == "bbox":
+        write(tmp_path / name, values, (0.0, 0.0, 1.0, 2.0))
+    else:
+        (tmp_path / name).write_text("not a raster")
+    return name
+
+
+@pytest.mark.parametrize("case, message", [
+    ("shape", "{what} raster is 48x40, resolution says 48x48"),
+    ("bbox", r"{what} raster bbox \(0.0, 0.0, 1.0, 2.0\) does not match "
+             r"geography bbox \(0.0, 0.0, 1.0, 1.0\)"),
+    ("unreadable", "cannot read {what} raster: "),
+])
+@pytest.mark.parametrize("what", ["mask", "amenity"])
+def test_bad_rasters_are_reported_at_the_file_line(tmp_path, what, case,
+                                                   message):
+    name = _write_bad_raster(tmp_path, what, case)
+    block = "domain" if what == "mask" else "amenity"
+    kind = "mask" if what == "mask" else "raster"
+    text = MINIMAL.replace(
+        "geography:\n", f"geography:\n  {block}:\n    kind: {kind}\n"
+                        f"    file: {name}\n")
+    config = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=": " + message.format(what=what)) as exc:
+        load_config(config)
+    assert exc.value.path == f"{config}:4"
+
+
+def test_readme_configuration_example_loads():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    example = section.split("```yaml\n")[1].split("```")[0]
+    cfg = parse_config(example)
+    assert cfg.geography.n_sites == 2 and cfg.params.sigma == 9.0
+    assert cfg.sweep.kind == "alpha_sigma"
+
+
 # ---------------------------------------------------------------------------
 # CLI commands (in-process main)
+
+def test_parser_lists_the_subcommands_in_order():
+    assert "{solve,classify,sweep,enumerate,render}" in \
+        cli.build_parser().format_usage()
+
 
 def test_solve_writes_all_artifacts(tmp_path):
     config = write_config(tmp_path)
@@ -381,6 +465,16 @@ def test_classify_prints_report(tmp_path, capsys):
     assert "alpha_cutoff = 0.125" in stdout
     document = read_json(out / "classify.json")
     assert document["gamma_ratio"] == pytest.approx(0.4 / 2.1)
+
+
+def test_classify_stdout_is_pinned(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert cli.main(["classify", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == (
+        "alpha = 0.2\nbeta = -0.3\nsigma = 9.0\nalpha_cutoff = 0.125\n"
+        "location_multiplicity = multiple\ngamma_ratio = 0.19047619047619047\n"
+        "labor_uniqueness = true\nreconciliation = true\n")
 
 
 def test_sweep_outputs(tmp_path):

@@ -6,12 +6,15 @@ import pytest
 from hinterland.errors import AsymmetricMetric, NonPositiveAmenity
 from hinterland.fields import (
     Geography,
+    GeographyReport,
     amenity_from_function,
     explicit_trade_costs,
     trade_costs_from_metric,
     validate_geography,
 )
 from hinterland.geometry import DistanceSystem, Site, build_grid
+
+from helpers import loop_triangle_check
 
 EUCLID = DistanceSystem()
 
@@ -77,6 +80,12 @@ def test_trade_costs_reject_asymmetric_metric():
     scaled = DistanceSystem("scaled_euclidean", scales=(1.0, 2.0))
     with pytest.raises(AsymmetricMetric):
         trade_costs_from_metric(sites, scaled, 0.1)
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.5, float("nan"), float("inf")])
+def test_explicit_trade_costs_reject_entries_not_finite_and_positive(entry):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        explicit_trade_costs([[1.0, entry], [1.2, 1.0]])
 
 
 def make_geography(system=EUCLID, trade=None, sites=None, n=32):
@@ -160,3 +169,34 @@ def test_from_metric_triangle_bound_holds_for_random_layouts():
         lhs = T[None, :, :]
         rhs = T[:, :, None] * T[:, None, :]
         assert np.all(lhs <= rhs * (1 + 1e-12))
+
+
+def test_triangle_check_matches_the_per_pair_loop():
+    """Whole reports equal the one whose triangle check is the pair loop's,
+    over seeded 2-8-site geographies: Euclidean and scaled metrics, square
+    and disk domains, with failures and their witnesses among them."""
+    rng = np.random.default_rng(5)
+    failed = 0
+    for case in range(60):
+        n = 2 + case % 7
+        disk = case % 3 == 0
+        grid = build_grid((0, 0, 1, 1), (24, 20), (lambda X, Y: (X - 0.5) ** 2
+                          + (Y - 0.5) ** 2 <= 0.2) if disk else None)
+        centers = np.column_stack([a[grid.inside] for a in grid.cell_centers()])
+        picks = rng.choice(len(centers), size=n, replace=False)
+        sites = tuple(Site(i, tuple(centers[p] + rng.uniform(-0.01, 0.01, 2)))
+                      for i, p in enumerate(picks))
+        system = (DistanceSystem("scaled_euclidean",
+                                 scales=tuple(np.exp(rng.uniform(-1.5, 1.5, n))))
+                  if case % 2 else EUCLID)
+        geo = Geography(grid=grid, sites=sites, system=system,
+                        amenity=amenity_from_function(grid, np.ones((20, 24))),
+                        trade=explicit_trade_costs(np.ones((n, n))))
+        report = validate_geography(geo, seed=case)
+        expected = GeographyReport(tuple(
+            loop_triangle_check(geo, seed=case)
+            if c.name == "metric_triangle_inequality" else c
+            for c in report.checks))
+        assert report == expected
+        failed += not report["metric_triangle_inequality"].passed
+    assert 10 <= failed <= 50

@@ -5,12 +5,19 @@ import pytest
 from helpers import loop_deviation_margins, loop_potential_weight
 
 from hinterland import fields
-from hinterland.analysis import bracket_threshold, multistart_probe, regime_classify
+from hinterland.analysis import (
+    bracket_threshold,
+    existence_margins,
+    multistart_probe,
+    regime_classify,
+)
 from hinterland.config import parse_config
 from hinterland.equilibrium import (
     ModelParams,
+    SolverOptions,
     fixed_point_solve,
     solve_knife_edge_system,
+    subset_geography,
 )
 from hinterland.errors import HinterlandError, SiteNotVacant
 from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
@@ -413,6 +420,18 @@ def test_swap_to_weak_far_site_fails_margins():
     report = site_swap_experiment(geo, p, [0, 1], y_c=1, y_p=2)
     assert report.swapped_min_margin < 0
     assert report.swapped_min_margin < report.base_min_margin
+
+
+def test_swap_margins_use_the_solver_shrunk_set():
+    specs = (((0.2, 0.5), 1.0), ((0.8, 0.5), 1.0), ((0.81, 0.5), 1.0))
+    geo = geo_with_sites(specs, tau=0.2, n=48)
+    p = ModelParams(sigma=5.0, alpha=0.3, beta=-0.5, delta=6.0)
+    report = site_swap_experiment(geo, p, [0, 1], y_c=1, y_p=2,
+                                  options=SolverOptions(k_shrink=0.3))
+    for subset, margin in (((0, 1), report.base_min_margin),
+                           ((0, 2), report.swapped_min_margin)):
+        sub = subset_geography(geo, subset)
+        assert margin == existence_margins(sub, p, k_shrink=0.3).min_margin
 
 
 def test_swap_validates_membership():

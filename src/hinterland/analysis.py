@@ -19,7 +19,7 @@ from .equilibrium import (
     _gammas,
     composite_params,
     fixed_point_solve,
-    is_knife_edge,
+    spillover_regime,
     subset_geography,
     variant_transform,
 )
@@ -53,12 +53,7 @@ def classify_point(alpha: float, beta: float, sigma: float) -> RegimeReport:
     the two-sector variant pass the variant-resolved value.
     """
     cutoff = 1.0 / (sigma - 1.0)
-    if is_knife_edge(alpha, sigma):
-        multiplicity = "knife_edge"
-    elif alpha > cutoff:
-        multiplicity = "multiple"
-    else:
-        multiplicity = "spread"
+    multiplicity = spillover_regime(alpha, sigma)
     gamma1, gamma2 = _gammas(alpha, beta, sigma)
     ratio = abs(gamma2 / gamma1) if gamma1 != 0.0 else math.inf
     unique = ratio < 1.0
@@ -361,9 +356,8 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    ids = tuple(y_star) if y_star is not None else tuple(s.id for s in geography.sites)
-    sub = subset_geography(geography, ids)
-    if len(ids) == 1:
+    sub = subset_geography(geography, y_star)
+    if sub.n_sites == 1:
         starts = [np.zeros(1) for _ in range(n_starts)]
     else:
         starts = sample_feasible_weights(sub.sites, sub.system,

@@ -108,8 +108,7 @@ def _solve_from_config(config: RunConfig):
     """Run the configured solve; returns (solution, working geography)."""
     geography = config.require_geography()
     params = config.require_params()
-    active = config.active_sites
-    work = subset_geography(geography, active) if active else geography
+    work = subset_geography(geography, config.active_sites)
     solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
     return solve(work, params, options=config.solver.options), work
 
@@ -137,14 +136,12 @@ def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict
 
 
 def _site_rows(solution: EquilibriumSolution, work: Geography):
-    by_id = {site.id: site for site in work.sites}
     rows = []
-    for pos, site_id in enumerate(solution.site_ids):
-        site = by_id[site_id]
+    for pos, site in enumerate(work.sites):
         wage = float(solution.wages[pos])
         price = float(solution.prices[pos])
         rows.append({
-            "site_id": site_id,
+            "site_id": site.id,
             "x": site.position[0], "y": site.position[1],
             "productivity": site.productivity,
             "weight": float(solution.weights[pos]),
@@ -268,9 +265,9 @@ def cmd_enumerate(args) -> int:
                 "active_ids": list(entry.active_ids),
                 "verdict": entry.verdict,
                 "min_margin": entry.min_margin,
-                "welfare": entry.solution.welfare,
-                "weights": entry.solution.weights,
-                "labor": entry.solution.labor} for entry in catalog.entries]
+                "welfare": entry.welfare,
+                "weights": entry.weights,
+                "labor": entry.labor} for entry in catalog.entries]
     rows = [{**record, "subset": _id_list(record["subset"]),
              "active_ids": _id_list(record["active_ids"]),
              "labor": ";".join(repr(float(v)) for v in record["labor"])}
@@ -380,18 +377,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LeftFeasibleSet as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except HinterlandError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, NotConverged):
+            return 2
+        return 3 if isinstance(exc, LeftFeasibleSet) else 1
 
 
 if __name__ == "__main__":

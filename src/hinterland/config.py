@@ -88,7 +88,12 @@ from .fields import (
     explicit_trade_costs,
     trade_costs_from_metric,
 )
-from .geometry import DistanceSystem, Site, build_grid
+from .geometry import (
+    DistanceSystem,
+    Site,
+    _check_distinct_positions,
+    build_grid,
+)
 from .io_formats import read_field_raster, read_label_raster, read_matrix_csv
 
 _MISSING = object()
@@ -204,13 +209,11 @@ class _Section:
         return _Section(self._data.pop(key, {}), self._path + (key,),
                         self._lines, self._source)
 
-    def take_sections(self, key, required=False):
-        """Pop a list of sub-mappings; [] when absent unless required."""
-        value = self._take(key, _MISSING if required else None)
+    def take_sections(self, key):
+        """Pop the list of sub-mappings under a required key."""
+        value = self._take(key, _MISSING)
         if value is None:
-            if required:
-                self.error(f"'{key}' must be a non-empty list", key)
-            return []
+            self.error(f"'{key}' must be a non-empty list", key)
         if not isinstance(value, list):
             self.error(f"'{key}' must be a list", key)
         return [_Section(item, self._path + (key, i), self._lines,
@@ -295,43 +298,50 @@ def _take_raster(section, read, what, base_dir, resolution, bbox):
     return values
 
 
-def _build_domain_predicate(section, resolution, base_dir, bbox):
+def _reported_at(section, key, build, *args):
+    """``build(*args)``, with a library error reported at ``key`` of ``section``."""
+    try:
+        return build(*args)
+    except HinterlandError as exc:
+        section.error(str(exc), key)
+
+
+def _build_grid(section, resolution, base_dir, bbox):
     kind = section.take_str("kind", "all",
                             choices=("all", "disk", "mask"))
     x0, y0, x1, y1 = bbox
-    if kind == "all":
-        section.finish()
-        return None
+    predicate = None
     if kind == "disk":
         center = section.take_floats(
             "center", [0.5 * (x0 + x1), 0.5 * (y0 + y1)], length=2)
         radius = section.take_float("radius", minimum=0.0, exclusive=True)
-        section.finish()
-        return lambda X, Y: (X - center[0]) ** 2 + (Y - center[1]) ** 2 \
+        predicate = lambda X, Y: (X - center[0]) ** 2 + (Y - center[1]) ** 2 \
             <= radius ** 2
-    inside = _take_raster(section, read_label_raster, "mask", base_dir,
-                          resolution, bbox) >= 0
+    elif kind == "mask":
+        inside = _take_raster(section, read_label_raster, "mask", base_dir,
+                              resolution, bbox) >= 0
+        predicate = lambda X, Y: inside
     section.finish()
-    return lambda X, Y: inside
+    return _reported_at(section, None, build_grid, tuple(bbox),
+                        (resolution[0], resolution[1]), predicate)
 
 
 def _build_amenity(section, grid, base_dir):
     kind = section.take_str("kind", "uniform",
                             choices=("uniform", "bumps", "raster"))
+    key = None
     if kind == "uniform":
         value = section.take_float("value", 1.0, minimum=0.0, exclusive=True)
-        section.finish()
-        return amenity_from_function(grid, lambda X, Y: np.full_like(X, value))
-    if kind == "bumps":
+        source = lambda X, Y: np.full_like(X, value)
+    elif kind == "bumps":
         base = section.take_float("base", 1.0)
         bumps = []
-        for bump in section.take_sections("bumps", required=True):
+        for bump in section.take_sections("bumps"):
             center = bump.take_floats("center", length=2)
             height = bump.take_float("height")
             width = bump.take_float("width", minimum=0.0, exclusive=True)
             bumps.append((center, height, width))
             bump.finish()
-        section.finish()
 
         def source(X, Y):
             values = np.full_like(X, base)
@@ -339,12 +349,12 @@ def _build_amenity(section, grid, base_dir):
                 values += height * np.exp(
                     -((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * width ** 2))
             return values
-
-        return amenity_from_function(grid, source)
-    values = _take_raster(section, read_field_raster, "amenity", base_dir,
-                          (grid.nx, grid.ny), grid.bbox)
+    else:
+        source = _take_raster(section, read_field_raster, "amenity", base_dir,
+                              (grid.nx, grid.ny), grid.bbox)
+        key = "file"
     section.finish()
-    return amenity_from_function(grid, values)
+    return _reported_at(section, key, amenity_from_function, grid, source)
 
 
 def _build_geography(section, base_dir):
@@ -353,13 +363,12 @@ def _build_geography(section, base_dir):
         section.error(f"bbox must satisfy x0 < x1 and y0 < y1, got {bbox}",
                       "bbox")
     resolution = section.take_value("resolution", [128, 128])
-    reso_sec_ok = (isinstance(resolution, list) and len(resolution) == 2
-                   and all(_is_int(v) and v >= 2 for v in resolution))
-    if not reso_sec_ok:
+    if not (isinstance(resolution, list) and len(resolution) == 2
+            and all(_is_int(v) and v >= 2 for v in resolution)):
         section.error(f"'resolution' must be [nx, ny] with integers >= 2, "
                       f"got {resolution!r}", "resolution")
 
-    site_sections = section.take_sections("sites", required=True)
+    site_sections = section.take_sections("sites")
     if not site_sections:
         section.error("'sites' must list at least one site", "sites")
     sites = []
@@ -372,12 +381,14 @@ def _build_geography(section, base_dir):
         productivity = site_sec.take_float("productivity", 1.0,
                                            minimum=0.0, exclusive=True)
         site_sec.finish()
-        sites.append(Site(i, (position[0], position[1]), productivity))
+        sites.append(Site(i, tuple(position), productivity))
+        _reported_at(site_sec, "position", _check_distinct_positions, sites)
     sites = tuple(sites)
 
     metric = section.take_str("metric", "euclidean",
                               choices=("euclidean", "scaled_euclidean"))
     scales = section.take_floats("scales", None, length=len(sites))
+    system = DistanceSystem()
     if metric == "scaled_euclidean":
         if scales is None:
             section.error("'scales' is required when metric is "
@@ -386,16 +397,12 @@ def _build_geography(section, base_dir):
             section.error("'scales' entries must be > 0", "scales")
         system = DistanceSystem(kind="scaled_euclidean",
                                 scales=tuple(scales))
-    else:
-        if scales is not None:
-            section.error("'scales' only applies to the scaled_euclidean "
-                          "metric", "scales")
-        system = DistanceSystem()
+    elif scales is not None:
+        section.error("'scales' only applies to the scaled_euclidean "
+                      "metric", "scales")
 
-    predicate = _build_domain_predicate(section.take_section("domain"),
-                                        resolution, base_dir, bbox)
-    grid = build_grid(tuple(bbox), (resolution[0], resolution[1]), predicate)
-
+    grid = _build_grid(section.take_section("domain"), resolution, base_dir,
+                       bbox)
     amenity = _build_amenity(section.take_section("amenity"), grid, base_dir)
 
     if not section.has("trade"):
@@ -405,9 +412,10 @@ def _build_geography(section, base_dir):
     trade_kind = trade_sec.take_str("kind",
                                     choices=("from_metric", "explicit"))
     if trade_kind == "from_metric":
-        tau = trade_sec.take_float("tau", minimum=0.0)
+        tau = trade_sec.take_float("tau", minimum=0.0, exclusive=True)
         trade_sec.finish()
-        trade = trade_costs_from_metric(sites, system, tau=tau)
+        trade = _reported_at(section, None, trade_costs_from_metric, sites,
+                             system, tau)
     else:
         name = trade_sec.take_str("file")
         try:
@@ -559,27 +567,21 @@ def parse_config(text: str, source: str = "<config>",
 
     geography = params = None
     if root.has("geography"):
-        geo_sec = root.take_section("geography")
-        try:
-            geography = _build_geography(geo_sec, base_dir)
-        except ConfigError:
-            raise
-        except HinterlandError as exc:
-            geo_sec.error(str(exc))
+        geography = _build_geography(root.take_section("geography"), base_dir)
     if root.has("params"):
         params = _build_params(root.take_section("params"))
 
-    solver = _build_solver(root.take_section("solver"))
+    solver_sec = root.take_section("solver")
+    solver = _build_solver(solver_sec)
     active = _build_active_sites(root.take_section("solve"), geography)
     sweep = _build_sweep(root.take_section("sweep"))
     enum_cfg = _build_enumerate(root.take_section("enumerate"))
     threads = root.take_int("threads", 0, minimum=0)
     root.finish()
 
-    if active is not None and solver.options.anchor is not None \
-            and solver.options.anchor not in active:
-        raise ConfigError(source, f"solver.anchor {solver.options.anchor} "
-                          "is not in solve.active_sites")
+    if active is not None and solver.options.anchor not in (None, *active):
+        solver_sec.error(f"solver.anchor {solver.options.anchor} "
+                         "is not in solve.active_sites", "anchor")
 
     return RunConfig(source=source, geography=geography, params=params,
                      solver=solver, active_sites=active, sweep=sweep,

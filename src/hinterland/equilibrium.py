@@ -109,9 +109,18 @@ class ModelParams:
 KNIFE_EDGE_TOL = 1e-12
 
 
+def spillover_regime(alpha: float, sigma: float) -> str:
+    """Regime of alpha against the cutoff 1/(sigma-1): "knife_edge" within
+    KNIFE_EDGE_TOL, else "multiple" above or "spread" below."""
+    cutoff = 1.0 / (sigma - 1.0)
+    if abs(alpha - cutoff) <= KNIFE_EDGE_TOL:
+        return "knife_edge"
+    return "multiple" if alpha > cutoff else "spread"
+
+
 def is_knife_edge(alpha: float, sigma: float) -> bool:
     """Whether alpha sits at the knife-edge spillover level 1/(sigma-1)."""
-    return abs(alpha - 1.0 / (sigma - 1.0)) <= KNIFE_EDGE_TOL
+    return spillover_regime(alpha, sigma) == "knife_edge"
 
 
 @dataclass(frozen=True)
@@ -218,15 +227,12 @@ def composite_params(params: ModelParams, productivities,
 # ---------------------------------------------------------------------------
 # transformed weight map
 
-def subset_geography(geography: Geography, site_ids) -> Geography:
-    """Restrict a geography to the given site ids (order preserved); all, in order, return it."""
-    id_to_pos = {s.id: p for p, s in enumerate(geography.sites)}
-    try:
-        idx = [id_to_pos[i] for i in site_ids]
-    except KeyError as e:
-        raise ValueError(f"unknown site id {e.args[0]}") from None
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate site ids in {list(site_ids)}")
+def subset_geography(geography: Geography, site_ids=None) -> Geography:
+    """Restrict a geography to the given site ids (order preserved); None,
+    or all ids in order, returns it. Ids are checked by ``positions_of``."""
+    if site_ids is None:
+        return geography
+    idx = geography.positions_of(site_ids)
     if idx == list(range(geography.n_sites)):
         return geography
     sites = tuple(geography.sites[p] for p in idx)
@@ -514,17 +520,12 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     recovered. A damped step that empties a cell triggers one reprojection
     onto the shrunk feasible set; a second exit aborts.
     """
-    ids = tuple(y_star) if y_star is not None else tuple(s.id for s in geography.sites)
-    sub = subset_geography(geography, ids)
+    sub = subset_geography(geography, y_star)
     comp = composite_params(params, sub.productivities, sub.trade)
-
-    anchor_id = options.anchor if options.anchor is not None else ids[0]
-    if anchor_id not in ids:
-        raise ValueError(f"anchor {anchor_id} not in active set {ids}")
-    i0 = ids.index(anchor_id)
+    i0 = 0 if options.anchor is None else sub.positions_of([options.anchor])[0]
 
     w0 = np.asarray(options.weights_init if options.weights_init is not None
-                    else np.zeros(len(ids)), dtype=float)
+                    else np.zeros(sub.n_sites), dtype=float)
 
     denom = 1.0 - comp.gamma_ratio
     if abs(denom) < 1e-10:

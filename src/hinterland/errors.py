@@ -103,6 +103,10 @@ class SiteNotVacant(HinterlandError):
     """potential_weight was asked about a site that is active."""
 
 
+class SiteOutsideDomain(HinterlandError):
+    """A vacant site lies on an outside cell, so no active site hosts it."""
+
+
 # --- cli --------------------------------------------------------------------
 
 

@@ -151,6 +151,19 @@ class Geography:
         """The weight-independent ``distance_stack``, built on first use."""
         return distance_stack(self.grid, self.sites, self.system)
 
+    def positions_of(self, ids) -> list[int]:
+        """Positions in ``sites`` of ``ids``; ValueError if empty, unknown or repeated."""
+        ids = list(ids)
+        if not ids:
+            raise ValueError("no site ids given")
+        position = {s.id: p for p, s in enumerate(self.sites)}
+        for i in ids:
+            if i not in position:
+                raise ValueError(f"unknown site id {i}")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate site ids in {ids}")
+        return [position[i] for i in ids]
+
 
 @dataclass(frozen=True)
 class GeographyCheck:

@@ -10,21 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .analysis import CLUSTER_TOL, existence_margins
+from .analysis import existence_margins
 from .equilibrium import (
     EquilibriumSolution,
     ModelParams,
     SolverOptions,
     composite_params,
     fixed_point_solve,
-    is_knife_edge,
+    spillover_regime,
     subset_geography,
 )
-from .errors import HinterlandError, SiteNotVacant
+from .errors import HinterlandError, SiteNotVacant, SiteOutsideDomain
 from .fields import Geography
 from .geometry import cross_distances
 from .integrals import _logsumexp
@@ -54,14 +55,13 @@ class PotentialWeight:
         return math.isfinite(self.value)
 
 
+_REGIMES = {"multiple": STRONG_SPILLOVER, "spread": WEAK_SPILLOVER,
+            "knife_edge": KNIFE_EDGE}
+_DEVIATION_MARGIN = {STRONG_SPILLOVER: math.inf, WEAK_SPILLOVER: -math.inf}
+
+
 def _spillover_regime(params: ModelParams) -> str:
-    if is_knife_edge(params.alpha, params.sigma):
-        return KNIFE_EDGE
-    return STRONG_SPILLOVER if params.alpha > params.alpha_cutoff else WEAK_SPILLOVER
-
-
-def _geo_positions(geography: Geography):
-    return {s.id: p for p, s in enumerate(geography.sites)}
+    return _REGIMES[spillover_regime(params.alpha, params.sigma)]
 
 
 def _log_trade_access(solution: EquilibriumSolution, geography: Geography,
@@ -72,9 +72,9 @@ def _log_trade_access(solution: EquilibriumSolution, geography: Geography,
     deviation inequality, taken over the solution's active sites j, for
     every site q of the geography (one entry per geography position).
     """
-    pos = _geo_positions(geography)
+    geo_of = geography.positions_of(solution.site_ids)
     sol_idx = list(solution.tessellation.active_set)
-    geo_idx = [pos[solution.site_ids[i]] for i in sol_idx]
+    geo_idx = [geo_of[i] for i in sol_idx]
     sigma = comp.sigma
     st = comp.sigma_tilde
     beta = comp.effective.beta_eff
@@ -92,20 +92,15 @@ def potential_weight(solution: EquilibriumSolution, geography: Geography,
     """Limit weight the vacant site ``y_p`` can sustain for a deviation."""
     if y_p in solution.active_ids:
         raise SiteNotVacant(f"site {y_p} is active in the solution")
-    pos = _geo_positions(geography)
-    if y_p not in pos:
-        raise ValueError(f"unknown site id {y_p}")
+    [p_geo] = geography.positions_of([y_p])
     regime = _spillover_regime(params)
-    if regime == STRONG_SPILLOVER:
-        return PotentialWeight(value=-math.inf, regime=regime)
-    if regime == WEAK_SPILLOVER:
-        return PotentialWeight(value=math.inf, regime=regime)
+    if regime != KNIFE_EDGE:
+        return PotentialWeight(value=-_DEVIATION_MARGIN[regime], regime=regime)
 
     comp = composite_params(params, geography.productivities, geography.trade)
     st = comp.sigma_tilde
     sigma = comp.sigma
     beta = comp.effective.beta_eff
-    p_geo = pos[y_p]
     log_sum = float(_log_trade_access(solution, geography, comp)[p_geo])
     log_v_term = math.log(solution.welfare) / beta
     own = st * (sigma - 1.0) * math.log(geography.productivities[p_geo])
@@ -131,46 +126,43 @@ class SustainabilityReport:
 
 def sustainability_check(solution: EquilibriumSolution, geography: Geography,
                          params: ModelParams) -> SustainabilityReport:
-    """Decide whether the restricted equilibrium survives vacant-site entry."""
+    """Decide whether the restricted equilibrium survives vacant-site entry.
+
+    Away from the knife edge every margin is +inf (strong spillovers) or
+    -inf (weak); at it, each vacant site is weighed against its host.
+    """
     regime = _spillover_regime(params)
-    pos = _geo_positions(geography)
     active = set(solution.active_ids)
-    vacant = tuple(s.id for s in geography.sites if s.id not in active)
-
-    if regime == STRONG_SPILLOVER:
-        return SustainabilityReport(
-            verdict="sustainable", regime=regime,
-            margins={v: math.inf for v in vacant}, vacant_ids=vacant,
-            host_ids={})
-    if regime == WEAK_SPILLOVER:
-        verdict = "sustainable" if not vacant else "unsustainable"
-        return SustainabilityReport(
-            verdict=verdict, regime=regime,
-            margins={v: -math.inf for v in vacant}, vacant_ids=vacant,
-            host_ids={})
-
-    comp = composite_params(params, geography.productivities, geography.trade)
-    st = comp.sigma_tilde
-    sigma = comp.sigma
-    abar = geography.productivities
-    log_S = _log_trade_access(solution, geography, comp).tolist()
-    d = cross_distances(geography.sites, geography.system)
-    margins = {}
+    vacant = {p: s.id for p, s in enumerate(geography.sites)
+              if s.id not in active}
     hosts = {}
-    for v in vacant:
-        p_geo = pos[v]
-        iy, ix = geography.grid.cell_of(geography.sites[p_geo].position)
-        hosts[v] = solution.site_ids[solution.tessellation.labels[iy, ix]]
-        host_geo = pos[hosts[v]]
-        lhs = (st * (sigma - 1.0) * math.log(abar[p_geo] / abar[host_geo])
-               + (log_S[p_geo] - log_S[host_geo])
-               + st * sigma * params.delta * float(d[host_geo, p_geo]))
-        margins[v] = -lhs
+    if regime != KNIFE_EDGE:
+        margins = dict.fromkeys(vacant.values(), _DEVIATION_MARGIN[regime])
+    else:
+        comp = composite_params(params, geography.productivities,
+                                geography.trade)
+        st = comp.sigma_tilde
+        sigma = comp.sigma
+        abar = geography.productivities
+        log_S = _log_trade_access(solution, geography, comp).tolist()
+        d = cross_distances(geography.sites, geography.system)
+        geo_of = geography.positions_of(solution.site_ids)
+        margins = {}
+        for p_geo, v in vacant.items():
+            label = solution.tessellation.labels[
+                geography.grid.cell_of(geography.sites[p_geo].position)]
+            if label < 0:
+                raise SiteOutsideDomain(
+                    f"vacant site {v} lies on a cell outside the domain; "
+                    "no active site hosts it")
+            hosts[v] = solution.site_ids[label]
+            host_geo = geo_of[label]
+            lhs = (st * (sigma - 1.0) * math.log(abar[p_geo] / abar[host_geo])
+                   + (log_S[p_geo] - log_S[host_geo])
+                   + st * sigma * params.delta * float(d[host_geo, p_geo]))
+            margins[v] = -lhs
 
-    if not margins:
-        return SustainabilityReport(verdict="sustainable", regime=regime,
-                                    margins={}, vacant_ids=(), host_ids={})
-    worst = min(margins.values())
+    worst = min(margins.values(), default=math.inf)
     if worst <= -BOUNDARY_TOL:
         verdict = "unsustainable"
     elif worst < BOUNDARY_TOL:
@@ -178,7 +170,8 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
     else:
         verdict = "sustainable"
     return SustainabilityReport(verdict=verdict, regime=regime,
-                                margins=margins, vacant_ids=vacant,
+                                margins=margins,
+                                vacant_ids=tuple(vacant.values()),
                                 host_ids=hosts)
 
 
@@ -187,16 +180,21 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """What the catalog keeps of one sustainable solve (not its rasters)."""
+
     subset: tuple[int, ...]
     active_ids: tuple[int, ...]
-    solution: EquilibriumSolution
+    weights: np.ndarray
+    welfare: float
+    labor: np.ndarray
+    residuals: dict
     verdict: str
     min_margin: float
 
 
 @dataclass(frozen=True)
 class EquilibriumCatalog:
-    """Deduplicated sustainable equilibria found by subset enumeration."""
+    """Sustainable equilibria found by subset enumeration, one per subset."""
 
     entries: tuple[CatalogEntry, ...]
     rejected: tuple[tuple[tuple[int, ...], str], ...]   # (subset, verdict)
@@ -220,19 +218,6 @@ def _candidate_subsets(ids, sizes, max_subsets, seed):
     return [all_subsets[i] for i in sorted(pick)], "sampled"
 
 
-def _is_duplicate(entry: CatalogEntry, kept: list) -> bool:
-    for other in kept:
-        if set(other.active_ids) != set(entry.active_ids):
-            continue
-        order = [entry.solution.site_ids.index(sid)
-                 for sid in other.solution.site_ids]
-        a = entry.solution.weights[order]
-        b = other.solution.weights
-        if np.abs((a - a[0]) - (b - b[0])).max() < CLUSTER_TOL:
-            return True
-    return False
-
-
 def enumerate_urban_systems(geography: Geography, params: ModelParams,
                             sizes=(2,), max_subsets: int = 256, seed: int = 0,
                             options: SolverOptions = SolverOptions()
@@ -240,9 +225,9 @@ def enumerate_urban_systems(geography: Geography, params: ModelParams,
     """Solve candidate active sets and keep the sustainable equilibria.
 
     Exhausts all subsets of the requested sizes up to ``max_subsets``, then
-    falls back to seeded sampling; duplicates (same active set and weight
-    differences within CLUSTER_TOL) are dropped. Solver errors are recorded per
-    subset, never fatal.
+    falls back to seeded sampling. Entries are distinct by construction: the
+    subsets are, and a restricted solve returns only with all its sites
+    active. Solver errors are recorded per subset, never fatal.
     """
     ids = tuple(s.id for s in geography.sites)
     subsets, strategy = _candidate_subsets(ids, sizes, max_subsets, seed)
@@ -257,16 +242,14 @@ def enumerate_urban_systems(geography: Geography, params: ModelParams,
         except HinterlandError as e:
             failures.append((subset, f"{type(e).__name__}: {e}"))
             continue
-        finite = [m for m in report.margins.values() if math.isfinite(m)]
-        min_margin = min(finite) if finite else math.inf
-        entry = CatalogEntry(subset=subset, active_ids=sol.active_ids,
-                             solution=sol, verdict=report.verdict,
-                             min_margin=min_margin)
         if report.verdict != "sustainable":
             rejected.append((subset, report.verdict))
             continue
-        if not _is_duplicate(entry, entries):
-            entries.append(entry)
+        finite = [m for m in report.margins.values() if math.isfinite(m)]
+        entries.append(CatalogEntry(
+            subset=subset, active_ids=sol.active_ids, weights=sol.weights,
+            welfare=sol.welfare, labor=sol.labor, residuals=sol.residuals,
+            verdict=report.verdict, min_margin=min(finite, default=math.inf)))
     return EquilibriumCatalog(entries=tuple(entries), rejected=tuple(rejected),
                               failures=tuple(failures), strategy=strategy,
                               seed=seed, sizes=tuple(sorted(set(sizes))),
@@ -306,12 +289,13 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
         raise ValueError(f"{y_p} is already in the active set {y_star}")
     swapped = tuple(y_p if sid == y_c else sid for sid in y_star)
 
-    pos = _geo_positions(geography)
-    c_geo, p_geo = pos[y_c], pos[y_p]
+    [c_geo] = geography.positions_of([y_c])
+    [p_geo] = geography.positions_of([y_p])
     d = cross_distances(geography.sites, geography.system)
     swap_distance = float(d[c_geo, p_geo])
     ratio = float(geography.productivities[c_geo] / geography.productivities[p_geo])
 
+    @cache
     def run(subset):
         sub = subset_geography(geography, subset)
         margin = existence_margins(sub, params,
@@ -323,10 +307,7 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
             return margin, False, f"{type(e).__name__}: {e}"
 
     base_margin, base_ok, base_err = run(y_star)
-    if swapped == y_star:
-        swap_margin, swap_ok, swap_err = base_margin, base_ok, base_err
-    else:
-        swap_margin, swap_ok, swap_err = run(swapped)
+    swap_margin, swap_ok, swap_err = run(swapped)   # the identity swap reuses it
     return SwapReport(
         y_star=y_star, y_double_star=swapped, swap_distance=swap_distance,
         productivity_ratio=ratio, base_min_margin=base_margin,

@@ -9,7 +9,13 @@ import pytest
 
 from hinterland import cli
 from hinterland.config import load_config, parse_config
-from hinterland.errors import ConfigError, LeftFeasibleSet
+from hinterland.errors import (
+    ConfigError,
+    HinterlandError,
+    LeftFeasibleSet,
+    NotConverged,
+    SiteOutsideDomain,
+)
 from hinterland.io_formats import (
     read_field_raster,
     read_json,
@@ -332,6 +338,56 @@ def test_bad_rasters_are_reported_at_the_file_line(tmp_path, what, case,
     assert exc.value.path == f"{config}:4"
 
 
+def _library_error_inputs(tmp_path):
+    mask = np.zeros((48, 48), dtype=np.int32)
+    mask[:, 24] = -1                      # a wall splits the domain in two
+    write_label_raster(tmp_path / "mask.pgm", mask, (0.0, 0.0, 1.0, 1.0))
+    field = np.ones((48, 48))
+    field[20, 30] = -1.0
+    write_field_raster(tmp_path / "field.fld", field, (0.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("block, line, message", [
+    ("  domain:\n    kind: disk\n    radius: 0.001\n", 4,
+     "inside predicate marked no cell"),
+    ("  domain:\n    kind: mask\n    file: mask.pgm\n", 4,
+     "inside mask has 2 4-connected components"),
+    ("  amenity:\n    kind: bumps\n    bumps:\n"
+     "      - {center: [0.5, 0.5], height: -5.0, width: 0.1}\n", 4,
+     "amenity sample at cell .* must be finite and > 0"),
+    ("  amenity:\n    kind: raster\n    file: field.fld\n", 5,
+     "amenity sample at cell .* is -1.0"),
+])
+def test_domain_and_amenity_errors_are_reported_at_their_block(
+        tmp_path, block, line, message):
+    # the geography block starts on line 2; the domain or amenity block on 4
+    _library_error_inputs(tmp_path)
+    text = MINIMAL.replace("  resolution: [48, 48]\n",
+                           "  resolution: [48, 48]\n" + block)
+    config = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_config(config)
+    assert exc.value.path == f"{config}:{line}"
+
+
+def test_cross_block_and_site_errors_keep_their_line():
+    # the anchor check runs after both blocks and reports the anchor line
+    with pytest.raises(ConfigError, match="anchor 0 is not") as exc:
+        parse_config(MINIMAL + "solve:\n  active_sites: [1]\n"
+                               "solver:\n  damping: 0.5\n  anchor: 0\n")
+    assert exc.value.path == "<config>:18"
+    # a second site at the first one's position fails at its own line
+    same = MINIMAL.replace("[0.7, 0.5]", "[0.3, 0.5]")
+    with pytest.raises(ConfigError, match=r"sites 0 and 1 share position "
+                                          r"\(0.3, 0.5\)") as exc:
+        parse_config(same)
+    assert exc.value.path == "<config>:5"
+    # metric trade costs need tau > 0; tau 0 once escaped as a ValueError
+    with pytest.raises(ConfigError, match="'tau' must be > 0.0, got 0.0") as exc:
+        parse_config(MINIMAL.replace("tau: 0.5", "tau: 0"))
+    assert exc.value.path == "<config>:8"
+
+
 def test_readme_configuration_example_loads():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
@@ -343,6 +399,32 @@ def test_readme_configuration_example_loads():
 
 # ---------------------------------------------------------------------------
 # CLI commands (in-process main)
+
+class SlowerThanCap(NotConverged):
+    pass
+
+
+class LeftTwice(LeftFeasibleSet):
+    pass
+
+
+@pytest.mark.parametrize("error, code", [
+    (NotConverged("weights", 5, 1e-3), 2),
+    (SlowerThanCap("weights", 5, 1e-3), 2),
+    (LeftFeasibleSet("left"), 3),
+    (LeftTwice("left twice"), 3),
+    (ConfigError("run.yaml:3", "bad key"), 1),
+    (SiteOutsideDomain("vacant site 2 lies outside"), 1),
+    (HinterlandError("any other"), 1),
+])
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error, code):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    assert cli.main(["classify", "--config", "run.yaml"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
 
 def test_parser_lists_the_subcommands_in_order():
     assert "{solve,classify,sweep,enumerate,render}" in \

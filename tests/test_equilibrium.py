@@ -445,6 +445,8 @@ def test_knife_edge_call_sites_agree_near_the_cutoff(sigma):
             solver_accepts = False
         sites = {
             "predicate": equilibrium.is_knife_edge(p.alpha, p.sigma),
+            "spillover_regime": equilibrium.spillover_regime(p.alpha, p.sigma)
+                                == "knife_edge",
             "cli": cli._is_knife_edge(p),
             "classify_point": classify_point(p.alpha, p.beta, p.sigma)
                               .location_multiplicity == "knife_edge",
@@ -460,6 +462,23 @@ def test_knife_edge_call_sites_agree_near_the_cutoff(sigma):
                       variant=TwoSector(mu=0.5, beta=-0.2))
     assert equilibrium.is_knife_edge(two.alpha, two.sigma)
     assert not cli._is_knife_edge(two)
+
+
+@pytest.mark.parametrize("sigma", [5.0, 4.0, 9.0])
+def test_one_regime_test_names_both_sides_of_the_cutoff(sigma):
+    cutoff = 1.0 / (sigma - 1.0)
+    expected = {2e-12: ("multiple", sustainability.STRONG_SPILLOVER),
+                -2e-12: ("spread", sustainability.WEAK_SPILLOVER),
+                0.0: ("knife_edge", sustainability.KNIFE_EDGE),
+                0.3: ("multiple", sustainability.STRONG_SPILLOVER),
+                -0.05: ("spread", sustainability.WEAK_SPILLOVER)}
+    for offset, (regime, spillover) in expected.items():
+        p = ModelParams(sigma=sigma, alpha=cutoff + offset, beta=-0.5,
+                        delta=2.0)
+        assert equilibrium.spillover_regime(p.alpha, p.sigma) == regime
+        assert classify_point(p.alpha, p.beta, p.sigma) \
+            .location_multiplicity == regime
+        assert sustainability._spillover_regime(p) == spillover
 
 
 def test_knife_edge_symmetric_pair():

@@ -19,7 +19,7 @@ from hinterland.equilibrium import (
     solve_knife_edge_system,
     subset_geography,
 )
-from hinterland.errors import HinterlandError, SiteNotVacant
+from hinterland.errors import HinterlandError, SiteNotVacant, SiteOutsideDomain
 from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
 from hinterland.geometry import DistanceSystem, Site, build_grid
 from hinterland.io_formats import write_matrix_csv
@@ -51,6 +51,58 @@ def geo_with_sites(site_specs, tau=0.5, n=64):
 
 
 THREE = (((0.15, 0.5), 1.0), ((0.85, 0.5), 1.0), ((0.5, 0.85), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# site ids
+
+def test_positions_of_follows_the_order_of_the_ids():
+    geo = geo_with_sites(THREE, n=16)
+    assert geo.positions_of([2, 0]) == [2, 0]
+    assert geo.positions_of((0, 1, 2)) == [0, 1, 2]
+    sub = subset_geography(geo, [2, 0])
+    assert [s.id for s in sub.sites] == [2, 0]
+    assert sub.positions_of([0, 2]) == [1, 0]
+    assert subset_geography(geo) is geo
+    assert subset_geography(geo, [0, 1, 2]) is geo
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([0, 7], "unknown site id 7"),
+    ([0, 0], r"duplicate site ids in \[0, 0\]"),
+    ([], "no site ids given"),
+])
+def test_bad_site_ids_raise_value_error_at_every_entry(ids, message):
+    geo = geo_with_sites(THREE, n=32)
+    for call in (lambda: geo.positions_of(ids),
+                 lambda: subset_geography(geo, ids),
+                 lambda: fixed_point_solve(geo, STRONG, y_star=ids),
+                 lambda: multistart_probe(geo, STRONG, y_star=ids,
+                                          n_starts=2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("y_star, y_c, y_p, message", [
+    ([0, 1], 1, 7, "unknown site id 7"),
+    ([0, 0], 0, 2, r"duplicate site ids in \[0, 0\]"),
+    ([], 0, 2, r"0 is not in the active set \(\)"),
+])
+def test_swap_rejects_bad_site_ids(y_star, y_c, y_p, message):
+    geo = geo_with_sites(THREE, n=32)
+    with pytest.raises(ValueError, match=message):
+        site_swap_experiment(geo, STRONG, y_star, y_c=y_c, y_p=y_p)
+
+
+def test_unknown_ids_for_potential_weight_and_anchor():
+    geo = geo_with_sites(THREE, n=32)
+    sol = fixed_point_solve(geo, KNIFE, y_star=[0, 1])
+    with pytest.raises(ValueError, match="unknown site id 7"):
+        potential_weight(sol, geo, KNIFE, 7)
+    # the anchor must be a site of the active set
+    with pytest.raises(ValueError, match="unknown site id 2"):
+        fixed_point_solve(geo, KNIFE, y_star=[0, 1],
+                          options=SolverOptions(anchor=2))
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +197,34 @@ def test_weak_spillovers_require_full_occupation():
     report = sustainability_check(full, geo, WEAK)
     assert report.verdict == "sustainable"
     assert report.vacant_ids == ()
+
+
+@pytest.mark.parametrize("params", [STRONG, WEAK, KNIFE])
+def test_no_vacant_site_is_sustainable_in_every_regime(params):
+    geo = geo_with_sites(THREE, n=32)
+    report = sustainability_check(fixed_point_solve(geo, params), geo, params)
+    assert report.verdict == "sustainable"
+    assert report.margins == {} and report.host_ids == {}
+    assert report.vacant_ids == ()
+
+
+def test_vacant_site_on_an_outside_cell_has_no_host():
+    # site 2 sits in a corner outside the disk; its label there is -1,
+    # which once picked the last active site as its host
+    grid = build_grid((0.0, 0.0, 1.0, 1.0), (48, 48),
+                      lambda X, Y: (X - 0.5) ** 2 + (Y - 0.5) ** 2 <= 0.45 ** 2)
+    sites = (Site(0, (0.3, 0.5), 1.0), Site(1, (0.7, 0.5), 1.0),
+             Site(2, (0.04, 0.04), 1.0))
+    geo = Geography(grid=grid, sites=sites, system=EUCLID,
+                    amenity=amenity_from_function(grid, lambda x, y: np.ones_like(x)),
+                    trade=trade_costs_from_metric(sites, EUCLID, tau=0.5))
+    sol = fixed_point_solve(geo, KNIFE, y_star=[0, 1])
+    with pytest.raises(SiteOutsideDomain, match="vacant site 2 "):
+        sustainability_check(sol, geo, KNIFE)
+    catalog = enumerate_urban_systems(geo, KNIFE, sizes=(2,))
+    failures = dict(catalog.failures)
+    assert failures[(0, 1)].startswith("SiteOutsideDomain: vacant site 2 ")
+    assert (0, 1) not in dict(catalog.rejected)
 
 
 def test_knife_edge_weak_vacant_site_is_dominated():
@@ -350,7 +430,7 @@ def test_enumerate_pairs_exhibits_multiplicity():
     assert len(active_sets) >= 2
     for e in catalog.entries:
         assert e.verdict == "sustainable"
-        assert e.solution.residuals["weights"] < 1e-8
+        assert e.residuals["weights"] < 1e-8
 
 
 def test_enumerate_weak_spillovers_keeps_only_full_set():
@@ -368,7 +448,22 @@ def test_enumerate_singletons_under_strong_spillovers():
     assert len(catalog.entries) == 4
     for e in catalog.entries:
         assert len(e.active_ids) == 1
-        assert e.solution.labor.sum() == pytest.approx(1.0, rel=1e-10)
+        assert e.labor.sum() == pytest.approx(1.0, rel=1e-10)
+
+
+def test_catalog_entries_keep_the_facts_of_their_solve():
+    geo = geo_with_sites(square_candidates(), tau=0.3, n=32)
+    p = ModelParams(sigma=5.0, alpha=0.3, beta=-0.5, delta=4.0)
+    catalog = enumerate_urban_systems(geo, p, sizes=(1, 2), seed=1)
+    assert catalog.entries
+    for e in catalog.entries:
+        sol = fixed_point_solve(geo, p, y_star=e.subset)
+        # distinct by construction: a restricted solve keeps its whole subset
+        assert e.active_ids == e.subset == sol.active_ids
+        assert np.array_equal(e.weights, sol.weights)
+        assert np.array_equal(e.labor, sol.labor)
+        assert e.welfare == sol.welfare and e.residuals == sol.residuals
+        assert not hasattr(e, "solution")
 
 
 def test_enumerate_sampling_and_determinism():

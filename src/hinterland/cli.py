@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -259,7 +260,8 @@ def cmd_enumerate(args) -> int:
     catalog = enumerate_urban_systems(
         geography, params, sizes=config.enumerate.sizes,
         max_subsets=config.enumerate.max_subsets, seed=config.solver.seed,
-        options=config.solver.options)
+        options=config.solver.options,
+        threads=config.threads or len(os.sched_getaffinity(0)))
     out = _out_dir(args)
     records = [{"subset": list(entry.subset),
                 "active_ids": list(entry.active_ids),
@@ -359,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
         p.add_argument("--threads", type=int, default=None,
-                       help="thread budget (0 = all cores); results are "
-                            "thread-count invariant")
+                       help="enumerate's worker processes (0 = every CPU "
+                            "this process may use); results do not depend "
+                            "on it, and other subcommands only echo it")
         p.add_argument("--verbose", action="store_true",
                        help="progress messages on stderr")
         if func is cmd_render:

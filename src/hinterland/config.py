@@ -60,13 +60,15 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
     enumerate:
       sizes: [k, ...]           # ([2])
       max_subsets: n            # (256)
-    threads: n                  # (0 = all cores; results invariant)
+    threads: n                  # (0 = usable CPUs) enumerate's processes;
+                                # results invariant; others only echo it
 
 Relative file paths resolve against the directory of the config file.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -160,6 +162,8 @@ class _Section:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(f"'{key}' must be a number, got {value!r}", key)
         value = float(value)
+        if not math.isfinite(value):
+            self.error(f"'{key}' must be finite, got {value}", key)
         if minimum is not None and (value <= minimum if exclusive
                                     else value < minimum):
             bound = "> " if exclusive else ">= "
@@ -195,8 +199,9 @@ class _Section:
             return None
         if (not isinstance(value, list)
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in value)):
-            self.error(f"'{key}' must be a list of numbers, got {value!r}", key)
+                       or not math.isfinite(v) for v in value)):
+            self.error(f"'{key}' must be a list of finite numbers, "
+                       f"got {value!r}", key)
         if length is not None and len(value) != length:
             self.error(f"'{key}' must have {length} entries, "
                        f"got {len(value)}", key)
@@ -579,9 +584,12 @@ def parse_config(text: str, source: str = "<config>",
     threads = root.take_int("threads", 0, minimum=0)
     root.finish()
 
-    if active is not None and solver.options.anchor not in (None, *active):
+    ids = active if active is not None else (
+        None if geography is None else [site.id for site in geography.sites])
+    if ids is not None and solver.options.anchor not in (None, *ids):
+        which = "solve.active_sites" if active is not None else "the site ids"
         solver_sec.error(f"solver.anchor {solver.options.anchor} "
-                         "is not in solve.active_sites", "anchor")
+                         f"is not in {which}", "anchor")
 
     return RunConfig(source=source, geography=geography, params=params,
                      solver=solver, active_sites=active, sweep=sweep,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -218,41 +218,90 @@ def _candidate_subsets(ids, sizes, max_subsets, seed):
     return [all_subsets[i] for i in sorted(pick)], "sampled"
 
 
+def _subset_outcome(geography, params, options, subset):
+    """Solve one candidate active set: ("entries", CatalogEntry),
+    ("rejected", (subset, verdict)) or ("failures", (subset, error))."""
+    try:
+        sol = fixed_point_solve(geography, params, y_star=subset,
+                                options=options)
+        report = sustainability_check(sol, geography, params)
+    except HinterlandError as e:
+        return "failures", (subset, f"{type(e).__name__}: {e}")
+    if report.verdict != "sustainable":
+        return "rejected", (subset, report.verdict)
+    finite = [m for m in report.margins.values() if math.isfinite(m)]
+    return "entries", CatalogEntry(
+        subset=subset, active_ids=sol.active_ids, weights=sol.weights,
+        welfare=sol.welfare, labor=sol.labor, residuals=sol.residuals,
+        verdict=report.verdict, min_margin=min(finite, default=math.inf))
+
+
+def _send_outcomes(writer, solve, share):
+    writer.send([solve(subset) for subset in share])
+
+
+def _map_subsets(solve, subsets, threads: int) -> list:
+    """``[solve(s) for s in subsets]``, shared among ``threads`` processes.
+
+    Forked workers r = 1..k−1, k = min(threads, len(subsets)), send the
+    outcomes of ``subsets[r::k]`` through one-way pipes while this process
+    solves share 0. Every worker is killed and reaped before this returns or
+    raises; one that dies before sending makes it raise. Fork, not spawn: a
+    spawned worker imports NumPy and the package again, which takes longer
+    than a whole 64² enumeration. The CLI runs no Python threads and the
+    package makes no BLAS call, so a forked child never touches OpenBLAS's
+    idle threads.
+    """
+    k = min(threads, len(subsets))
+    if k <= 1:
+        return [solve(subset) for subset in subsets]
+    import multiprocessing   # only here: solve and multistart never load it
+    context = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for r in range(1, k):
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_outcomes, daemon=True,
+                                     args=(writer, solve, subsets[r::k]))
+            worker.start()
+            writer.close()
+            workers.append((reader, worker))
+        shares = [[solve(subset) for subset in subsets[::k]]]
+        for reader, _ in workers:
+            try:
+                shares.append(reader.recv())
+            except EOFError:
+                raise RuntimeError("an enumerate worker died before sending "
+                                   "its outcomes") from None
+    finally:
+        for reader, worker in workers:
+            reader.close()
+            worker.kill()   # it has sent its outcomes, or they are not needed
+            worker.join(timeout=10.0)
+    return [shares[i % k][i // k] for i in range(len(subsets))]
+
+
 def enumerate_urban_systems(geography: Geography, params: ModelParams,
                             sizes=(2,), max_subsets: int = 256, seed: int = 0,
-                            options: SolverOptions = SolverOptions()
-                            ) -> EquilibriumCatalog:
+                            options: SolverOptions = SolverOptions(),
+                            threads: int = 1) -> EquilibriumCatalog:
     """Solve candidate active sets and keep the sustainable equilibria.
 
     Exhausts all subsets of the requested sizes up to ``max_subsets``, then
     falls back to seeded sampling. Entries are distinct by construction: the
     subsets are, and a restricted solve returns only with all its sites
-    active. Solver errors are recorded per subset, never fatal.
+    active. Solver errors are recorded per subset, never fatal. ``threads``
+    processes share the subsets; the catalog does not depend on how many.
     """
     ids = tuple(s.id for s in geography.sites)
     subsets, strategy = _candidate_subsets(ids, sizes, max_subsets, seed)
-    entries: list[CatalogEntry] = []
-    rejected = []
-    failures = []
-    for subset in subsets:
-        try:
-            sol = fixed_point_solve(geography, params, y_star=subset,
-                                    options=options)
-            report = sustainability_check(sol, geography, params)
-        except HinterlandError as e:
-            failures.append((subset, f"{type(e).__name__}: {e}"))
-            continue
-        if report.verdict != "sustainable":
-            rejected.append((subset, report.verdict))
-            continue
-        finite = [m for m in report.margins.values() if math.isfinite(m)]
-        entries.append(CatalogEntry(
-            subset=subset, active_ids=sol.active_ids, weights=sol.weights,
-            welfare=sol.welfare, labor=sol.labor, residuals=sol.residuals,
-            verdict=report.verdict, min_margin=min(finite, default=math.inf)))
-    return EquilibriumCatalog(entries=tuple(entries), rejected=tuple(rejected),
-                              failures=tuple(failures), strategy=strategy,
-                              seed=seed, sizes=tuple(sorted(set(sizes))),
+    solve = partial(_subset_outcome, geography, params, options)
+    found = {"entries": [], "rejected": [], "failures": []}
+    for kind, item in _map_subsets(solve, subsets, threads):
+        found[kind].append(item)
+    return EquilibriumCatalog(**{k: tuple(v) for k, v in found.items()},
+                              strategy=strategy, seed=seed,
+                              sizes=tuple(sorted(set(sizes))),
                               max_subsets=max_subsets)
 
 

@@ -1,5 +1,7 @@
 import csv
 import math
+import multiprocessing
+import os
 import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -258,6 +260,35 @@ def test_sweep_axes_accept_lists_and_ranges():
     assert sweep.beta == -0.25
     with pytest.raises(ConfigError, match="at least 2"):
         parse_config("sweep:\n  alphas: [0.1]\n")
+
+
+def test_anchor_must_be_a_site_id_without_active_sites():
+    with pytest.raises(ConfigError, match="solver.anchor 9 is not in the "
+                                          "site ids") as exc:
+        parse_config(MINIMAL + "solver:\n  damping: 0.5\n  anchor: 9\n")
+    assert exc.value.path == "<config>:16"
+    assert parse_config(MINIMAL + "solver:\n  anchor: 1\n") \
+        .solver.options.anchor == 1
+    # without a geography there are no ids to check against
+    assert parse_config("solver:\n  anchor: 9\n").solver.options.anchor == 9
+
+
+@pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+def test_non_finite_numbers_are_rejected_at_their_line(value):
+    bad = MINIMAL.replace("{position: [0.3, 0.5], productivity: 1.0}",
+                          f"{{position: [0.3, 0.5], productivity: {value}}}")
+    with pytest.raises(ConfigError, match="'productivity' must be finite") \
+            as exc:
+        parse_config(bad)
+    assert exc.value.path == "<config>:4"
+    bad = MINIMAL.replace("[0.7, 0.5]", f"[0.7, {value}]")
+    with pytest.raises(ConfigError, match="'position' must be a list of "
+                                          "finite numbers") as exc:
+        parse_config(bad)
+    assert exc.value.path == "<config>:5"
+    with pytest.raises(ConfigError, match="'alpha' must be finite") as exc:
+        parse_config(MINIMAL.replace("alpha: 0.2", f"alpha: {value}"))
+    assert exc.value.path == "<config>:11"
 
 
 def test_solver_block_bounds():
@@ -581,8 +612,7 @@ sweep:
     assert len(document["boundary"]) == 11
 
 
-def test_enumerate_outputs(tmp_path):
-    config = write_config(tmp_path, """\
+ENUMERATE_SQUARE = """\
 geography:
   resolution: [48, 48]
   sites:
@@ -594,7 +624,11 @@ geography:
 params: {sigma: 5.0, alpha: 0.3, beta: -0.5, delta: 4.0}
 enumerate:
   sizes: [2]
-""")
+"""
+
+
+def test_enumerate_outputs(tmp_path):
+    config = write_config(tmp_path, ENUMERATE_SQUARE)
     out = tmp_path / "out"
     assert cli.main(["enumerate", "--config", str(config),
                      "--out", str(out)]) == 0
@@ -606,6 +640,37 @@ enumerate:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(document["entries"])
     assert rows[0]["labor"].count(";") == 1
+
+
+def test_enumerate_catalog_does_not_depend_on_threads(tmp_path):
+    # 6 subsets; 8 threads start one worker per subset beyond the first
+    config = write_config(tmp_path, ENUMERATE_SQUARE)
+    outputs = {}
+    for threads in ("1", "2", "0", "8"):
+        out = tmp_path / f"out-{threads}"
+        assert cli.main(["enumerate", "--config", str(config),
+                         "--out", str(out), "--threads", threads]) == 0
+        outputs[threads] = [(out / name).read_bytes()
+                            for name in ("catalog.json", "catalog.csv")]
+    assert all(o == outputs["1"] for o in outputs.values())
+    assert multiprocessing.active_children() == []
+
+
+def test_enumerate_resolves_zero_threads_to_the_usable_cpus(tmp_path,
+                                                            monkeypatch):
+    seen = []
+    real = cli.enumerate_urban_systems
+
+    def spy(*args, threads, **kwargs):
+        seen.append(threads)
+        return real(*args, threads=1, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_urban_systems", spy)
+    config = write_config(tmp_path, ENUMERATE_SQUARE)
+    for threads in ("3", "0"):
+        assert cli.main(["enumerate", "--config", str(config), "--out",
+                         str(tmp_path / "out"), "--threads", threads]) == 0
+    assert seen == [3, len(os.sched_getaffinity(0))]
 
 
 def test_render_round_trips_solve_output(tmp_path):

@@ -1,5 +1,8 @@
-"""The package's import path stays free of SciPy (a cold-start cost), and
-its source makes no BLAS or LAPACK call (a first one raises peak RSS)."""
+"""The package's import path stays free of SciPy (a cold-start cost) and of
+multiprocessing (loaded only when enumerate starts workers), its source
+makes no BLAS or LAPACK call (a first one raises peak RSS, and a forked
+worker must not touch OpenBLAS's threads), and a forked enumerate prints
+what the parent prints, once."""
 
 import os
 import re
@@ -8,15 +11,15 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def test_package_import_loads_no_scipy_module():
     code = ("import hinterland.cli, hinterland.analysis, "
             "hinterland.sustainability, sys; "
             "print('\\n'.join(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+            "if m.split('.')[0] in ('scipy', 'multiprocessing'))))")
+    result = subprocess.run([sys.executable, "-c", code], env=ENV,
                             capture_output=True, text=True, check=True)
     assert result.stdout.split() == []
 
@@ -34,3 +37,38 @@ def test_package_source_makes_no_blas_or_lapack_call():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if BLAS_CALL.search(line.split("#")[0])]
     assert hits == []
+
+
+ENUMERATE_CONFIG = """\
+geography:
+  resolution: [32, 32]
+  sites:
+    - {position: [0.2, 0.3]}
+    - {position: [0.8, 0.3]}
+    - {position: [0.5, 0.8]}
+  trade: {kind: from_metric, tau: 0.5}
+params: {sigma: 5.0, alpha: 0.1, beta: -0.5, delta: 2.0}
+enumerate:
+  sizes: [1, 2, 3]
+"""
+
+
+def test_forked_enumerate_prints_once_and_writes_the_serial_catalog(
+        tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(ENUMERATE_CONFIG)
+    # buffered standard streams, so that a fork could copy unwritten output
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    catalogs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "hinterland.cli", "enumerate", "--config",
+             str(config), "--out", str(out), "--threads", threads,
+             "--verbose"], env=env, capture_output=True, text=True,
+            timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert (result.stdout + result.stderr).count("catalog:") == 1
+        catalogs[threads] = [(out / name).read_bytes()
+                             for name in ("catalog.json", "catalog.csv")]
+    assert catalogs["2"] == catalogs["1"]

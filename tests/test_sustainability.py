@@ -1,10 +1,11 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 from helpers import loop_deviation_margins, loop_potential_weight
 
-from hinterland import fields
+from hinterland import fields, sustainability
 from hinterland.analysis import (
     bracket_threshold,
     existence_margins,
@@ -19,7 +20,12 @@ from hinterland.equilibrium import (
     solve_knife_edge_system,
     subset_geography,
 )
-from hinterland.errors import HinterlandError, SiteNotVacant, SiteOutsideDomain
+from hinterland.errors import (
+    HinterlandError,
+    NotConverged,
+    SiteNotVacant,
+    SiteOutsideDomain,
+)
 from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
 from hinterland.geometry import DistanceSystem, Site, build_grid
 from hinterland.io_formats import write_matrix_csv
@@ -483,6 +489,69 @@ def test_enumerate_dedupes_identical_active_sets():
     p = ModelParams(sigma=5.0, alpha=0.3, beta=-0.5, delta=4.0)
     catalog = enumerate_urban_systems(geo, p, sizes=(4, 4), seed=0)
     assert len(catalog.entries) == 1
+
+
+# ---------------------------------------------------------------------------
+# enumeration in worker processes
+
+# sizes 1-3 of THREE: (0,) (1,) (2,) (0, 1) (0, 2) (1, 2) (0, 1, 2); with two
+# processes the parent solves the even positions and a worker the odd ones
+ALL_SIZES = (1, 2, 3)
+WORKER_SUBSET = (1, 2)    # position 5
+PARENT_SUBSET = (0, 2)    # position 4
+
+
+def _catalog_facts(catalog):
+    entries = [(e.subset, e.active_ids, e.weights.tobytes(), e.welfare,
+                e.labor.tobytes(), e.residuals, e.verdict, e.min_margin)
+               for e in catalog.entries]
+    return entries, catalog.rejected, catalog.failures
+
+
+def _solver_raising_for(monkeypatch, subset, error):
+    """Make the solve of ``subset`` raise; forked workers inherit the patch."""
+    real = sustainability.fixed_point_solve
+
+    def solve(geography, params, y_star=None, **kwargs):
+        if tuple(y_star) == subset:
+            raise error
+        return real(geography, params, y_star=y_star, **kwargs)
+
+    monkeypatch.setattr(sustainability, "fixed_point_solve", solve)
+
+
+def test_worker_processes_give_the_serial_catalog(monkeypatch):
+    # weak spillovers reject every proper subset; one worker solve fails
+    geo = geo_with_sites(THREE, n=32)
+    _solver_raising_for(monkeypatch, WORKER_SUBSET,
+                        NotConverged("patched solve", 7, 1e-3))
+    serial = enumerate_urban_systems(geo, WEAK, sizes=ALL_SIZES)
+    assert len(serial.entries) == 1 and len(serial.rejected) == 5
+    assert serial.failures == ((WORKER_SUBSET, "NotConverged: patched solve "
+                                "did not converge in 7 iterations "
+                                "(last step 1.000e-03)"),)
+    for threads in (2, 3, 8):   # 8 is more than the 7 subsets
+        catalog = enumerate_urban_systems(geo, WEAK, sizes=ALL_SIZES,
+                                          threads=threads)
+        assert _catalog_facts(catalog) == _catalog_facts(serial)
+        assert multiprocessing.active_children() == []
+
+
+def test_a_worker_error_reaches_the_parent(monkeypatch):
+    geo = geo_with_sites(THREE, n=32)
+    _solver_raising_for(monkeypatch, WORKER_SUBSET, KeyError("patched"))
+    with pytest.raises(RuntimeError, match="an enumerate worker died before "
+                                           "sending its outcomes"):
+        enumerate_urban_systems(geo, WEAK, sizes=ALL_SIZES, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_error_in_the_parent_share_stops_the_workers(monkeypatch):
+    geo = geo_with_sites(THREE, n=32)
+    _solver_raising_for(monkeypatch, PARENT_SUBSET, KeyError("patched"))
+    with pytest.raises(KeyError, match="patched"):
+        enumerate_urban_systems(geo, WEAK, sizes=ALL_SIZES, threads=2)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

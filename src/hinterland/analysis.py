@@ -1,8 +1,7 @@
 """Sufficient-condition checks, regime classification, and sweep maps.
 
 Everything here reports *margins* of the sufficient conditions rather than
-certified thresholds: the underlying constants have no closed form, so
-thresholds are bracketed empirically (see ``bracket_threshold``).
+certified thresholds: the underlying constants have no closed form.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .equilibrium import (
     subset_geography,
     variant_transform,
 )
-from .errors import HinterlandError, NonMetricTradeCosts
+from .errors import HinterlandError
 from .fields import Geography
 from .geometry import assign_labels, pairwise_metrics, sample_feasible_weights
 from .integrals import aggregate_amenities, semielasticity_sup
@@ -139,8 +138,8 @@ def _environment_trade_decay(geography: Geography) -> float:
 
 
 def existence_margins(geography: Geography, params: ModelParams,
-                      k_shrink: float = 0.5, eta_hat: float | None = None,
-                      use_sharper_trade_bound: bool = False) -> ExistenceReport:
+                      k_shrink: float = 0.5,
+                      eta_hat: float | None = None) -> ExistenceReport:
     """Margins of the condition keeping the weight map inside the band.
 
     lhs stacks the fundamental asymmetries (productivity and unweighted
@@ -149,11 +148,7 @@ def existence_margins(geography: Geography, params: ModelParams,
     """
     comp = composite_params(params, geography.productivities, geography.trade)
     eff = comp.effective
-    if use_sharper_trade_bound and geography.trade.origin != "from_metric":
-        raise NonMetricTradeCosts(
-            "the sharper trade-access bound needs metric-generated costs")
-    tau_rate = (geography.trade.tau if use_sharper_trade_bound
-                else _environment_trade_decay(geography))
+    tau_rate = _environment_trade_decay(geography)
 
     if eta_hat is None:
         eta_hat = semielasticity_sup(geography, eff.kernel,
@@ -183,52 +178,6 @@ def existence_margins(geography: Geography, params: ModelParams,
         passes=bool((finite >= 0).all()) if finite.size else True,
         precondition_value=decay - creep, precondition_holds=decay > creep,
         eta_hat=eta_hat, interaction_radius=radius, trade_decay_rate=tau_rate)
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Existence prospects as a function of how far apart the sites sit."""
-
-    hypothesis_value: float      # net decay rate; must be positive
-    hypothesis_holds: bool
-    never_satisfiable: bool      # decay too weak: no spacing can help
-    d_min: float
-    existence: ExistenceReport
-
-
-def separation_report(geography: Geography, params: ModelParams,
-                      **kwargs) -> SeparationReport:
-    """Check the net-decay hypothesis and report margins at current spacing."""
-    if geography.n_sites < 2:
-        raise ValueError("separation analysis needs at least 2 sites")
-    report = existence_margins(geography, params, **kwargs)
-    _, d_min, _ = pairwise_metrics(geography.sites, geography.system)
-    return SeparationReport(
-        hypothesis_value=report.precondition_value,
-        hypothesis_holds=report.precondition_holds,
-        never_satisfiable=not report.precondition_holds,
-        d_min=d_min, existence=report)
-
-
-def bracket_threshold(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Bisect a sign change of a scalar margin function on [lo, hi]."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0 or (hi - lo) < tol:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -358,12 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
         if func is not cmd_render:
             p.add_argument("--config", required=True,
                            help="path to the YAML run configuration")
+            p.add_argument("--threads", type=int, default=None,
+                           help="enumerate's worker processes (0 = every CPU "
+                                "this process may use); results do not "
+                                "depend on it, and other subcommands only "
+                                "echo it")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="enumerate's worker processes (0 = every CPU "
-                            "this process may use); results do not depend "
-                            "on it, and other subcommands only echo it")
         p.add_argument("--verbose", action="store_true",
                        help="progress messages on stderr")
         if func is cmd_render:

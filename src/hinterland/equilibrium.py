@@ -144,15 +144,8 @@ class EffectiveSystem:
 def variant_transform(params: ModelParams) -> EffectiveSystem:
     """Resolve the model variant into effective kernel and recovery constants."""
     v = params.variant
-    if v.kind == "baseline":
-        return EffectiveSystem(
-            kernel=KernelSpec(beta_eff=params.beta, distance_coeff=params.delta),
-            beta_eff=params.beta, weight_decay=params.delta,
-            congestion_weight=params.beta,
-            welfare_exponent=1.0 / params.beta, log_labor_prefactor=0.0,
-            variant_kind=v.kind)
-    if v.kind == "home_consumption":
-        decay = params.delta + params.tau
+    if v.kind in ("baseline", "home_consumption"):
+        decay = params.delta + (params.tau if v.kind == "home_consumption" else 0.0)
         return EffectiveSystem(
             kernel=KernelSpec(beta_eff=params.beta, distance_coeff=decay),
             beta_eff=params.beta, weight_decay=decay,

@@ -95,10 +95,6 @@ class InvalidVariantParams(HinterlandError):
 # --- analysis / sustainability ----------------------------------------------
 
 
-class NonMetricTradeCosts(HinterlandError):
-    """The sharper trade bound needs metric-generated trade costs."""
-
-
 class SiteNotVacant(HinterlandError):
     """potential_weight was asked about a site that is active."""
 

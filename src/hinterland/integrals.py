@@ -231,29 +231,6 @@ class NarrowBand:
         return tess, CellAggregates.from_log_raw(log_raw, self.kernel)
 
 
-def disk_kernel_integral(eps: float, delta: float, beta: float) -> float:
-    """Exact integral of exp(delta*r/beta) over a disk of radius eps.
-
-    Polar coordinates give 2*pi*[(1 - e^{delta*eps/beta})*beta^2/delta^2
-    + eps*e^{delta*eps/beta}*beta/delta]; used as the closed-form oracle for
-    the raster quadrature and for cell lower bounds.
-    """
-    if not (eps > 0 and delta > 0 and beta < 0):
-        raise ValueError(f"need eps > 0, delta > 0, beta < 0; got {(eps, delta, beta)}")
-    edge = math.exp(delta * eps / beta)
-    return 2.0 * math.pi * ((1.0 - edge) * beta ** 2 / delta ** 2
-                            + eps * edge * beta / delta)
-
-
-def inscribed_radius(d_min: float, k_shrink: float, upper_constant: float = 1.0) -> float:
-    """Radius of a Euclidean ball certain to stay inside a site's cell.
-
-    Valid for any weight vector in the k-shrunk feasible set; derived from
-    the band bounds and the metric's upper comparability constant.
-    """
-    return (1.0 - k_shrink) * d_min / (2.0 * upper_constant)
-
-
 def resident_density(tess: Tessellation, aggregates: CellAggregates,
                      amenity: AmenityField, kernel: KernelSpec, labor) -> np.ndarray:
     """Per-cell resident density: cell kernel share times the site's labor mass.
@@ -278,8 +255,7 @@ def resident_density(tess: Tessellation, aggregates: CellAggregates,
 
 
 def semielasticity_matrix(tess: Tessellation, amenity: AmenityField,
-                          kernel: KernelSpec,
-                          aggregates: CellAggregates | None = None):
+                          kernel: KernelSpec):
     """Semielasticities of every B_i in every weight: ``(eta, skipped)``.
 
     ``eta[i, k]``, i != k, sums over the raster edges between the cells of i
@@ -289,8 +265,7 @@ def semielasticity_matrix(tess: Tessellation, amenity: AmenityField,
     i's sum. ``skipped`` counts the edges with speed under
     DEGENERATE_NORMAL_CUTOFF.
     """
-    if aggregates is None:
-        aggregates = aggregate_amenities(tess, amenity, kernel)
+    log_raw = aggregate_amenities(tess, amenity, kernel).log_raw
     grid, n = tess.grid, tess.n_sites
     spacing = np.array([[grid.dx], [grid.dy]])
     pos = site_positions(tess.sites).T - np.reshape(grid.bbox[:2], (2, 1))
@@ -313,28 +288,12 @@ def semielasticity_matrix(tess: Tessellation, amenity: AmenityField,
         reach = (grid.dy, grid.dx)[axis] * (np.abs(u[axis]) / speed) / speed
         log_f = kernel.log_values(np.log(amenity.values.flat[cells]), r * scales[sides])
         pair = sides * n + sides[::-1]
-        eta += np.bincount(pair.ravel(), (np.exp(log_f - aggregates.log_raw[sides])
+        eta += np.bincount(pair.ravel(), (np.exp(log_f - log_raw[sides])
                                           * reach).ravel(), n * n)
         skipped += np.bincount(pair[:, skip].ravel(), minlength=n * n)
     eta = abs(kernel.beta_eff) * eta.reshape(n, n)
     eta[np.diag_indices(n)] = eta.sum(axis=1)
     return eta, skipped.reshape(n, n)
-
-
-def amenity_semielasticity(tess: Tessellation, amenity: AmenityField,
-                           kernel: KernelSpec, i: int, k: int,
-                           aggregates: CellAggregates | None = None,
-                           diagnostics: dict | None = None) -> float:
-    """Entry (i, k) of ``semielasticity_matrix``: B_i's semielasticity in w_k.
-
-    With i == k, the own-weight magnitude. The pair's skipped edges (all of
-    i's when i == k) are added to ``diagnostics['skipped_edges']``.
-    """
-    eta, skipped = semielasticity_matrix(tess, amenity, kernel, aggregates)
-    if diagnostics is not None:
-        diagnostics["skipped_edges"] = diagnostics.get("skipped_edges", 0) + int(
-            skipped[i].sum() if i == k else skipped[i, k])
-    return float(eta[i, k])
 
 
 @dataclass(frozen=True)
@@ -346,7 +305,6 @@ class SemielasticityBound:
     """
 
     value: float
-    certified: bool
     n_weight_vectors: int
     skipped_edges: int
 
@@ -367,7 +325,7 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
         raise ValueError("n_samples must be >= 1")
     n = geography.n_sites
     if n < 2:
-        return SemielasticityBound(0.0, False, 1, 0)
+        return SemielasticityBound(0.0, 1, 0)
 
     weight_vectors = [np.zeros(n)] + sample_feasible_weights(
         geography.sites, geography.system, k_shrink, n_samples - 1, seed)
@@ -380,6 +338,5 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
         np.fill_diagonal(eta, 0.0)
         best = max(best, float(eta.max()))
         skipped += int(skip.sum())
-    return SemielasticityBound(value=best, certified=False,
-                               n_weight_vectors=len(weight_vectors),
+    return SemielasticityBound(value=best, n_weight_vectors=len(weight_vectors),
                                skipped_edges=skipped)

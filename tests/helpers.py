@@ -91,6 +91,29 @@ def loop_amenity_integral(grid, labels, site_index, site, system, amenity_values
     return total * grid.cell_area
 
 
+def disk_kernel_integral(eps: float, delta: float, beta: float) -> float:
+    """Exact integral of exp(delta*r/beta) over a disk of radius eps.
+
+    Polar coordinates give 2*pi*[(1 - e^{delta*eps/beta})*beta^2/delta^2
+    + eps*e^{delta*eps/beta}*beta/delta]; used as the closed-form oracle for
+    the raster quadrature and for cell lower bounds.
+    """
+    if not (eps > 0 and delta > 0 and beta < 0):
+        raise ValueError(f"need eps > 0, delta > 0, beta < 0; got {(eps, delta, beta)}")
+    edge = math.exp(delta * eps / beta)
+    return 2.0 * math.pi * ((1.0 - edge) * beta ** 2 / delta ** 2
+                            + eps * edge * beta / delta)
+
+
+def inscribed_radius(d_min: float, k_shrink: float, upper_constant: float = 1.0) -> float:
+    """Radius of a Euclidean ball certain to stay inside a site's cell.
+
+    Valid for any weight vector in the k-shrunk feasible set; derived from
+    the band bounds and the metric's upper comparability constant.
+    """
+    return (1.0 - k_shrink) * d_min / (2.0 * upper_constant)
+
+
 def disk_quadrature(fn, radius, n=512):
     """Midpoint quadrature of fn(r_distance) over a disk of given radius.
 
@@ -393,6 +416,27 @@ def loop_existence_margins(geography, params, eta_hat, tau_rate):
             rhs = (decay - creep) * d[i, j]
             margins[i, j] = rhs - lhs
     return margins
+
+
+def bracket_threshold(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
+    """Bisect a sign change of a scalar margin function on [lo, hi]."""
+    flo, fhi = fn(lo), fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if fm == 0.0 or (hi - lo) < tol:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def loop_lambda_feasibility(sites, system, weights, k):

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import brute_labels, loop_amenity_integral
+from helpers import brute_labels, disk_kernel_integral, loop_amenity_integral
 from test_equilibrium import make_geography
 from test_sustainability import geo_with_sites, square_candidates
 
@@ -46,8 +46,7 @@ from hinterland.geometry import (
 from hinterland.integrals import (
     KernelSpec,
     aggregate_amenities,
-    amenity_semielasticity,
-    disk_kernel_integral,
+    semielasticity_matrix,
     semielasticity_sup,
 )
 from hinterland.sustainability import (
@@ -232,9 +231,7 @@ def test_criterion_05_boundary_integral_matches_finite_differences():
         for sites, weights in configs:
             weights = np.asarray(weights, dtype=float)
             tess = assign_labels(grid, sites, EUCLID, weights)
-            agg = aggregate_amenities(tess, amenity, kernel)
-            eta = amenity_semielasticity(tess, amenity, kernel, 0, 1,
-                                         aggregates=agg)
+            eta = semielasticity_matrix(tess, amenity, kernel)[0][0, 1]
             h = 5.0 * grid.dx
             plus, minus = weights.copy(), weights.copy()
             plus[1] += h
@@ -248,9 +245,7 @@ def test_criterion_05_boundary_integral_matches_finite_differences():
         collinear = (Site(0, (0.1, 0.5)), Site(1, (0.5, 0.5)),
                      Site(2, (0.9, 0.5)))
         tess = assign_labels(grid, collinear, EUCLID, [0.0, 0.0, 0.0])
-        agg = aggregate_amenities(tess, amenity, kernel)
-        assert amenity_semielasticity(tess, amenity, kernel, 0, 2,
-                                      aggregates=agg) == 0.0
+        assert semielasticity_matrix(tess, amenity, kernel)[0][0, 2] == 0.0
 
         geography = make_geography(((0.3, 0.5), (0.7, 0.5)), n=96)
         slow = semielasticity_sup(

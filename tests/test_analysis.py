@@ -9,13 +9,11 @@ import hinterland.analysis as analysis
 import hinterland.integrals as integrals
 from hinterland.analysis import (
     SWEEP_CATEGORIES,
-    bracket_threshold,
     classify_point,
     existence_margins,
     multistart_probe,
     parameter_sweep,
     regime_classify,
-    separation_report,
     sweep_rows,
     uniqueness_condition,
 )
@@ -26,12 +24,13 @@ from hinterland.equilibrium import (
     composite_params,
     variant_transform,
 )
-from hinterland.errors import HinterlandError, NonMetricTradeCosts
+from hinterland.errors import HinterlandError
 from hinterland.fields import explicit_trade_costs
-from hinterland.geometry import sample_feasible_weights
+from hinterland.geometry import pairwise_metrics, sample_feasible_weights
 from hinterland.integrals import semielasticity_sup
 
 from helpers import (
+    bracket_threshold,
     loop_environment_trade_decay,
     loop_existence_margins,
     loop_feasible_starts,
@@ -149,9 +148,7 @@ def test_sharper_bound_requires_metric_trade():
     t = explicit_trade_costs(np.array([[1.0, 1.5], [1.5, 1.0]]))
     geo2 = type(geo)(grid=geo.grid, sites=geo.sites, system=geo.system,
                      amenity=geo.amenity, trade=t)
-    with pytest.raises(NonMetricTradeCosts):
-        existence_margins(geo2, PARAMS, use_sharper_trade_bound=True)
-    # without the sharper bound the environment rate is extracted instead
+    # explicit costs: the environment rate is extracted from the matrix
     report = existence_margins(geo2, PARAMS, eta_hat=0.0)
     assert report.trade_decay_rate == pytest.approx(math.log(1.5) / 0.4, rel=1e-12)
 
@@ -159,10 +156,7 @@ def test_sharper_bound_requires_metric_trade():
 def test_metric_fallback_rate_equals_tau():
     geo = make_geography(SYM2, tau=0.7)
     a = existence_margins(geo, PARAMS, eta_hat=0.0)
-    b = existence_margins(geo, PARAMS, eta_hat=0.0, use_sharper_trade_bound=True)
     assert a.trade_decay_rate == pytest.approx(0.7)
-    assert np.allclose(a.margins[~np.isnan(a.margins)],
-                       b.margins[~np.isnan(b.margins)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -221,18 +215,18 @@ def test_margins_increase_with_separation():
     near = make_geography(((0.4, 0.5), (0.6, 0.5)), tau=0.1)
     far = make_geography(((0.1, 0.5), (0.9, 0.5)), tau=0.1)
     p = ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=8.0)
-    rn = separation_report(near, p)
-    rf = separation_report(far, p)
-    assert rn.hypothesis_holds and rf.hypothesis_holds
-    assert rf.d_min > rn.d_min
-    assert rf.existence.min_margin > rn.existence.min_margin
+    rn = existence_margins(near, p)
+    rf = existence_margins(far, p)
+    assert rn.precondition_holds and rf.precondition_holds
+    assert (pairwise_metrics(far.sites, far.system)[1]
+            > pairwise_metrics(near.sites, near.system)[1])
+    assert rf.min_margin > rn.min_margin
 
 
 def test_separation_report_flags_never_satisfiable():
     geo = make_geography(SYM2, tau=4.0)
     p = ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=0.1)
-    report = separation_report(geo, p)
-    assert report.never_satisfiable
+    assert not existence_margins(geo, p).precondition_holds
 
 
 # ---------------------------------------------------------------------------

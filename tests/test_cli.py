@@ -703,6 +703,17 @@ def test_threads_flag_validation_and_echo(tmp_path, capsys):
                      "--threads", "-1"]) == 1
 
 
+def test_render_takes_no_threads_flag(tmp_path, capsys):
+    # render loads no config, so a --threads value would have nothing to set
+    assert cli.main(["render", "--input", str(tmp_path),
+                     "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    for command in ("solve", "classify", "sweep", "enumerate"):
+        args = cli.build_parser().parse_args(
+            [command, "--config", "run.yaml", "--threads", "2"])
+        assert args.threads == 2
+
+
 def test_knife_edge_params_route_to_all_sites_solver(tmp_path):
     text = MINIMAL.replace("sigma: 9.0", "sigma: 5.0") \
                   .replace("alpha: 0.2", "alpha: 0.25") \

@@ -1,9 +1,11 @@
 """The package's import path stays free of SciPy (a cold-start cost) and of
 multiprocessing (loaded only when enumerate starts workers), its source
 makes no BLAS or LAPACK call (a first one raises peak RSS, and a forked
-worker must not touch OpenBLAS's threads), and a forked enumerate prints
-what the parent prints, once."""
+worker must not touch OpenBLAS's threads), it carries no public name or
+import that nothing uses, and a forked enumerate prints what the parent
+prints, once."""
 
+import ast
 import os
 import re
 import subprocess
@@ -37,6 +39,41 @@ def test_package_source_makes_no_blas_or_lapack_call():
             for number, line in enumerate(path.read_text().splitlines(), 1)
             if BLAS_CALL.search(line.split("#")[0])]
     assert hits == []
+
+
+def _names(tree):
+    """Names the code reads: Name ids and attribute names, not strings."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_and_import_has_a_use():
+    package = {path.name: ast.parse(path.read_text())
+               for path in sorted((SRC / "hinterland").glob("*.py"))}
+    bench = [ast.parse(path.read_text())
+             for path in sorted((SRC.parent / "bench").glob("*.py"))]
+    tour = (SRC.parent / "README.md").read_text() \
+        .split("## Library tour")[1].split("\n\n")[1]
+    used = set().union(*map(_names, [*package.values(), *bench]),
+                       re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", tour))))
+    unused = [f"{name}: {node.name}" for name, tree in package.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    for name, tree in package.items():
+        exported = set().union(*(ast.literal_eval(node.value) for node in tree.body
+                                 if isinstance(node, ast.Assign)
+                                 and [getattr(t, "id", None) for t in node.targets]
+                                 == ["__all__"]))
+        unused += [f"{name}: import {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0])
+                   not in _names(tree) | exported]
+    assert unused == []
 
 
 ENUMERATE_CONFIG = """\

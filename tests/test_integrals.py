@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     brute_labels,
     disk_quadrature,
+    disk_kernel_integral,
+    inscribed_radius,
     loop_amenity_integral,
     loop_cell_integral,
     loop_interface_edges,
@@ -34,9 +36,6 @@ from hinterland.integrals import (
     SemielasticityBound,
     _logsumexp,
     aggregate_amenities,
-    amenity_semielasticity,
-    disk_kernel_integral,
-    inscribed_radius,
     resident_density,
     semielasticity_matrix,
     semielasticity_sup,
@@ -297,8 +296,7 @@ def test_semielasticity_matches_central_differences(w):
     grid, sites, amen, kern = two_site_setup(n=256)
     w = np.asarray(w)
     tess = assign_labels(grid, sites, EUCLID, w)
-    agg = aggregate_amenities(tess, amen, kern)
-    eta = amenity_semielasticity(tess, amen, kern, 0, 1, aggregates=agg)
+    eta = semielasticity_matrix(tess, amen, kern)[0][0, 1]
     h = 5.0 * grid.dx  # sweep a band ~10 cells wide so flip noise averages out
     wp, wm = w.copy(), w.copy()
     wp[1] += h
@@ -313,9 +311,8 @@ def test_semielasticity_matches_central_differences(w):
 def test_semielasticity_own_weight_is_neighbor_sum():
     grid, sites, amen, kern = two_site_setup(n=128)
     tess = assign_labels(grid, sites, EUCLID, [0.0, 0.0])
-    agg = aggregate_amenities(tess, amen, kern)
-    own = amenity_semielasticity(tess, amen, kern, 0, 0, aggregates=agg)
-    cross = amenity_semielasticity(tess, amen, kern, 0, 1, aggregates=agg)
+    eta, _ = semielasticity_matrix(tess, amen, kern)
+    own, cross = eta[0, 0], eta[0, 1]
     assert own == pytest.approx(cross, rel=1e-12)  # single neighbor
     # and it tracks the own-weight derivative (cell grows: log B rises)
     h = 5.0 * grid.dx
@@ -332,8 +329,7 @@ def test_semielasticity_nonadjacent_pair_is_exact_zero():
     kern = KernelSpec(beta_eff=-0.4, distance_coeff=1.0)
     tess = assign_labels(grid, sites, EUCLID, [0.0, 0.0, 0.0])
     assert 2 not in tess.neighbors[0]
-    agg = aggregate_amenities(tess, amen, kern)
-    assert amenity_semielasticity(tess, amen, kern, 0, 2, aggregates=agg) == 0.0
+    assert semielasticity_matrix(tess, amen, kern)[0][0, 2] == 0.0
 
 
 def test_semielasticity_symmetric_pair_agrees():
@@ -342,20 +338,16 @@ def test_semielasticity_symmetric_pair_agrees():
     amen = amenity_from_function(grid, lambda x, y: np.ones_like(x))
     kern = KernelSpec(beta_eff=-0.5, distance_coeff=2.0)
     tess = assign_labels(grid, sites, EUCLID, [0.0, 0.0])
-    agg = aggregate_amenities(tess, amen, kern)
-    e01 = amenity_semielasticity(tess, amen, kern, 0, 1, aggregates=agg)
-    e10 = amenity_semielasticity(tess, amen, kern, 1, 0, aggregates=agg)
-    assert e01 == pytest.approx(e10, rel=1e-10)
+    eta, _ = semielasticity_matrix(tess, amen, kern)
+    assert eta[0, 1] == pytest.approx(eta[1, 0], rel=1e-10)
 
 
 def test_semielasticity_counts_degenerate_edges():
     grid, sites, amen, kern = two_site_setup(n=64)
     tess = assign_labels(grid, sites, EUCLID, [0.0, 0.0])
-    agg = aggregate_amenities(tess, amen, kern)
-    diag = {}
-    amenity_semielasticity(tess, amen, kern, 0, 1, aggregates=agg, diagnostics=diag)
+    _, skipped = semielasticity_matrix(tess, amen, kern)
     # Euclidean gradients of distinct sites never align on their bisector
-    assert diag["skipped_edges"] == 0
+    assert skipped[0, 1] == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -374,7 +366,7 @@ def test_semielasticity_matrix_matches_edge_loop(n, scaled, seed):
     tess = assign_labels(grid, sites, system, rng.uniform(-0.05, 0.05, n))
     agg = aggregate_amenities(tess, amen, kern)
 
-    eta, skipped = semielasticity_matrix(tess, amen, kern, agg)
+    eta, skipped = semielasticity_matrix(tess, amen, kern)
     ref, ref_skipped = loop_semielasticity(tess, amen, kern, agg,
                                            integrals.DEGENERATE_NORMAL_CUTOFF)
     np.testing.assert_allclose(eta, ref, rtol=1e-12, atol=0)
@@ -402,7 +394,6 @@ def test_semielasticity_sup_single_site_is_zero():
     geo = _simple_geography(delta_positions=((0.5, 0.5),))
     bound = semielasticity_sup(geo, KernelSpec(-0.4, 1.0))
     assert bound.value == 0.0
-    assert not bound.certified
 
 
 def test_semielasticity_sup_one_sample_is_unweighted_max():
@@ -410,10 +401,8 @@ def test_semielasticity_sup_one_sample_is_unweighted_max():
     kern = KernelSpec(-0.4, 1.0)
     bound = semielasticity_sup(geo, kern, n_samples=1, seed=7)
     tess = assign_labels(geo.grid, geo.sites, EUCLID, np.zeros(2))
-    agg = aggregate_amenities(tess, geo.amenity, kern)
-    expected = max(
-        amenity_semielasticity(tess, geo.amenity, kern, i, k, aggregates=agg)
-        for i in range(2) for k in tess.neighbors[i])
+    eta, _ = semielasticity_matrix(tess, geo.amenity, kern)
+    expected = max(float(eta[i, k]) for i in range(2) for k in tess.neighbors[i])
     assert bound.value == expected
     assert bound.n_weight_vectors == 1
 
@@ -441,19 +430,20 @@ def test_semielasticity_skips_every_edge_under_an_infinite_cutoff(monkeypatch):
     geo = _simple_geography(delta_positions=((0.2, 0.3), (0.8, 0.6), (0.4, 0.9)))
     kern = KernelSpec(-0.4, 1.0)
     tess = assign_labels(geo.grid, geo.sites, EUCLID, np.zeros(3))
-    agg = aggregate_amenities(tess, geo.amenity, kern)
     edges = np.zeros((3, 3), dtype=int)
     for (iy, ix), (jy, jx) in loop_interface_edges(tess.labels):
         i, k = tess.labels[iy, ix], tess.labels[jy, jx]
         edges[i, k] += 1
         edges[k, i] += 1
     assert (edges[~np.eye(3, dtype=bool)] > 0).all()
+    eta, skipped = semielasticity_matrix(tess, geo.amenity, kern)
     for i in range(3):
         for k in range(3):
-            diag = {}
-            assert amenity_semielasticity(tess, geo.amenity, kern, i, k,
-                                          aggregates=agg, diagnostics=diag) == 0.0
-            assert diag["skipped_edges"] == (edges[i].sum() if i == k else edges[i, k])
+            assert eta[i, k] == 0.0
+            if i == k:   # the own weight moves every edge of i's cell
+                assert skipped[i].sum() == edges[i].sum()
+            else:
+                assert skipped[i, k] == edges[i, k]
     bound = semielasticity_sup(geo, kern, n_samples=1)
     assert bound.value == 0.0
     assert bound.skipped_edges == edges.sum()  # every edge once per ordered pair

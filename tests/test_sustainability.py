@@ -3,11 +3,10 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from helpers import loop_deviation_margins, loop_potential_weight
+from helpers import bracket_threshold, loop_deviation_margins, loop_potential_weight
 
 from hinterland import fields, sustainability
 from hinterland.analysis import (
-    bracket_threshold,
     existence_margins,
     multistart_probe,
     regime_classify,

@@ -96,8 +96,7 @@ def _solver_echo(config: RunConfig) -> dict:
     opts = config.solver.options
     return {"damping": opts.damping, "tol": opts.tol,
             "max_iter": opts.max_iter, "k_shrink": opts.k_shrink,
-            "anchor": opts.anchor, "seed": config.solver.seed,
-            "threads": config.threads}
+            "seed": config.solver.seed, "threads": config.threads}
 
 
 def _is_knife_edge(params: ModelParams) -> bool:
@@ -129,7 +128,6 @@ def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict
         "market_iterations": solution.market_iterations,
         "converged": solution.converged,
         "exited_feasible": solution.exited_feasible,
-        "anchor_id": solution.anchor_id,
         "variant": solution.variant_kind,
         "params": _params_echo(config.params),
         "solver": _solver_echo(config),
@@ -308,6 +306,9 @@ def _read_site_rows(path: Path):
 
 
 def cmd_render(args) -> int:
+    if args.width < 1:
+        raise ConfigError("hinterland render",
+                          f"--width must be >= 1, got {args.width}")
     source = Path(args.input)
     out = _out_dir(args)
     if source.is_dir():

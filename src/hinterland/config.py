@@ -35,7 +35,7 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
       alpha: a                  # [r]
       beta: b                   # [r] < 0 unless two_sector
       delta: d                  # [r] > 0
-      tau: t                    # (0.0)
+      tau: t                    # (0.0); non-zero only for home_consumption
       total_labor: L            # (1.0)
       variant:                  # (baseline)
         kind: baseline | home_consumption | two_sector
@@ -47,14 +47,13 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
       max_iter: n               # (2000)
       k_shrink: v               # (0.5)
       seed: n                   # (0)
-      anchor: site_id | null    # (first active site)
     solve:
       active_sites: [ids] | null   # (null = all sites)
     sweep:
       kind: alpha_beta | alpha_sigma   # (alpha_beta)
       alphas: {start, stop, count} | [values]   # (0..0.6, 61)
-      betas:  {start, stop, count} | [values]   # (-0.6..0, 61)
-      sigmas: {start, stop, count} | [values]   # (2..12, 51)
+      betas:  {start, stop, count} | [values]   # alpha_beta (-0.6..0, 61)
+      sigmas: {start, stop, count} | [values]   # alpha_sigma (2..12, 51)
       sigma: s                  # fixed sigma for alpha_beta (9.0)
       beta: b                   # fixed beta for alpha_sigma (-0.3)
     enumerate:
@@ -479,13 +478,9 @@ def _build_solver(section):
     k_shrink = section.take_float("k_shrink", SolverOptions.k_shrink,
                                   minimum=0.0, exclusive=True, maximum=1.0)
     seed = section.take_int("seed", 0, minimum=0)
-    anchor = section.take_value("anchor", SolverOptions.anchor)
-    if anchor is not None and not _is_int(anchor):
-        section.error(f"'anchor' must be a site id or null, got {anchor!r}",
-                      "anchor")
     section.finish()
     options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter,
-                            k_shrink=k_shrink, anchor=anchor)
+                            k_shrink=k_shrink)
     return SolverConfig(options=options, seed=seed)
 
 
@@ -509,6 +504,9 @@ def _axis(section, key):
 def _build_sweep(section):
     kind = section.take_str("kind", "alpha_beta",
                             choices=("alpha_beta", "alpha_sigma"))
+    other = "sigmas" if kind == "alpha_beta" else "betas"
+    if section.has(other):
+        section.error(f"'{other}' does not apply to the {kind} sweep", other)
     alphas = _axis(section, "alphas")
     betas = _axis(section, "betas")
     sigmas = _axis(section, "sigmas")
@@ -576,21 +574,12 @@ def parse_config(text: str, source: str = "<config>",
     if root.has("params"):
         params = _build_params(root.take_section("params"))
 
-    solver_sec = root.take_section("solver")
-    solver = _build_solver(solver_sec)
+    solver = _build_solver(root.take_section("solver"))
     active = _build_active_sites(root.take_section("solve"), geography)
     sweep = _build_sweep(root.take_section("sweep"))
     enum_cfg = _build_enumerate(root.take_section("enumerate"))
     threads = root.take_int("threads", 0, minimum=0)
     root.finish()
-
-    ids = active if active is not None else (
-        None if geography is None else [site.id for site in geography.sites])
-    if ids is not None and solver.options.anchor not in (None, *ids):
-        which = "solve.active_sites" if active is not None else "the site ids"
-        solver_sec.error(f"solver.anchor {solver.options.anchor} "
-                         f"is not in {which}", "anchor")
-
     return RunConfig(source=source, geography=geography, params=params,
                      solver=solver, active_sites=active, sweep=sweep,
                      enumerate=enum_cfg, threads=threads)

@@ -88,9 +88,12 @@ class ModelParams:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
+        kind = self.variant.kind
+        if self.tau != 0 and kind != "home_consumption":
+            raise ValueError(f"tau applies only to the home_consumption "
+                             f"variant, got {self.tau} under {kind}")
         if not self.total_labor > 0:
             raise ValueError(f"total_labor must be > 0, got {self.total_labor}")
-        kind = self.variant.kind
         if kind in ("baseline", "home_consumption") and not self.beta < 0:
             raise ValueError(f"beta must be < 0, got {self.beta}")
         if kind == "two_sector":
@@ -145,7 +148,7 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
     """Resolve the model variant into effective kernel and recovery constants."""
     v = params.variant
     if v.kind in ("baseline", "home_consumption"):
-        decay = params.delta + (params.tau if v.kind == "home_consumption" else 0.0)
+        decay = params.delta + params.tau   # tau is 0 unless home_consumption
         return EffectiveSystem(
             kernel=KernelSpec(beta_eff=params.beta, distance_coeff=decay),
             beta_eff=params.beta, weight_decay=decay,
@@ -364,7 +367,7 @@ class SolverOptions:
     max_iter: int = 2000
     k_shrink: float = 0.5
     weights_init: np.ndarray | None = None   # original-variable differences
-    anchor: int | None = None                # site id; default: first of Y*
+    # fixed_point_solve pins the first site of y_star at zero (the anchor)
 
 
 @dataclass(frozen=True)
@@ -388,7 +391,6 @@ class EquilibriumSolution:
     market_iterations: int
     converged: bool
     exited_feasible: bool
-    anchor_id: int
     variant_kind: str
     tessellation: Tessellation
     aggregates: CellAggregates
@@ -405,7 +407,6 @@ class EquilibriumSolution:
 def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
                       params: ModelParams, tess: Tessellation,
                       agg: CellAggregates, *, iterations, exited_feasible,
-                      anchor_pos: int,
                       transformed_residual: float) -> EquilibriumSolution:
     """Lift a fixed point of the anchored map back to original variables."""
     eff = comp.effective
@@ -459,7 +460,6 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
         residuals=residuals, iterations=iterations,
         market_iterations=market.iterations, converged=True,
         exited_feasible=exited_feasible,
-        anchor_id=geography.sites[anchor_pos].id,
         variant_kind=eff.variant_kind, tessellation=tess, aggregates=agg)
 
 
@@ -507,15 +507,15 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
                       ) -> EquilibriumSolution:
     """Solve the weight system restricted to the active set ``y_star``.
 
-    ``_iterate`` mixes the anchored map G(λ̃) = g(λ̃) − g_anchor(λ̃) with
-    weight ``options.damping`` until max|G(λ̃) − λ̃| < tol; then the
-    normalization constant, welfare, labor masses, and the market block are
-    recovered. A damped step that empties a cell triggers one reprojection
-    onto the shrunk feasible set; a second exit aborts.
+    The anchor is the first site of ``y_star`` (of all sites when None):
+    ``_iterate`` mixes the anchored map G(λ̃) = g(λ̃) − g_0(λ̃) with weight
+    ``options.damping`` until max|G(λ̃) − λ̃| < tol; then the normalization
+    constant, welfare, labor masses, and the market block are recovered. A
+    damped step that empties a cell triggers one reprojection onto the
+    shrunk feasible set; a second exit aborts.
     """
     sub = subset_geography(geography, y_star)
     comp = composite_params(params, sub.productivities, sub.trade)
-    i0 = 0 if options.anchor is None else sub.positions_of([options.anchor])[0]
 
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(sub.n_sites), dtype=float)
@@ -529,21 +529,21 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
 
     def evaluate(x):
         g, tess, agg = transformed_weight_map(x, comp, sub, band=band)
-        return g - g[i0], g, tess, agg
+        return g - g[0], g, tess, agg
 
     lam_t, (_, g, tess, agg), _, iterations, exits = _iterate(
-        evaluate, (w0 - w0[i0]) * (comp.weight_scale * comp.gamma1),
+        evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
         options.damping, options.tol, options.max_iter, "weights",
-        project=lambda x: np.where(np.arange(len(x)) == i0, 0.0, x),  # zero the anchor
+        project=lambda x: np.concatenate(([0.0], x[1:])),  # zero the anchor
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
-    c = g[i0] / denom
+    c = g[0] / denom
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
 
     return _recover_solution(
         lam_t_abs, comp, sub, params, tess, agg,
         iterations=iterations, exited_feasible=exits > 0,
-        anchor_pos=i0, transformed_residual=residual)
+        transformed_residual=residual)
 
 
 def solve_knife_edge_system(geography: Geography, params: ModelParams,
@@ -577,7 +577,7 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     return _recover_solution(
         lam_t, comp, geography, params, tess, agg,
         iterations=iterations, exited_feasible=False,
-        anchor_pos=0, transformed_residual=residual)
+        transformed_residual=residual)
 
 
 # ---------------------------------------------------------------------------

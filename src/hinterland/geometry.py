@@ -250,7 +250,6 @@ class Tessellation:
     grid: DomainGrid
     sites: tuple[Site, ...]
     system: DistanceSystem
-    weights: np.ndarray          # (n,)
     labels: np.ndarray           # int32 (ny, nx), OUTSIDE for cells not in the domain
     cell_measure: np.ndarray     # (n,)
     own_distance: np.ndarray = field(repr=False)  # (n_inside,)
@@ -355,9 +354,8 @@ def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
 
     labels.setflags(write=False)
     own_distance.setflags(write=False)
-    return Tessellation(grid=grid, sites=sites, system=system, weights=weights,
-                        labels=labels, cell_measure=cell_measure,
-                        own_distance=own_distance)
+    return Tessellation(grid=grid, sites=sites, system=system, labels=labels,
+                        cell_measure=cell_measure, own_distance=own_distance)
 
 
 @dataclass(frozen=True)

@@ -221,8 +221,8 @@ class NarrowBand:
             raster.setflags(write=False)
         grid, n = ref.grid, len(d)
         tess = Tessellation(
-            grid=grid, sites=ref.sites, system=ref.system, weights=weights,
-            labels=ref.labels, own_distance=ref.own_distance,
+            grid=grid, sites=ref.sites, system=ref.system, labels=ref.labels,
+            own_distance=ref.own_distance,
             cell_measure=(counts + np.bincount(labels, minlength=n)) * grid.cell_area)
         log_raw = _group_log_sum(
             np.concatenate([sites, labels]),

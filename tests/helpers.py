@@ -291,16 +291,15 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
 
 def damped_fixed_point_solve(geography, params, y_star=None,
                              options=SolverOptions()):
-    """The damped anchored weight loop: an ``EquilibriumSolution``."""
+    """The damped weight loop, anchored at the first site of ``y_star``:
+    an ``EquilibriumSolution``."""
     ids = tuple(y_star) if y_star is not None else tuple(s.id for s in geography.sites)
     sub = subset_geography(geography, ids)
     comp = composite_params(params, sub.productivities, sub.trade)
-    anchor_id = options.anchor if options.anchor is not None else ids[0]
-    i0 = ids.index(anchor_id)
     scale = comp.weight_scale * comp.gamma1
     if options.weights_init is not None:
         w0 = np.asarray(options.weights_init, dtype=float)
-        lam_t = (w0 - w0[i0]) * scale
+        lam_t = (w0 - w0[0]) * scale
     else:
         lam_t = np.zeros(len(ids))
     exits = 0
@@ -315,9 +314,9 @@ def damped_fixed_point_solve(geography, params, y_star=None,
                     f"weights left the feasible set twice (iteration {iteration})")
             lam_t = _reproject(lam_t, comp, sub, options.k_shrink)
             continue
-        g_hat = g - g[i0]
+        g_hat = g - g[0]
         new = (1.0 - theta) * lam_t + theta * g_hat
-        new[i0] = 0.0
+        new[0] = 0.0
         step = float(np.abs(new - lam_t).max())
         lam_t = new
         if step < options.tol:
@@ -325,13 +324,12 @@ def damped_fixed_point_solve(geography, params, y_star=None,
     else:
         raise NotConverged("weights", options.max_iter, step)
     g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
-    c = g[i0] / (1.0 - comp.gamma_ratio)
+    c = g[0] / (1.0 - comp.gamma_ratio)
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
     return _recover_solution(
         lam_t_abs, comp, sub, params, tess, agg, iterations=iteration,
-        exited_feasible=exits > 0, anchor_pos=i0,
-        transformed_residual=residual)
+        exited_feasible=exits > 0, transformed_residual=residual)
 
 
 def damped_knife_edge_solve(geography, params, options=SolverOptions()):
@@ -359,8 +357,7 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
         lam_t, comp, geography, params, tess, agg, iterations=iteration,
-        exited_feasible=False, anchor_pos=0,
-        transformed_residual=residual)
+        exited_feasible=False, transformed_residual=residual)
 
 
 def loop_reproject_scale(lam, geography, k_shrink):

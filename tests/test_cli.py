@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hinterland import cli
 from hinterland.config import load_config, parse_config
@@ -244,9 +245,27 @@ def test_active_sites_validation():
         parse_config(MINIMAL + "solve:\n  active_sites: [0, 7]\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(MINIMAL + "solve:\n  active_sites: [0, 0]\n")
-    with pytest.raises(ConfigError, match="anchor 0 is not"):
-        parse_config(MINIMAL + "solve:\n  active_sites: [1]\n"
-                               "solver:\n  anchor: 0\n")
+
+
+def test_solver_anchor_is_an_unknown_key(tmp_path):
+    # the anchored solve pins the first site of its active set
+    text = MINIMAL + "solver:\n  damping: 0.5\n  anchor: 0\n"
+    with pytest.raises(ConfigError, match=r"<config>:16: unknown key "
+                                          r"'solver.anchor'"):
+        parse_config(text)
+    assert cli.main(["solve", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "out")]) == 1
+
+
+def test_tau_outside_home_consumption_is_reported_at_params():
+    text = MINIMAL.replace("  delta: 2.0\n", "  delta: 2.0\n  tau: 0.9\n")
+    with pytest.raises(ConfigError, match="tau applies only to the "
+                                          "home_consumption variant, got 0.9 "
+                                          "under baseline") as exc:
+        parse_config(text)
+    assert exc.value.path == "<config>:10"
+    home = parse_config(text + "  variant: {kind: home_consumption}\n")
+    assert home.params.tau == 0.9
 
 
 def test_sweep_axes_accept_lists_and_ranges():
@@ -262,15 +281,14 @@ def test_sweep_axes_accept_lists_and_ranges():
         parse_config("sweep:\n  alphas: [0.1]\n")
 
 
-def test_anchor_must_be_a_site_id_without_active_sites():
-    with pytest.raises(ConfigError, match="solver.anchor 9 is not in the "
-                                          "site ids") as exc:
-        parse_config(MINIMAL + "solver:\n  damping: 0.5\n  anchor: 9\n")
-    assert exc.value.path == "<config>:16"
-    assert parse_config(MINIMAL + "solver:\n  anchor: 1\n") \
-        .solver.options.anchor == 1
-    # without a geography there are no ids to check against
-    assert parse_config("solver:\n  anchor: 9\n").solver.options.anchor == 9
+@pytest.mark.parametrize("kind, axis", [("alpha_beta", "sigmas"),
+                                        ("alpha_sigma", "betas")])
+def test_sweep_rejects_the_other_kinds_axis_at_its_line(kind, axis):
+    text = f"sweep:\n  kind: {kind}\n  {axis}: [2.0, 3.0]\n"
+    with pytest.raises(ConfigError, match=f"'{axis}' does not apply to the "
+                                          f"{kind} sweep") as exc:
+        parse_config(text)
+    assert exc.value.path == "<config>:3"
 
 
 @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
@@ -306,7 +324,7 @@ DEFAULT_BLOCKS = {
     "amenity": ("geography:\n", "{kind: uniform, value: 1.0}"),
     "variant": ("params:\n", "{kind: baseline}"),
     "solver": ("", "{damping: 0.5, tol: 1.0e-12, max_iter: 2000, "
-                   "k_shrink: 0.5, seed: 0, anchor: null}"),
+                   "k_shrink: 0.5, seed: 0}"),
     "solve": ("", "{active_sites: null}"),
     "sweep": ("", "{kind: alpha_beta, sigma: 9.0, beta: -0.3}"),
     "enumerate": ("", "{sizes: [2], max_subsets: 256}"),
@@ -402,11 +420,6 @@ def test_domain_and_amenity_errors_are_reported_at_their_block(
 
 
 def test_cross_block_and_site_errors_keep_their_line():
-    # the anchor check runs after both blocks and reports the anchor line
-    with pytest.raises(ConfigError, match="anchor 0 is not") as exc:
-        parse_config(MINIMAL + "solve:\n  active_sites: [1]\n"
-                               "solver:\n  damping: 0.5\n  anchor: 0\n")
-    assert exc.value.path == "<config>:18"
     # a second site at the first one's position fails at its own line
     same = MINIMAL.replace("[0.7, 0.5]", "[0.3, 0.5]")
     with pytest.raises(ConfigError, match=r"sites 0 and 1 share position "
@@ -701,6 +714,27 @@ def test_threads_flag_validation_and_echo(tmp_path, capsys):
     assert read_json(out / "solution.json")["solver"]["threads"] == 2
     assert cli.main(["solve", "--config", str(config), "--out", str(out),
                      "--threads", "-1"]) == 1
+
+
+@pytest.mark.parametrize("width", ["0", "-50"])
+def test_render_width_below_one_is_a_usage_error(tmp_path, capsys, width):
+    write_label_raster(tmp_path / "labels.pgm",
+                       np.zeros((4, 4), dtype=np.int32), (0.0, 0.0, 1.0, 1.0))
+    render = tmp_path / "render"
+    assert cli.main(["render", "--input", str(tmp_path / "labels.pgm"),
+                     "--out", str(render), "--width", width]) == 1
+    assert f"--width must be >= 1, got {width}" in capsys.readouterr().err
+    assert not (render / "render.svg").exists()
+
+
+def test_solver_echo_has_the_solver_schema_keys(tmp_path):
+    schema = yaml.safe_load(DEFAULT_BLOCKS["solver"][1])
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+    echo = read_json(out / "solution.json")["solver"]
+    assert sorted(echo) == sorted([*schema, "threads"])
+    assert {key: echo[key] for key in schema} == schema
 
 
 def test_render_takes_no_threads_flag(tmp_path, capsys):

@@ -190,6 +190,21 @@ def test_model_params_validation():
                     variant=TwoSector(mu=0.5, beta=0.2))
 
 
+def test_tau_applies_only_to_home_consumption():
+    # only home consumption adds tau to the distance decay; elsewhere a
+    # non-zero tau would be accepted and then ignored
+    for variant in (Baseline(), TwoSector(mu=0.5, beta=-0.2)):
+        with pytest.raises(ValueError, match="tau applies only to the "
+                                             "home_consumption variant"):
+            ModelParams(sigma=5.0, alpha=0.1, beta=-0.3, delta=1.0, tau=0.9,
+                        variant=variant)
+        assert ModelParams(sigma=5.0, alpha=0.1, beta=-0.3, delta=1.0,
+                           tau=0.0, variant=variant).tau == 0.0
+    home = ModelParams(sigma=5.0, alpha=0.1, beta=-0.3, delta=1.0, tau=0.9,
+                       variant=HomeConsumption())
+    assert variant_transform(home).weight_decay == pytest.approx(1.9)
+
+
 # ---------------------------------------------------------------------------
 # transformed map
 
@@ -324,12 +339,15 @@ def test_more_productive_site_attracts_more_labor():
 
 
 def test_anchor_choice_does_not_move_solution():
+    # the anchor is the first site of y_star, so reordering it moves the anchor
     geo = make_geography(SYM2, productivities=[1.0, 1.1])
-    a = fixed_point_solve(geo, PARAMS, options=SolverOptions(anchor=0))
-    b = fixed_point_solve(geo, PARAMS, options=SolverOptions(anchor=1))
-    assert np.allclose(a.weights, b.weights, atol=1e-8)
+    a = fixed_point_solve(geo, PARAMS, y_star=[0, 1])
+    b = fixed_point_solve(geo, PARAMS, y_star=[1, 0])
+    assert b.site_ids == (1, 0)
+    same_site = [b.site_ids.index(i) for i in a.site_ids]
+    assert np.allclose(a.weights, b.weights[same_site], atol=1e-8)
     assert a.welfare == pytest.approx(b.welfare, rel=1e-8)
-    assert np.allclose(a.labor, b.labor, rtol=1e-8)
+    assert np.allclose(a.labor, b.labor[same_site], rtol=1e-8)
 
 
 def test_warm_start_reaches_same_fixed_point():

@@ -104,10 +104,6 @@ def test_unknown_ids_for_potential_weight_and_anchor():
     sol = fixed_point_solve(geo, KNIFE, y_star=[0, 1])
     with pytest.raises(ValueError, match="unknown site id 7"):
         potential_weight(sol, geo, KNIFE, 7)
-    # the anchor must be a site of the active set
-    with pytest.raises(ValueError, match="unknown site id 2"):
-        fixed_point_solve(geo, KNIFE, y_star=[0, 1],
-                          options=SolverOptions(anchor=2))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .equilibrium import (
     subset_geography,
     variant_transform,
 )
-from .errors import HinterlandError
+from .errors import HinterlandError, InvalidInput
 from .fields import Geography
 from .geometry import assign_labels, pairwise_metrics, sample_feasible_weights
 from .integrals import aggregate_amenities, semielasticity_sup
@@ -89,9 +89,9 @@ def uniqueness_condition(comp: CompositeParams, n_star: int,
     eta_hat) a unique labor distribution on the active set.
     """
     if n_star < 1:
-        raise ValueError(f"n_star must be >= 1, got {n_star}")
+        raise InvalidInput(f"n_star must be >= 1, got {n_star}")
     if eta_hat < 0:
-        raise ValueError(f"eta_hat must be >= 0, got {eta_hat}")
+        raise InvalidInput(f"eta_hat must be >= 0, got {eta_hat}")
     lhs = abs(comp.gamma_ratio) + comp.sigma_tilde * (
         2.0 * (n_star - 1) * abs(comp.phi1)
         + (2.0 * n_star - 1) * abs(comp.phi2)) * eta_hat
@@ -236,9 +236,9 @@ def parameter_sweep(kind: str = "alpha_beta",
         fixed = {"beta": float(beta)}
         points = [(a, beta, s) for s in ys for a in alphas]
     else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
+        raise InvalidInput(f"unknown sweep kind {kind!r}")
     if alphas.size < 2 or ys.size < 2:
-        raise ValueError("sweep needs at least 2 points per axis")
+        raise InvalidInput("sweep needs at least 2 points per axis")
 
     reports = tuple(classify_point(a, b, s) for (a, b, s) in points)
     category = np.array([_category_index(r) for r in reports],
@@ -304,7 +304,7 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     CLUSTER_TOL; a single cluster is evidence (not proof) of uniqueness.
     """
     if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+        raise InvalidInput("n_starts must be >= 1")
     sub = subset_geography(geography, y_star)
     if sub.n_sites == 1:
         starts = [np.zeros(1) for _ in range(n_starts)]

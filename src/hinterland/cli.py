@@ -3,7 +3,8 @@
 Exit codes (fixed for scripting; warnings never change them):
 
 * 0 — success
-* 1 — configuration or input error (schema violation, bad flag, bad data)
+* 1 — configuration or input error (schema violation, bad flag, bad data;
+  any ``InvalidInput`` a library check raises)
 * 2 — an iterative solver hit its iteration cap (partial diagnostics are
   still written for ``solve``)
 * 3 — the weight iterate left the feasible set and could not re-enter
@@ -196,15 +197,7 @@ def cmd_solve(args) -> int:
 
 def cmd_classify(args) -> int:
     config = _load(args)
-    report = regime_classify(config.require_params())
-    fields = {
-        "alpha": report.alpha, "beta": report.beta, "sigma": report.sigma,
-        "alpha_cutoff": report.alpha_cutoff,
-        "location_multiplicity": report.location_multiplicity,
-        "gamma_ratio": report.gamma_ratio,
-        "labor_uniqueness": report.labor_uniqueness,
-        "reconciliation": report.reconciliation,
-    }
+    fields = dataclasses.asdict(regime_classify(config.require_params()))
     for key, value in fields.items():
         if isinstance(value, bool):
             value = str(value).lower()
@@ -299,9 +292,13 @@ def cmd_enumerate(args) -> int:
 def _read_site_rows(path: Path):
     positions, labor = [], []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            positions.append((float(row["x"]), float(row["y"])))
-            labor.append(float(row["labor"]))
+        try:
+            for row in csv.DictReader(fh):
+                positions.append((float(row["x"]), float(row["y"])))
+                labor.append(float(row["labor"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(str(path), "every row needs numeric x, y and "
+                                         "labor columns") from exc
     return positions, np.asarray(labor)
 
 

@@ -3,7 +3,10 @@
 A run configuration is a single YAML document (nested sections, ``#``
 comments allowed).  Every key is validated against the schema below before
 any computation starts; unknown keys are rejected, and every schema error
-carries the ``file:line`` of the offending entry.
+carries the ``file:line`` of the offending entry.  A rule that the library
+already enforces (site productivity, distance scales, trade entries, model
+parameters, site ids) is not repeated here: its ``InvalidInput`` is reported
+at the key that holds the value.
 
 Schema (defaults in parentheses; [r] = required when the block is present)::
 
@@ -45,7 +48,7 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
       damping: v                # (0.5)
       tol: v                    # (1e-12)
       max_iter: n               # (2000)
-      k_shrink: v               # (0.5)
+      k_shrink: v               # (0.5); in (0, 1)
       seed: n                   # (0)
     solve:
       active_sites: [ids] | null   # (null = all sites)
@@ -53,9 +56,9 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
       kind: alpha_beta | alpha_sigma   # (alpha_beta)
       alphas: {start, stop, count} | [values]   # (0..0.6, 61)
       betas:  {start, stop, count} | [values]   # alpha_beta (-0.6..0, 61)
-      sigmas: {start, stop, count} | [values]   # alpha_sigma (2..12, 51)
-      sigma: s                  # fixed sigma for alpha_beta (9.0)
-      beta: b                   # fixed beta for alpha_sigma (-0.3)
+      sigmas: {start, stop, count} | [values]   # alpha_sigma (2..12, 51); > 1
+      sigma: s                  # alpha_beta: fixed sigma (9.0); > 1
+      beta: b                   # alpha_sigma: fixed beta (-0.3)
     enumerate:
       sizes: [k, ...]           # ([2])
       max_subsets: n            # (256)
@@ -153,8 +156,8 @@ class _Section:
     def has(self, key) -> bool:
         return key in self._data
 
-    def take_float(self, key, default=_MISSING, minimum=None, maximum=None,
-                   exclusive=False):
+    def take_float(self, key, default=_MISSING, above=None, below=None,
+                   at_most=None):
         value = self._take(key, default)
         if value is None and default is None:
             return None
@@ -163,12 +166,12 @@ class _Section:
         value = float(value)
         if not math.isfinite(value):
             self.error(f"'{key}' must be finite, got {value}", key)
-        if minimum is not None and (value <= minimum if exclusive
-                                    else value < minimum):
-            bound = "> " if exclusive else ">= "
-            self.error(f"'{key}' must be {bound}{minimum}, got {value}", key)
-        if maximum is not None and value > maximum:
-            self.error(f"'{key}' must be <= {maximum}, got {value}", key)
+        if above is not None and not value > above:
+            self.error(f"'{key}' must be > {above}, got {value}", key)
+        if below is not None and not value < below:
+            self.error(f"'{key}' must be < {below}, got {value}", key)
+        if at_most is not None and not value <= at_most:
+            self.error(f"'{key}' must be <= {at_most}, got {value}", key)
         return value
 
     def take_int(self, key, default=_MISSING, minimum=None):
@@ -248,8 +251,8 @@ class SweepConfig:
     alphas: np.ndarray | None
     betas: np.ndarray | None
     sigmas: np.ndarray | None
-    sigma: float
-    beta: float
+    sigma: float | None   # alpha_beta only
+    beta: float | None    # alpha_sigma only
 
 
 @dataclass(frozen=True)
@@ -302,10 +305,10 @@ def _take_raster(section, read, what, base_dir, resolution, bbox):
     return values
 
 
-def _reported_at(section, key, build, *args):
-    """``build(*args)``, with a library error reported at ``key`` of ``section``."""
+def _reported_at(section, key, build, *args, **kwargs):
+    """``build(...)``, with a library error reported at ``key`` of ``section``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except HinterlandError as exc:
         section.error(str(exc), key)
 
@@ -318,7 +321,7 @@ def _build_grid(section, resolution, base_dir, bbox):
     if kind == "disk":
         center = section.take_floats(
             "center", [0.5 * (x0 + x1), 0.5 * (y0 + y1)], length=2)
-        radius = section.take_float("radius", minimum=0.0, exclusive=True)
+        radius = section.take_float("radius", above=0.0)
         predicate = lambda X, Y: (X - center[0]) ** 2 + (Y - center[1]) ** 2 \
             <= radius ** 2
     elif kind == "mask":
@@ -335,7 +338,7 @@ def _build_amenity(section, grid, base_dir):
                             choices=("uniform", "bumps", "raster"))
     key = None
     if kind == "uniform":
-        value = section.take_float("value", 1.0, minimum=0.0, exclusive=True)
+        value = section.take_float("value", 1.0, above=0.0)
         source = lambda X, Y: np.full_like(X, value)
     elif kind == "bumps":
         base = section.take_float("base", 1.0)
@@ -343,7 +346,7 @@ def _build_amenity(section, grid, base_dir):
         for bump in section.take_sections("bumps"):
             center = bump.take_floats("center", length=2)
             height = bump.take_float("height")
-            width = bump.take_float("width", minimum=0.0, exclusive=True)
+            width = bump.take_float("width", above=0.0)
             bumps.append((center, height, width))
             bump.finish()
 
@@ -382,28 +385,18 @@ def _build_geography(section, base_dir):
                 and bbox[1] <= position[1] <= bbox[3]):
             site_sec.error(f"site {i} position {tuple(position)} lies "
                            f"outside bbox {tuple(bbox)}", "position")
-        productivity = site_sec.take_float("productivity", 1.0,
-                                           minimum=0.0, exclusive=True)
+        productivity = site_sec.take_float("productivity", 1.0)
         site_sec.finish()
-        sites.append(Site(i, tuple(position), productivity))
+        sites.append(_reported_at(site_sec, "productivity", Site, i,
+                                  tuple(position), productivity))
         _reported_at(site_sec, "position", _check_distinct_positions, sites)
     sites = tuple(sites)
 
     metric = section.take_str("metric", "euclidean",
                               choices=("euclidean", "scaled_euclidean"))
     scales = section.take_floats("scales", None, length=len(sites))
-    system = DistanceSystem()
-    if metric == "scaled_euclidean":
-        if scales is None:
-            section.error("'scales' is required when metric is "
-                          "'scaled_euclidean'")
-        if any(s <= 0 for s in scales):
-            section.error("'scales' entries must be > 0", "scales")
-        system = DistanceSystem(kind="scaled_euclidean",
-                                scales=tuple(scales))
-    elif scales is not None:
-        section.error("'scales' only applies to the scaled_euclidean "
-                      "metric", "scales")
+    system = _reported_at(section, "scales", DistanceSystem, metric,
+                          None if scales is None else tuple(scales))
 
     grid = _build_grid(section.take_section("domain"), resolution, base_dir,
                        bbox)
@@ -416,7 +409,7 @@ def _build_geography(section, base_dir):
     trade_kind = trade_sec.take_str("kind",
                                     choices=("from_metric", "explicit"))
     if trade_kind == "from_metric":
-        tau = trade_sec.take_float("tau", minimum=0.0, exclusive=True)
+        tau = trade_sec.take_float("tau", above=0.0)
         trade_sec.finish()
         trade = _reported_at(section, None, trade_costs_from_metric, sites,
                              system, tau)
@@ -426,19 +419,13 @@ def _build_geography(section, base_dir):
             values = read_matrix_csv(base_dir / name)
         except (OSError, ValueError) as exc:
             trade_sec.error(f"cannot read trade matrix: {exc}", "file")
-        if values.shape != (len(sites), len(sites)):
-            trade_sec.error(f"trade matrix is {values.shape[0]}x"
-                            f"{values.shape[1]} but there are "
-                            f"{len(sites)} sites", "file")
-        try:
-            trade = explicit_trade_costs(values)
-        except ValueError as exc:
-            trade_sec.error(str(exc), "file")
+        trade = _reported_at(trade_sec, "file", explicit_trade_costs, values)
         trade_sec.finish()
 
     section.finish()
-    return Geography(grid=grid, sites=sites, system=system, amenity=amenity,
-                     trade=trade)
+    # only an explicit trade file can disagree with the site count
+    return _reported_at(trade_sec, "file", Geography, grid=grid, sites=sites,
+                        system=system, amenity=amenity, trade=trade)
 
 
 def _build_params(section):
@@ -459,24 +446,20 @@ def _build_params(section):
     else:
         variant = Baseline() if kind == "baseline" else HomeConsumption()
     variant_sec.finish()
-    try:
-        params = ModelParams(sigma=sigma, alpha=alpha, beta=beta, delta=delta,
-                             tau=tau, total_labor=total_labor,
-                             variant=variant)
-    except (ValueError, HinterlandError) as exc:
-        section.error(str(exc))
+    params = _reported_at(section, None, ModelParams, sigma=sigma, alpha=alpha,
+                          beta=beta, delta=delta, tau=tau,
+                          total_labor=total_labor, variant=variant)
     section.finish()
     return params
 
 
 def _build_solver(section):
     damping = section.take_float("damping", SolverOptions.damping,
-                                 minimum=0.0, exclusive=True, maximum=1.0)
-    tol = section.take_float("tol", SolverOptions.tol, minimum=0.0,
-                             exclusive=True)
+                                 above=0.0, at_most=1.0)
+    tol = section.take_float("tol", SolverOptions.tol, above=0.0)
     max_iter = section.take_int("max_iter", SolverOptions.max_iter, minimum=1)
     k_shrink = section.take_float("k_shrink", SolverOptions.k_shrink,
-                                  minimum=0.0, exclusive=True, maximum=1.0)
+                                  above=0.0, below=1.0)
     seed = section.take_int("seed", 0, minimum=0)
     section.finish()
     options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter,
@@ -484,34 +467,41 @@ def _build_solver(section):
     return SolverConfig(options=options, seed=seed)
 
 
-def _axis(section, key):
+def _axis(section, key, above=None):
     """An axis is either a list of values or a {start, stop, count} range."""
     if not section.has(key):
         return None
     if isinstance(section._data[key], list):
-        values = section.take_floats(key)
+        values = np.asarray(section.take_floats(key))
         if len(values) < 2:
             section.error(f"'{key}' needs at least 2 values", key)
-        return np.asarray(values)
-    sub = section.take_section(key)
-    start = sub.take_float("start")
-    stop = sub.take_float("stop")
-    count = sub.take_int("count", minimum=2)
-    sub.finish()
-    return np.linspace(start, stop, count)
+    else:
+        sub = section.take_section(key)
+        start = sub.take_float("start")
+        stop = sub.take_float("stop")
+        count = sub.take_int("count", minimum=2)
+        sub.finish()
+        values = np.linspace(start, stop, count)
+    if above is not None and not (values > above).all():
+        section.error(f"'{key}' values must be > {above}, "
+                      f"got {values.min()}", key)
+    return values
 
 
 def _build_sweep(section):
     kind = section.take_str("kind", "alpha_beta",
                             choices=("alpha_beta", "alpha_sigma"))
-    other = "sigmas" if kind == "alpha_beta" else "betas"
-    if section.has(other):
-        section.error(f"'{other}' does not apply to the {kind} sweep", other)
+    # each kind reads its own y axis and fixed scalar, not the other kind's
+    other = ("sigmas", "beta") if kind == "alpha_beta" else ("betas", "sigma")
+    for key in other:
+        if section.has(key):
+            section.error(f"'{key}' does not apply to the {kind} sweep", key)
     alphas = _axis(section, "alphas")
     betas = _axis(section, "betas")
-    sigmas = _axis(section, "sigmas")
-    sigma = section.take_float("sigma", 9.0, minimum=1.0, exclusive=True)
-    beta = section.take_float("beta", -0.3)
+    sigmas = _axis(section, "sigmas", above=1.0)
+    sigma = section.take_float(
+        "sigma", 9.0 if kind == "alpha_beta" else None, above=1.0)
+    beta = section.take_float("beta", -0.3 if kind == "alpha_sigma" else None)
     section.finish()
     return SweepConfig(kind=kind, alphas=alphas, betas=betas, sigmas=sigmas,
                        sigma=sigma, beta=beta)
@@ -533,18 +523,11 @@ def _build_active_sites(section, geography):
     section.finish()
     if ids is None:
         return None
-    if (not isinstance(ids, list) or not ids
-            or not all(_is_int(v) for v in ids)):
-        section.error(f"'active_sites' must be a non-empty list of site ids "
-                      f"or null, got {ids!r}", "active_sites")
+    if not isinstance(ids, list) or not all(_is_int(v) for v in ids):
+        section.error(f"'active_sites' must be a list of site ids or null, "
+                      f"got {ids!r}", "active_sites")
     if geography is not None:
-        known = {site.id for site in geography.sites}
-        for v in ids:
-            if v not in known:
-                section.error(f"'active_sites' references unknown site {v}",
-                              "active_sites")
-    if len(set(ids)) != len(ids):
-        section.error("'active_sites' has duplicate ids", "active_sites")
+        _reported_at(section, "active_sites", geography.positions_of, ids)
     return tuple(ids)
 
 

@@ -19,6 +19,7 @@ from .errors import (
     DegenerateConstantRecovery,
     DegenerateGamma1,
     EmptyCellInSum,
+    InvalidInput,
     InvalidVariantParams,
     LeftFeasibleSet,
     NotConverged,
@@ -81,21 +82,21 @@ class ModelParams:
 
     def __post_init__(self):
         if not self.sigma > 1:
-            raise ValueError(f"sigma must be > 1, got {self.sigma}")
+            raise InvalidInput(f"sigma must be > 1, got {self.sigma}")
         if not self.alpha > -1:
-            raise ValueError(f"alpha must be > -1, got {self.alpha}")
+            raise InvalidInput(f"alpha must be > -1, got {self.alpha}")
         if not self.delta > 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+            raise InvalidInput(f"delta must be > 0, got {self.delta}")
         if not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+            raise InvalidInput(f"tau must be >= 0, got {self.tau}")
         kind = self.variant.kind
         if self.tau != 0 and kind != "home_consumption":
-            raise ValueError(f"tau applies only to the home_consumption "
-                             f"variant, got {self.tau} under {kind}")
+            raise InvalidInput(f"tau applies only to the home_consumption "
+                               f"variant, got {self.tau} under {kind}")
         if not self.total_labor > 0:
-            raise ValueError(f"total_labor must be > 0, got {self.total_labor}")
+            raise InvalidInput(f"total_labor must be > 0, got {self.total_labor}")
         if kind in ("baseline", "home_consumption") and not self.beta < 0:
-            raise ValueError(f"beta must be < 0, got {self.beta}")
+            raise InvalidInput(f"beta must be < 0, got {self.beta}")
         if kind == "two_sector":
             if not 0 < self.variant.mu < 1:
                 raise InvalidVariantParams(f"mu must be in (0, 1), got {self.variant.mu}")

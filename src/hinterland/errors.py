@@ -1,12 +1,18 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on purpose derives from :class:`HinterlandError` so callers
-(and the CLI) can distinguish domain failures from genuine bugs.
+(and the CLI) can distinguish domain failures from genuine bugs. A value
+outside a function's domain raises :class:`InvalidInput`, which is also a
+``ValueError``.
 """
 
 
 class HinterlandError(Exception):
     """Base class for all package-specific errors."""
+
+
+class InvalidInput(HinterlandError, ValueError):
+    """An argument or input file lies outside the domain a function accepts."""
 
 
 # --- geometry ---------------------------------------------------------------
@@ -88,7 +94,7 @@ class EmptyCellInSum(HinterlandError):
     """A kernel sum referenced the amenity aggregate of an inactive site."""
 
 
-class InvalidVariantParams(HinterlandError):
+class InvalidVariantParams(InvalidInput):
     """Variant-specific parameters violate their domain."""
 
 

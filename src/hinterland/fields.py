@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AsymmetricMetric, NonPositiveAmenity
+from .errors import AsymmetricMetric, InvalidInput, NonPositiveAmenity
 from .geometry import (
     DistanceSystem,
     DomainGrid,
@@ -49,7 +49,7 @@ def amenity_from_function(grid: DomainGrid, source) -> AmenityField:
     else:
         values = np.array(source, dtype=float)
         if values.shape != (grid.ny, grid.nx):
-            raise ValueError(
+            raise InvalidInput(
                 f"amenity raster shape {values.shape} does not match grid {(grid.ny, grid.nx)}")
     inside_vals = values[grid.inside]
     bad = ~(np.isfinite(inside_vals) & (inside_vals > 0))
@@ -79,9 +79,9 @@ class TradeCostMatrix:
     def __post_init__(self):
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"trade cost matrix must be square, got {v.shape}")
+            raise InvalidInput(f"trade cost matrix must be square, got {v.shape}")
         if self.origin not in ("from_metric", "explicit"):
-            raise ValueError(f"unknown trade cost origin {self.origin!r}")
+            raise InvalidInput(f"unknown trade cost origin {self.origin!r}")
 
     @property
     def n(self) -> int:
@@ -95,7 +95,7 @@ def trade_costs_from_metric(sites, system: DistanceSystem, tau: float) -> TradeC
     differ, in which case the matrix would be asymmetric and is rejected.
     """
     if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+        raise InvalidInput(f"tau must be > 0, got {tau}")
     d = cross_distances(tuple(sites), system)
     if d.size and np.abs(d - d.T).max() > 1e-12 * max(d.max(), 1.0):
         i, j = np.unravel_index(np.abs(d - d.T).argmax(), d.shape)
@@ -110,13 +110,13 @@ def trade_costs_from_metric(sites, system: DistanceSystem, tau: float) -> TradeC
 def explicit_trade_costs(values) -> TradeCostMatrix:
     """Wrap a user-supplied trade cost matrix; every entry must be finite and > 0.
 
-    Raises ``ValueError`` otherwise. The model's other assumptions
+    Raises ``InvalidInput`` otherwise. The model's other assumptions
     (symmetry, unit diagonal, triangle bound) are only diagnosed when
     ``validate_geography`` is called.
     """
     values = np.array(values, dtype=float)
     if not ((values > 0) & (values < np.inf)).all():
-        raise ValueError("trade matrix entries must be finite and > 0")
+        raise InvalidInput("trade matrix entries must be finite and > 0")
     values.setflags(write=False)
     return TradeCostMatrix(values=values, origin="explicit")
 
@@ -133,10 +133,10 @@ class Geography:
 
     def __post_init__(self):
         if len(self.sites) != self.trade.n:
-            raise ValueError(
+            raise InvalidInput(
                 f"{len(self.sites)} sites but {self.trade.n}x{self.trade.n} trade matrix")
         if self.amenity.grid is not self.grid and self.amenity.grid != self.grid:
-            raise ValueError("amenity field was sampled on a different grid")
+            raise InvalidInput("amenity field was sampled on a different grid")
 
     @property
     def n_sites(self) -> int:
@@ -152,16 +152,16 @@ class Geography:
         return distance_stack(self.grid, self.sites, self.system)
 
     def positions_of(self, ids) -> list[int]:
-        """Positions in ``sites`` of ``ids``; ValueError if empty, unknown or repeated."""
+        """Positions in ``sites`` of ``ids``; InvalidInput if empty, unknown or repeated."""
         ids = list(ids)
         if not ids:
-            raise ValueError("no site ids given")
+            raise InvalidInput("no site ids given")
         position = {s.id: p for p, s in enumerate(self.sites)}
         for i in ids:
             if i not in position:
-                raise ValueError(f"unknown site id {i}")
+                raise InvalidInput(f"unknown site id {i}")
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate site ids in {ids}")
+            raise InvalidInput(f"duplicate site ids in {ids}")
         return [position[i] for i in ids]
 
 

@@ -18,6 +18,7 @@ from .errors import (
     CoincidentSites,
     DisconnectedDomain,
     EmptyDomain,
+    InvalidInput,
     NonFiniteWeight,
     SingleSite,
 )
@@ -102,9 +103,9 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
     xmin, ymin, xmax, ymax = (float(v) for v in bbox)
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
-        raise ValueError(f"resolution must be at least 2 per axis, got {nx}x{ny}")
+        raise InvalidInput(f"resolution must be at least 2 per axis, got {nx}x{ny}")
     if not (xmax > xmin and ymax > ymin):
-        raise ValueError(f"degenerate bbox {bbox}")
+        raise InvalidInput(f"degenerate bbox {bbox}")
 
     grid = DomainGrid(bbox=(xmin, ymin, xmax, ymax), nx=nx, ny=ny,
                       inside=np.ones((ny, nx), dtype=bool))
@@ -112,7 +113,7 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
         X, Y = grid.cell_centers()
         mask = np.asarray(inside_predicate(X, Y), dtype=bool)
         if mask.shape != (ny, nx):
-            raise ValueError(f"inside predicate returned shape {mask.shape}, expected {(ny, nx)}")
+            raise InvalidInput(f"inside predicate returned shape {mask.shape}, expected {(ny, nx)}")
         grid = DomainGrid(bbox=grid.bbox, nx=nx, ny=ny, inside=mask)
 
     if grid.n_inside == 0:
@@ -171,9 +172,9 @@ class Site:
 
     def __post_init__(self):
         if not (math.isfinite(self.productivity) and self.productivity > 0):
-            raise ValueError(f"site {self.id}: productivity must be finite and > 0, got {self.productivity}")
+            raise InvalidInput(f"site {self.id}: productivity must be finite and > 0, got {self.productivity}")
         if not all(math.isfinite(c) for c in self.position):
-            raise ValueError(f"site {self.id}: non-finite position {self.position}")
+            raise InvalidInput(f"site {self.id}: non-finite position {self.position}")
 
 
 def site_positions(sites) -> np.ndarray:
@@ -199,10 +200,12 @@ class DistanceSystem:
 
     def __post_init__(self):
         if self.kind not in ("euclidean", "scaled_euclidean"):
-            raise ValueError(f"unknown distance system kind {self.kind!r}")
+            raise InvalidInput(f"unknown distance system kind {self.kind!r}")
         if self.kind == "scaled_euclidean":
             if self.scales is None or any(not (s > 0) for s in self.scales):
-                raise ValueError("scaled_euclidean needs positive per-site scales")
+                raise InvalidInput("scaled_euclidean needs positive per-site scales")
+        elif self.scales is not None:
+            raise InvalidInput("scales apply only to the scaled_euclidean metric")
 
     def scale_of(self, i: int) -> float:
         if self.kind == "euclidean":
@@ -335,12 +338,12 @@ def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
     """
     sites = tuple(sites)
     if not sites:
-        raise ValueError("assign_labels needs at least one site")
+        raise InvalidInput("assign_labels needs at least one site")
     if distances is None:
         distances = distance_stack(grid, sites, system)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(sites),):
-        raise ValueError(f"expected {len(sites)} weights, got shape {weights.shape}")
+        raise InvalidInput(f"expected {len(sites)} weights, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise NonFiniteWeight(f"weights contain non-finite entries: {weights}")
 
@@ -378,7 +381,7 @@ def _band_status(d, weights, k: float) -> np.ndarray:
     """Status of w_i - w_j for every ordered pair: 0 interior, 1 boundary,
     2 infeasible (0 on the diagonal). ``weights`` may hold one vector per row."""
     if not (0.0 < k < 1.0):
-        raise ValueError(f"k must be in (0, 1), got {k}")
+        raise InvalidInput(f"k must be in (0, 1), got {k}")
     diff = weights[..., :, None] - weights[..., None, :]
     # feasible band for w_i - w_j is (-d_j(y_i), d_i(y_j))
     lo, hi = -d.T, d

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InactiveSiteWithMass
+from .errors import InactiveSiteWithMass, InvalidInput
 from .fields import AmenityField, Geography
 from .geometry import (
     Tessellation,
@@ -53,9 +53,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if not self.beta_eff < 0:
-            raise ValueError(f"beta_eff must be < 0, got {self.beta_eff}")
+            raise InvalidInput(f"beta_eff must be < 0, got {self.beta_eff}")
         if not self.distance_coeff > 0:
-            raise ValueError(f"distance_coeff must be > 0, got {self.distance_coeff}")
+            raise InvalidInput(f"distance_coeff must be > 0, got {self.distance_coeff}")
 
     def log_values(self, log_amenity, distances):
         """log kernel at given log-amenity samples and distances (vectorized)."""
@@ -106,7 +106,7 @@ def _inside_log_kernel(tess: Tessellation, amenity: AmenityField,
     """Labels and log kernel values of the inside cells, in raster order."""
     grid = tess.grid
     if amenity.grid is not grid and amenity.grid != grid:
-        raise ValueError("tessellation and amenity live on different grids")
+        raise InvalidInput("tessellation and amenity live on different grids")
     return (tess.labels[grid.inside],
             kernel.log_values(amenity.log_inside, tess.own_distance))
 
@@ -240,7 +240,7 @@ def resident_density(tess: Tessellation, aggregates: CellAggregates,
     """
     labor = np.asarray(labor, dtype=float)
     if labor.shape != (tess.n_sites,):
-        raise ValueError(f"expected {tess.n_sites} labor masses, got {labor.shape}")
+        raise InvalidInput(f"expected {tess.n_sites} labor masses, got {labor.shape}")
     for i in range(tess.n_sites):
         if labor[i] > 0 and not aggregates.active[i]:
             raise InactiveSiteWithMass(
@@ -320,9 +320,9 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     Single-site geographies give 0.
     """
     if not (0 < k_shrink < 1):
-        raise ValueError(f"k_shrink must be in (0, 1), got {k_shrink}")
+        raise InvalidInput(f"k_shrink must be in (0, 1), got {k_shrink}")
     if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+        raise InvalidInput("n_samples must be >= 1")
     n = geography.n_sites
     if n < 2:
         return SemielasticityBound(0.0, 1, 0)

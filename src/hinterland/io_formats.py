@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidInput
 from .geometry import OUTSIDE, raster_interfaces
 
 OUTSIDE_BYTE = 255
@@ -54,9 +55,9 @@ def write_label_raster(path, labels, bbox) -> None:
     """Write an integer label array as a binary PGM with a bbox comment."""
     labels = np.asarray(labels)
     if labels.ndim != 2:
-        raise ValueError(f"labels must be 2-D, got shape {labels.shape}")
+        raise InvalidInput(f"labels must be 2-D, got shape {labels.shape}")
     if labels.max(initial=-1) >= OUTSIDE_BYTE:
-        raise ValueError(
+        raise InvalidInput(
             f"labels up to {labels.max()} cannot fit one byte per cell "
             f"(value {OUTSIDE_BYTE} is reserved for outside)")
     ny, nx = labels.shape
@@ -78,7 +79,7 @@ def read_label_raster(path):
     tokens, bbox, pos = [], None, 0
     while len(tokens) < 4:
         if pos >= len(raw):
-            raise ValueError(f"{path}: truncated PGM header")
+            raise InvalidInput(f"{path}: truncated PGM header")
         ch = raw[pos:pos + 1]
         if ch == b"#":
             end = raw.find(b"\n", pos)
@@ -96,16 +97,16 @@ def read_label_raster(path):
             tokens.append(raw[pos:end].decode("ascii"))
             pos = end
     if tokens[0] != "P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+        raise InvalidInput(f"{path}: not a binary PGM (magic {tokens[0]!r})")
     nx, ny, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != OUTSIDE_BYTE:
-        raise ValueError(f"{path}: expected maxval {OUTSIDE_BYTE}, got {maxval}")
+        raise InvalidInput(f"{path}: expected maxval {OUTSIDE_BYTE}, got {maxval}")
     if bbox is None:
-        raise ValueError(f"{path}: missing '# bbox x0 y0 x1 y1' comment")
+        raise InvalidInput(f"{path}: missing '# bbox x0 y0 x1 y1' comment")
     pos += 1   # single whitespace byte after maxval
     body = np.frombuffer(raw[pos:pos + nx * ny], dtype=np.uint8)
     if body.size != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} pixels, got {body.size}")
+        raise InvalidInput(f"{path}: expected {nx * ny} pixels, got {body.size}")
     labels = body.reshape(ny, nx)[::-1].astype(np.int32)
     labels[labels == OUTSIDE_BYTE] = OUTSIDE
     return labels, bbox
@@ -122,7 +123,7 @@ def write_field_raster(path, values, bbox) -> None:
     """Write a float field sampled on the grid as a small binary raster."""
     values = np.asarray(values, dtype="<f8")
     if values.ndim != 2:
-        raise ValueError(f"field must be 2-D, got shape {values.shape}")
+        raise InvalidInput(f"field must be 2-D, got shape {values.shape}")
     ny, nx = values.shape
     head = _FLD_HEAD.pack(_FLD_MAGIC, nx, ny, *(float(v) for v in bbox))
     with open(path, "wb") as fh:
@@ -134,11 +135,11 @@ def read_field_raster(path):
     """Read a FLD1 raster back into (values, bbox)."""
     raw = Path(path).read_bytes()
     if len(raw) < _FLD_HEAD.size or raw[:4] != _FLD_MAGIC:
-        raise ValueError(f"{path}: not a FLD1 field raster")
+        raise InvalidInput(f"{path}: not a FLD1 field raster")
     magic, nx, ny, x0, y0, x1, y1 = _FLD_HEAD.unpack_from(raw)
     body = np.frombuffer(raw, dtype="<f8", offset=_FLD_HEAD.size)
     if body.size != nx * ny:
-        raise ValueError(f"{path}: expected {nx * ny} values, got {body.size}")
+        raise InvalidInput(f"{path}: expected {nx * ny} values, got {body.size}")
     return body.reshape(ny, nx).copy(), (x0, y0, x1, y1)
 
 
@@ -149,7 +150,7 @@ def write_matrix_csv(path, values) -> None:
     """Write a square matrix as headerless CSV with full float precision."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {values.shape}")
+        raise InvalidInput(f"expected a square matrix, got shape {values.shape}")
     with open(path, "w", newline="") as fh:
         for row in values:
             fh.write(",".join(repr(float(v)) for v in row))
@@ -160,8 +161,8 @@ def read_matrix_csv(path):
     """Read a headerless square CSV matrix."""
     values = np.loadtxt(path, delimiter=",", ndmin=2)
     if values.shape[0] != values.shape[1]:
-        raise ValueError(f"{path}: expected a square matrix, "
-                         f"got shape {values.shape}")
+        raise InvalidInput(f"{path}: expected a square matrix, "
+                           f"got shape {values.shape}")
     return values
 
 

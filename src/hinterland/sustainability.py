@@ -25,7 +25,12 @@ from .equilibrium import (
     spillover_regime,
     subset_geography,
 )
-from .errors import HinterlandError, SiteNotVacant, SiteOutsideDomain
+from .errors import (
+    HinterlandError,
+    InvalidInput,
+    SiteNotVacant,
+    SiteOutsideDomain,
+)
 from .fields import Geography
 from .geometry import cross_distances
 from .integrals import _logsumexp
@@ -209,7 +214,7 @@ def _candidate_subsets(ids, sizes, max_subsets, seed):
     all_subsets = []
     for size in sorted(set(sizes)):
         if not 1 <= size <= len(ids):
-            raise ValueError(f"subset size {size} out of range 1..{len(ids)}")
+            raise InvalidInput(f"subset size {size} out of range 1..{len(ids)}")
         all_subsets.extend(combinations(ids, size))
     if len(all_subsets) <= max_subsets:
         return all_subsets, "exhaustive"
@@ -333,9 +338,9 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
     """
     y_star = tuple(y_star)
     if y_c not in y_star:
-        raise ValueError(f"{y_c} is not in the active set {y_star}")
+        raise InvalidInput(f"{y_c} is not in the active set {y_star}")
     if y_p != y_c and y_p in y_star:
-        raise ValueError(f"{y_p} is already in the active set {y_star}")
+        raise InvalidInput(f"{y_p} is already in the active set {y_star}")
     swapped = tuple(y_p if sid == y_c else sid for sid in y_star)
 
     [c_geo] = geography.positions_of([y_c])

@@ -127,16 +127,20 @@ def test_site_outside_bbox_rejected():
 
 def test_scaled_metric_requires_scales():
     text = MINIMAL.replace("  trade:", "  metric: scaled_euclidean\n  trade:")
-    with pytest.raises(ConfigError, match="'scales' is required"):
+    with pytest.raises(ConfigError, match="scaled_euclidean needs positive "
+                                          "per-site scales") as exc:
         parse_config(text)
+    assert exc.value.path == "<config>:2"
     good = text.replace("  metric: scaled_euclidean",
                         "  metric: scaled_euclidean\n  scales: [2.0, 2.0]")
     cfg = parse_config(good)
     assert cfg.geography.system.kind == "scaled_euclidean"
     assert cfg.geography.system.scales == (2.0, 2.0)
     stray = MINIMAL.replace("  trade:", "  scales: [1.0, 2.0]\n  trade:")
-    with pytest.raises(ConfigError, match="only applies"):
+    with pytest.raises(ConfigError, match="scales apply only to the "
+                                          "scaled_euclidean metric") as exc:
         parse_config(stray)
+    assert exc.value.path == "<config>:6"
     # unequal scales make metric trade costs asymmetric; surfaced as a
     # config error anchored at the geography block
     unequal = text.replace("  metric: scaled_euclidean",
@@ -219,8 +223,10 @@ def test_explicit_trade_matrix(tmp_path):
     big = np.ones((3, 3))
     write_matrix_csv(tmp_path / "big.csv", big)
     wrong = text.replace("trade.csv", "big.csv")
-    with pytest.raises(ConfigError, match="trade matrix is 3x3"):
+    with pytest.raises(ConfigError, match="2 sites but 3x3 trade matrix") \
+            as exc:
         load_config(write_config(tmp_path, wrong, "wrong.yaml"))
+    assert exc.value.path.endswith("wrong.yaml:8")
 
 
 @pytest.mark.parametrize("entry", [0.0, -1.5, float("nan"), float("inf")])
@@ -241,10 +247,11 @@ def test_explicit_trade_entries_must_be_finite_and_positive(tmp_path, entry):
 def test_active_sites_validation():
     good = MINIMAL + "solve:\n  active_sites: [1]\n"
     assert parse_config(good).active_sites == (1,)
-    with pytest.raises(ConfigError, match="unknown site 7"):
-        parse_config(MINIMAL + "solve:\n  active_sites: [0, 7]\n")
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config(MINIMAL + "solve:\n  active_sites: [0, 0]\n")
+    for ids, message in [("[0, 7]", "unknown site id 7"),
+                         ("[0, 0]", "duplicate"), ("[]", "no site ids given")]:
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse_config(MINIMAL + f"solve:\n  active_sites: {ids}\n")
+        assert exc.value.path == "<config>:15"
 
 
 def test_solver_anchor_is_an_unknown_key(tmp_path):
@@ -291,6 +298,46 @@ def test_sweep_rejects_the_other_kinds_axis_at_its_line(kind, axis):
     assert exc.value.path == "<config>:3"
 
 
+@pytest.mark.parametrize("kind, scalar", [("alpha_beta", "beta: -0.2"),
+                                          ("alpha_sigma", "sigma: 3.0")])
+def test_sweep_rejects_the_other_kinds_scalar_at_its_line(kind, scalar):
+    key = scalar.split(":")[0]
+    with pytest.raises(ConfigError, match=f"'{key}' does not apply to the "
+                                          f"{kind} sweep") as exc:
+        parse_config(f"sweep:\n  kind: {kind}\n  {scalar}\n")
+    assert exc.value.path == "<config>:3"
+
+
+@pytest.mark.parametrize("axis, low", [("[1.0, 2.0]", "1.0"),
+                                       ("{start: 0.5, stop: 3.0, count: 4}",
+                                        "0.5")])
+def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
+                                                    low):
+    text = f"sweep:\n  kind: alpha_sigma\n  sigmas: {axis}\n"
+    with pytest.raises(ConfigError, match=f"'sigmas' values must be > 1.0, "
+                                          f"got {low}") as exc:
+        parse_config(text)
+    assert exc.value.path == "<config>:3"
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("replace, line, message", [
+    (("productivity: 1.0}\n  trade", "productivity: 0.0}\n  trade"), 5,
+     r"site 1: productivity must be finite and > 0, got 0.0"),
+    (("  trade:", "  metric: scaled_euclidean\n  scales: [1.0, -2.0]\n"
+      "  trade:"), 7, "scaled_euclidean needs positive per-site scales"),
+    (("  delta: 2.0", "  delta: -2.0"), 10, "delta must be > 0, got -2.0"),
+])
+def test_library_rules_are_reported_at_their_key(replace, line, message):
+    # one rule per fact: the library's InvalidInput, at the key's line
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(MINIMAL.replace(*replace))
+    assert exc.value.path == f"<config>:{line}"
+
+
 @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
 def test_non_finite_numbers_are_rejected_at_their_line(value):
     bad = MINIMAL.replace("{position: [0.3, 0.5], productivity: 1.0}",
@@ -314,6 +361,11 @@ def test_solver_block_bounds():
         parse_config(MINIMAL + "solver:\n  damping: 0.0\n")
     with pytest.raises(ConfigError, match="max_iter"):
         parse_config(MINIMAL + "solver:\n  max_iter: 0\n")
+    # the shrunk set Λ^k needs k in (0, 1), as every solver path checks
+    with pytest.raises(ConfigError, match="'k_shrink' must be < 1.0, "
+                                          "got 1.0") as exc:
+        parse_config(MINIMAL + "solver:\n  k_shrink: 1.0\n")
+    assert exc.value.path == "<config>:15"
     cfg = parse_config(MINIMAL + "solver:\n  seed: 11\n  max_iter: 500\n")
     assert cfg.solver.seed == 11 and cfg.solver.options.max_iter == 500
 
@@ -326,7 +378,7 @@ DEFAULT_BLOCKS = {
     "solver": ("", "{damping: 0.5, tol: 1.0e-12, max_iter: 2000, "
                    "k_shrink: 0.5, seed: 0}"),
     "solve": ("", "{active_sites: null}"),
-    "sweep": ("", "{kind: alpha_beta, sigma: 9.0, beta: -0.3}"),
+    "sweep": ("", "{kind: alpha_beta, sigma: 9.0}"),
     "enumerate": ("", "{sizes: [2], max_subsets: 256}"),
 }
 
@@ -725,6 +777,41 @@ def test_render_width_below_one_is_a_usage_error(tmp_path, capsys, width):
                      "--out", str(render), "--width", width]) == 1
     assert f"--width must be >= 1, got {width}" in capsys.readouterr().err
     assert not (render / "render.svg").exists()
+
+
+def test_enumerate_size_above_the_site_count_is_an_input_error(tmp_path,
+                                                              capsys):
+    config = write_config(tmp_path, MINIMAL + "enumerate:\n  sizes: [3]\n")
+    assert cli.main(["enumerate", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "error: subset size 3 out of range 1..2\n"
+
+
+def test_render_of_an_ascii_pgm_is_an_input_error(tmp_path, capsys):
+    raster = tmp_path / "labels.pgm"
+    raster.write_bytes(b"P2\n# bbox 0 0 1 1\n2 2\n255\n0 0\n1 1\n")
+    assert cli.main(["render", "--input", str(raster),
+                     "--out", str(tmp_path / "render")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {raster}: not a binary PGM (magic 'P2')\n"
+
+
+@pytest.mark.parametrize("table", [
+    "site_id,x,y\n0,0.5,0.5\n",                # no labor column
+    "site_id,x,y,labor\n0,0.5,half,1.0\n",     # a non-number
+    "site_id,x,y,labor\n0,0.5\n",              # a short row
+])
+def test_render_of_a_bad_sites_table_is_an_input_error(tmp_path, capsys,
+                                                       table):
+    write_label_raster(tmp_path / "tessellation.pgm",
+                       np.zeros((4, 4), dtype=np.int32), (0.0, 0.0, 1.0, 1.0))
+    (tmp_path / "sites.csv").write_text(table)
+    assert cli.main(["render", "--input", str(tmp_path),
+                     "--out", str(tmp_path / "render")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'sites.csv'}: every row needs numeric x, y and "
+        f"labor columns\n")
 
 
 def test_solver_echo_has_the_solver_schema_keys(tmp_path):

@@ -1,9 +1,10 @@
 """The package's import path stays free of SciPy (a cold-start cost) and of
 multiprocessing (loaded only when enumerate starts workers), its source
 makes no BLAS or LAPACK call (a first one raises peak RSS, and a forked
-worker must not touch OpenBLAS's threads), it carries no public name or
-import that nothing uses, and a forked enumerate prints what the parent
-prints, once."""
+worker must not touch OpenBLAS's threads) and raises no bare ValueError (a
+deliberate input check raises InvalidInput, which the CLI reports), it
+carries no public name or import that nothing uses, and a forked enumerate
+prints what the parent prints, once."""
 
 import ast
 import os
@@ -33,12 +34,21 @@ BLAS_CALL = re.compile(
     r"np\.linalg|np\.dot\b|\.dot\(|np\.inner\b|tensordot|matmul|einsum|[\w)\]]\s*@")
 
 
-def test_package_source_makes_no_blas_or_lapack_call():
-    hits = [f"{path.name}:{number}: {line.strip()}"
+def _source_lines_matching(pattern):
+    """``file:line: code`` of every package source line whose code (not
+    its comment) matches ``pattern``."""
+    return [f"{path.name}:{number}: {line.strip()}"
             for path in sorted((SRC / "hinterland").glob("*.py"))
             for number, line in enumerate(path.read_text().splitlines(), 1)
-            if BLAS_CALL.search(line.split("#")[0])]
-    assert hits == []
+            if pattern.search(line.split("#")[0])]
+
+
+def test_package_source_makes_no_blas_or_lapack_call():
+    assert _source_lines_matching(BLAS_CALL) == []
+
+
+def test_package_source_raises_no_bare_value_error():
+    assert _source_lines_matching(re.compile(r"raise ValueError\b")) == []
 
 
 def _names(tree):

@@ -70,17 +70,12 @@ def _log(args, message: str) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(args.out, f"cannot create output directory: "
+                                    f"{exc.strerror}") from exc
     return out
-
-
-def _load(args) -> RunConfig:
-    config = load_config(args.config)
-    if args.threads is not None:
-        if args.threads < 0:
-            raise ConfigError(args.config, "--threads must be >= 0")
-        config = dataclasses.replace(config, threads=args.threads)
-    return config
 
 
 def _params_echo(params: ModelParams) -> dict:
@@ -94,10 +89,9 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _solver_echo(config: RunConfig) -> dict:
-    opts = config.solver.options
-    return {"damping": opts.damping, "tol": opts.tol,
-            "max_iter": opts.max_iter, "k_shrink": opts.k_shrink,
-            "seed": config.solver.seed, "threads": config.threads}
+    opts = config.solver
+    return {"tol": opts.tol, "max_iter": opts.max_iter,
+            "k_shrink": opts.k_shrink}
 
 
 def _is_knife_edge(params: ModelParams) -> bool:
@@ -111,7 +105,7 @@ def _solve_from_config(config: RunConfig):
     params = config.require_params()
     work = subset_geography(geography, config.active_sites)
     solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
-    return solve(work, params, options=config.solver.options), work
+    return solve(work, params, options=config.solver), work
 
 
 def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict:
@@ -154,7 +148,7 @@ def _site_rows(solution: EquilibriumSolution, work: Geography):
 
 
 def cmd_solve(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     out = _out_dir(args)
     geography = config.require_geography()
     params = config.require_params()
@@ -196,7 +190,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     fields = dataclasses.asdict(regime_classify(config.require_params()))
     for key, value in fields.items():
         if isinstance(value, bool):
@@ -212,7 +206,7 @@ SWEEP_CSV_HEADER = ("alpha", "beta", "sigma", "multiplicity", "labor_unique",
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     sweep = config.sweep
     result = parameter_sweep(kind=sweep.kind, alphas=sweep.alphas,
                              betas=sweep.betas, sigmas=sweep.sigmas,
@@ -245,14 +239,17 @@ def _id_list(ids) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    config = _load(args)
+    if args.threads < 0:
+        raise ConfigError("hinterland enumerate",
+                          f"--threads must be >= 0, got {args.threads}")
+    config = load_config(args.config)
     geography = config.require_geography()
     params = config.require_params()
     catalog = enumerate_urban_systems(
         geography, params, sizes=config.enumerate.sizes,
-        max_subsets=config.enumerate.max_subsets, seed=config.solver.seed,
-        options=config.solver.options,
-        threads=config.threads or len(os.sched_getaffinity(0)))
+        max_subsets=config.enumerate.max_subsets, seed=config.enumerate.seed,
+        options=config.solver,
+        threads=args.threads or len(os.sched_getaffinity(0)))
     out = _out_dir(args)
     records = [{"subset": list(entry.subset),
                 "active_ids": list(entry.active_ids),
@@ -356,11 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         if func is not cmd_render:
             p.add_argument("--config", required=True,
                            help="path to the YAML run configuration")
-            p.add_argument("--threads", type=int, default=None,
-                           help="enumerate's worker processes (0 = every CPU "
-                                "this process may use); results do not "
-                                "depend on it, and other subcommands only "
-                                "echo it")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
         p.add_argument("--verbose", action="store_true",
@@ -371,6 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--style", choices=("overlay", "boundaries"),
                            default="overlay")
             p.add_argument("--width", type=int, default=640)
+        elif func is cmd_enumerate:
+            p.add_argument("--threads", type=int, default=0,
+                           help="worker processes (0 = every CPU this "
+                                "process may use); the catalog does not "
+                                "depend on it")
     return parser
 
 

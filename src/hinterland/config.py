@@ -45,11 +45,9 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
         mu: m                   # two_sector [r]
         beta_tilde: b           # two_sector [r]
     solver:
-      damping: v                # (0.5)
       tol: v                    # (1e-12)
       max_iter: n               # (2000)
       k_shrink: v               # (0.5); in (0, 1)
-      seed: n                   # (0)
     solve:
       active_sites: [ids] | null   # (null = all sites)
     sweep:
@@ -62,8 +60,7 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
     enumerate:
       sizes: [k, ...]           # ([2])
       max_subsets: n            # (256)
-    threads: n                  # (0 = usable CPUs) enumerate's processes;
-                                # results invariant; others only echo it
+      seed: n                   # (0) of the sampling above max_subsets
 
 Relative file paths resolve against the directory of the config file.
 """
@@ -156,8 +153,7 @@ class _Section:
     def has(self, key) -> bool:
         return key in self._data
 
-    def take_float(self, key, default=_MISSING, above=None, below=None,
-                   at_most=None):
+    def take_float(self, key, default=_MISSING, above=None):
         value = self._take(key, default)
         if value is None and default is None:
             return None
@@ -168,10 +164,6 @@ class _Section:
             self.error(f"'{key}' must be finite, got {value}", key)
         if above is not None and not value > above:
             self.error(f"'{key}' must be > {above}, got {value}", key)
-        if below is not None and not value < below:
-            self.error(f"'{key}' must be < {below}, got {value}", key)
-        if at_most is not None and not value <= at_most:
-            self.error(f"'{key}' must be <= {at_most}, got {value}", key)
         return value
 
     def take_int(self, key, default=_MISSING, minimum=None):
@@ -240,12 +232,6 @@ def _name(path) -> str:
 # config objects
 
 @dataclass(frozen=True)
-class SolverConfig:
-    options: SolverOptions
-    seed: int
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     kind: str
     alphas: np.ndarray | None
@@ -259,6 +245,7 @@ class SweepConfig:
 class EnumerateConfig:
     sizes: tuple[int, ...]
     max_subsets: int
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -266,11 +253,10 @@ class RunConfig:
     source: str
     geography: Geography | None
     params: ModelParams | None
-    solver: SolverConfig
+    solver: SolverOptions
     active_sites: tuple[int, ...] | None
     sweep: SweepConfig
     enumerate: EnumerateConfig
-    threads: int
 
     def require_geography(self) -> Geography:
         if self.geography is None:
@@ -454,17 +440,12 @@ def _build_params(section):
 
 
 def _build_solver(section):
-    damping = section.take_float("damping", SolverOptions.damping,
-                                 above=0.0, at_most=1.0)
     tol = section.take_float("tol", SolverOptions.tol, above=0.0)
     max_iter = section.take_int("max_iter", SolverOptions.max_iter, minimum=1)
-    k_shrink = section.take_float("k_shrink", SolverOptions.k_shrink,
-                                  above=0.0, below=1.0)
-    seed = section.take_int("seed", 0, minimum=0)
+    k_shrink = section.take_float("k_shrink", SolverOptions.k_shrink)
     section.finish()
-    options = SolverOptions(damping=damping, tol=tol, max_iter=max_iter,
-                            k_shrink=k_shrink)
-    return SolverConfig(options=options, seed=seed)
+    return _reported_at(section, "k_shrink", SolverOptions, tol=tol,
+                        max_iter=max_iter, k_shrink=k_shrink)
 
 
 def _axis(section, key, above=None):
@@ -514,8 +495,10 @@ def _build_enumerate(section):
         section.error(f"'sizes' must be a list of integers >= 1, "
                       f"got {sizes_raw!r}", "sizes")
     max_subsets = section.take_int("max_subsets", 256, minimum=1)
+    seed = section.take_int("seed", 0, minimum=0)
     section.finish()
-    return EnumerateConfig(sizes=tuple(sizes_raw), max_subsets=max_subsets)
+    return EnumerateConfig(sizes=tuple(sizes_raw), max_subsets=max_subsets,
+                           seed=seed)
 
 
 def _build_active_sites(section, geography):
@@ -561,11 +544,10 @@ def parse_config(text: str, source: str = "<config>",
     active = _build_active_sites(root.take_section("solve"), geography)
     sweep = _build_sweep(root.take_section("sweep"))
     enum_cfg = _build_enumerate(root.take_section("enumerate"))
-    threads = root.take_int("threads", 0, minimum=0)
     root.finish()
     return RunConfig(source=source, geography=geography, params=params,
                      solver=solver, active_sites=active, sweep=sweep,
-                     enumerate=enum_cfg, threads=threads)
+                     enumerate=enum_cfg)
 
 
 def load_config(path) -> RunConfig:

@@ -280,6 +280,7 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
 # iteration driver
 
 ANDERSON_MEMORY = 3   # ΔF columns kept by the Anderson mixing
+DAMPING = 0.5         # weight β of the damped step, in every fixed point
 ANDERSON_DROP = 1e-8  # relative Gram–Schmidt remainder below which a column is dropped
 
 
@@ -363,12 +364,14 @@ def _iterate(evaluate, x, beta, tol, max_iter, what, project=lambda x: x, leave=
 
 @dataclass(frozen=True)
 class SolverOptions:
-    damping: float = 0.5
     tol: float = 1e-12
     max_iter: int = 2000
     k_shrink: float = 0.5
     weights_init: np.ndarray | None = None   # original-variable differences
-    # fixed_point_solve pins the first site of y_star at zero (the anchor)
+
+    def __post_init__(self):
+        if not 0 < self.k_shrink < 1:   # the shrunk set Λ^k needs k in (0, 1)
+            raise InvalidInput(f"k_shrink must be in (0, 1), got {self.k_shrink}")
 
 
 @dataclass(frozen=True)
@@ -510,7 +513,7 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
 
     The anchor is the first site of ``y_star`` (of all sites when None):
     ``_iterate`` mixes the anchored map G(λ̃) = g(λ̃) − g_0(λ̃) with weight
-    ``options.damping`` until max|G(λ̃) − λ̃| < tol; then the normalization
+    DAMPING until max|G(λ̃) − λ̃| < tol; then the normalization
     constant, welfare, labor masses, and the market block are recovered. A
     damped step that empties a cell triggers one reprojection onto the
     shrunk feasible set; a second exit aborts.
@@ -534,7 +537,7 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
 
     lam_t, (_, g, tess, agg), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
-        options.damping, options.tol, options.max_iter, "weights",
+        DAMPING, options.tol, options.max_iter, "weights",
         project=lambda x: np.concatenate(([0.0], x[1:])),  # zero the anchor
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
     c = g[0] / denom
@@ -555,7 +558,7 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     Requires ``is_knife_edge(alpha, sigma)``; alpha is snapped to the cutoff.
     Districts whose cells empty simply drop out of the sums, so the active
     set is an outcome, not an input. ``_iterate`` mixes the map with weight
-    ``options.damping`` until max|g(λ̃) − λ̃| < tol.
+    DAMPING until max|g(λ̃) − λ̃| < tol.
     """
     if params.variant.kind != "baseline":
         raise InvalidVariantParams("the all-sites solver supports the baseline variant")
@@ -572,7 +575,7 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     lam_t, (g, tess, agg), _, iterations, _ = _iterate(
         lambda x: transformed_weight_map(x, comp, geography, active_only=True,
                                          band=band),
-        w0 * (comp.weight_scale * comp.gamma1), options.damping, options.tol,
+        w0 * (comp.weight_scale * comp.gamma1), DAMPING, options.tol,
         options.max_iter, "knife-edge weights")
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
@@ -593,7 +596,6 @@ class MarketEquilibrium:
 
 
 MARKET_MAX_ITER = 100000   # log-wage map evaluations before NotConverged
-MARKET_DAMPING = 0.5       # weight of the damped log-wage step
 
 
 def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
@@ -601,7 +603,7 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
                              ) -> MarketEquilibrium:
     """Solve the wage/price-index gravity system for given labor masses.
 
-    ``_iterate`` mixes the log-wage map with weight MARKET_DAMPING, prices
+    ``_iterate`` mixes the log-wage map with weight DAMPING, prices
     following wages, until max|G(log_w) − log_w| < tol; the numeraire
     sum(w_i L_i) = 1 pins the scale after each mix. Productivities enter
     through the spillover A_i = productivities_i * L_i^alpha.
@@ -630,7 +632,7 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     _, _, log_w, iterations, _ = _iterate(
         lambda log_w: (numeraire(log_wage_update(log_w, log_prices(log_w))),),
         numeraire(np.zeros(len(labor))),  # start at equal wages
-        MARKET_DAMPING, tol, MARKET_MAX_ITER, "market", project=numeraire)
+        DAMPING, tol, MARKET_MAX_ITER, "market", project=numeraire)
     log_P = log_prices(log_w)
     return MarketEquilibrium(
         wages=np.exp(log_w), prices=np.exp(log_P), iterations=iterations,

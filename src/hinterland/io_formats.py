@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -70,41 +71,39 @@ def write_label_raster(path, labels, bbox) -> None:
         fh.write(body[::-1].tobytes())   # top row first
 
 
+# magic, width, height and maxval, each after whitespace or comment lines,
+# then the one whitespace byte that ends the header
+_PGM_HEADER = re.compile(rb"P5" + 3 * rb"(?:\s|#[^\n]*\n)+([1-9][0-9]*)" + rb"\s")
+
+
 def read_label_raster(path):
     """Read a PGM label raster back into (labels, bbox).
 
     Outside bytes (255) come back as the OUTSIDE sentinel (-1).
     """
     raw = Path(path).read_bytes()
-    tokens, bbox, pos = [], None, 0
-    while len(tokens) < 4:
-        if pos >= len(raw):
-            raise InvalidInput(f"{path}: truncated PGM header")
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            end = raw.find(b"\n", pos)
-            end = len(raw) if end < 0 else end
-            comment = raw[pos + 1:end].decode("ascii", "replace").split()
-            if comment[:1] == ["bbox"] and len(comment) == 5:
-                bbox = tuple(float(v) for v in comment[1:])
-            pos = end + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end:end + 1].isspace():
-                end += 1
-            tokens.append(raw[pos:end].decode("ascii"))
-            pos = end
-    if tokens[0] != "P5":
-        raise InvalidInput(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    nx, ny, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if raw[:2] != b"P5":
+        raise InvalidInput(f"{path}: not a binary PGM "
+                           f"(magic {raw[:2].decode('ascii', 'replace')!r})")
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise InvalidInput(f"{path}: malformed PGM header")
+    nx, ny, maxval = (int(v) for v in header.groups())
     if maxval != OUTSIDE_BYTE:
         raise InvalidInput(f"{path}: expected maxval {OUTSIDE_BYTE}, got {maxval}")
+    comments = (c.split() for c in re.findall(rb"#([^\n]*)", header[0]))
+    bbox = next((c[1:] for c in comments if c[:1] == [b"bbox"]), None)
     if bbox is None:
         raise InvalidInput(f"{path}: missing '# bbox x0 y0 x1 y1' comment")
-    pos += 1   # single whitespace byte after maxval
-    body = np.frombuffer(raw[pos:pos + nx * ny], dtype=np.uint8)
+    try:
+        x0, y0, x1, y1 = bbox = tuple(float(v) for v in bbox)
+    except ValueError:
+        raise InvalidInput(f"{path}: bbox comment must hold 4 numbers") from None
+    if not (x0 < x1 and y0 < y1 and all(map(math.isfinite, bbox))):
+        raise InvalidInput(f"{path}: bbox must be finite with x0 < x1 and "
+                           f"y0 < y1, got {bbox}")
+    start = header.end()
+    body = np.frombuffer(raw[start:start + nx * ny], dtype=np.uint8)
     if body.size != nx * ny:
         raise InvalidInput(f"{path}: expected {nx * ny} pixels, got {body.size}")
     labels = body.reshape(ny, nx)[::-1].astype(np.int32)

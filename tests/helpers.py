@@ -253,7 +253,7 @@ def loop_boundary_path(labels, x_edges, y_edges, tf):
 
 
 def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
-                        max_iter=100000, damping=0.5):
+                        max_iter=100000):
     """The plain damped log-wage loop the market block used before Anderson
     mixing: returns (log wages, log prices, iterations); raises
     RuntimeError after ``max_iter`` iterations."""
@@ -271,18 +271,19 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
         return ((sigma - 1.0) * log_A + logsumexp(t, axis=1) - log_L) / sigma
 
     log_w = -logsumexp(log_L) * np.ones(len(log_L))
+    theta = equilibrium.DAMPING
     for iteration in range(1, max_iter + 1):
         log_w_new = log_wage_update(log_w, log_prices(log_w))
         log_w_new -= logsumexp(log_w_new + log_L)
         step = float(np.abs(log_w_new - log_w).max())
-        log_w = (1.0 - damping) * log_w + damping * log_w_new
+        log_w = (1.0 - theta) * log_w + theta * log_w_new
         log_w -= logsumexp(log_w + log_L)
         if step < tol:
             return log_w, log_prices(log_w), iteration
     raise RuntimeError(f"damped market loop: {max_iter} iterations, step {step:.3e}")
 
 
-# The two weight oracles below are the plain 0.5-damped loops the weight
+# The two weight oracles below are the plain damped loops the weight
 # solvers ran before Anderson mixing, with their stop rule (the damped step
 # below tol) and their final evaluation at the fixed point. They call
 # ``equilibrium.transformed_weight_map`` through the module, so a test can
@@ -303,7 +304,7 @@ def damped_fixed_point_solve(geography, params, y_star=None,
     else:
         lam_t = np.zeros(len(ids))
     exits = 0
-    theta = options.damping
+    theta = equilibrium.DAMPING
     for iteration in range(1, options.max_iter + 1):
         try:
             g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
@@ -341,7 +342,7 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
         lam_t = np.asarray(options.weights_init, dtype=float) * scale
     else:
         lam_t = np.zeros(geography.n_sites)
-    theta = options.damping
+    theta = equilibrium.DAMPING
     for iteration in range(1, options.max_iter + 1):
         g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
                                                           active_only=True)

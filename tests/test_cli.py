@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import yaml
 
 from hinterland import cli
 from hinterland.config import load_config, parse_config
+from hinterland.equilibrium import SolverOptions
 from hinterland.errors import (
     ConfigError,
     HinterlandError,
@@ -63,10 +65,10 @@ def test_minimal_config_defaults():
     assert geo.trade.origin == "from_metric" and geo.trade.tau == 0.5
     assert np.allclose(geo.amenity.values, 1.0)
     assert cfg.params.sigma == 9.0 and cfg.params.variant.kind == "baseline"
-    assert cfg.solver.options.damping == 0.5 and cfg.solver.seed == 0
+    assert cfg.solver == SolverOptions()
     assert cfg.active_sites is None
     assert cfg.enumerate.sizes == (2,) and cfg.enumerate.max_subsets == 256
-    assert cfg.threads == 0
+    assert cfg.enumerate.seed == 0
 
 
 def test_unknown_key_rejected_with_line():
@@ -255,13 +257,21 @@ def test_active_sites_validation():
 
 
 def test_solver_anchor_is_an_unknown_key(tmp_path):
-    # the anchored solve pins the first site of its active set
-    text = MINIMAL + "solver:\n  damping: 0.5\n  anchor: 0\n"
-    with pytest.raises(ConfigError, match=r"<config>:16: unknown key "
-                                          r"'solver.anchor'"):
-        parse_config(text)
-    assert cli.main(["solve", "--config", str(write_config(tmp_path, text)),
-                     "--out", str(tmp_path / "out")]) == 1
+    # the anchored solve pins the first site of its active set, every fixed
+    # point damps with equilibrium.DAMPING, the sampling seed is enumerate's
+    # and the process count is enumerate's --threads
+    for block, line, key in [("solver:\n  anchor: 0\n", 15, "solver.anchor"),
+                             ("solver:\n  damping: 0.5\n", 15,
+                              "solver.damping"),
+                             ("solver:\n  seed: 1\n", 15, "solver.seed"),
+                             ("threads: 2\n", 14, "threads")]:
+        text = MINIMAL + block
+        with pytest.raises(ConfigError, match=f"<config>:{line}: unknown key "
+                                              f"'{key}'"):
+            parse_config(text)
+        assert cli.main(["solve", "--config",
+                         str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "out")]) == 1
 
 
 def test_tau_outside_home_consumption_is_reported_at_params():
@@ -357,17 +367,16 @@ def test_non_finite_numbers_are_rejected_at_their_line(value):
 
 
 def test_solver_block_bounds():
-    with pytest.raises(ConfigError, match="damping"):
-        parse_config(MINIMAL + "solver:\n  damping: 0.0\n")
     with pytest.raises(ConfigError, match="max_iter"):
         parse_config(MINIMAL + "solver:\n  max_iter: 0\n")
-    # the shrunk set Λ^k needs k in (0, 1), as every solver path checks
-    with pytest.raises(ConfigError, match="'k_shrink' must be < 1.0, "
-                                          "got 1.0") as exc:
+    # the shrunk set Λ^k needs k in (0, 1): SolverOptions' rule, at the key
+    with pytest.raises(ConfigError, match=r"k_shrink must be in \(0, 1\), "
+                                          r"got 1.0") as exc:
         parse_config(MINIMAL + "solver:\n  k_shrink: 1.0\n")
     assert exc.value.path == "<config>:15"
-    cfg = parse_config(MINIMAL + "solver:\n  seed: 11\n  max_iter: 500\n")
-    assert cfg.solver.seed == 11 and cfg.solver.options.max_iter == 500
+    cfg = parse_config(MINIMAL + "solver:\n  max_iter: 500\n"
+                                 "enumerate:\n  seed: 11\n")
+    assert cfg.enumerate.seed == 11 and cfg.solver.max_iter == 500
 
 
 # each optional block, spelled out with its defaults, and where it goes
@@ -375,18 +384,17 @@ DEFAULT_BLOCKS = {
     "domain": ("geography:\n", "{kind: all}"),
     "amenity": ("geography:\n", "{kind: uniform, value: 1.0}"),
     "variant": ("params:\n", "{kind: baseline}"),
-    "solver": ("", "{damping: 0.5, tol: 1.0e-12, max_iter: 2000, "
-                   "k_shrink: 0.5, seed: 0}"),
+    "solver": ("", "{tol: 1.0e-12, max_iter: 2000, k_shrink: 0.5}"),
     "solve": ("", "{active_sites: null}"),
     "sweep": ("", "{kind: alpha_beta, sigma: 9.0}"),
-    "enumerate": ("", "{sizes: [2], max_subsets: 256}"),
+    "enumerate": ("", "{sizes: [2], max_subsets: 256, seed: 0}"),
 }
 
 
 def _config_facts(cfg):
     amenity = cfg.geography.amenity
     return (cfg.params, cfg.solver, cfg.active_sites, cfg.sweep, cfg.enumerate,
-            cfg.threads, cfg.geography.grid.inside.tobytes(),
+            cfg.geography.grid.inside.tobytes(),
             amenity.values.tobytes(), amenity.b_min, amenity.b_max)
 
 
@@ -758,16 +766,6 @@ def test_render_round_trips_solve_output(tmp_path):
                      "--out", str(render)]) == 1
 
 
-def test_threads_flag_validation_and_echo(tmp_path, capsys):
-    config = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert cli.main(["solve", "--config", str(config), "--out", str(out),
-                     "--threads", "2"]) == 0
-    assert read_json(out / "solution.json")["solver"]["threads"] == 2
-    assert cli.main(["solve", "--config", str(config), "--out", str(out),
-                     "--threads", "-1"]) == 1
-
-
 @pytest.mark.parametrize("width", ["0", "-50"])
 def test_render_width_below_one_is_a_usage_error(tmp_path, capsys, width):
     write_label_raster(tmp_path / "labels.pgm",
@@ -788,13 +786,34 @@ def test_enumerate_size_above_the_site_count_is_an_input_error(tmp_path,
         "error: subset size 3 out of range 1..2\n"
 
 
-def test_render_of_an_ascii_pgm_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("head, message", [
+    (b"P2\n# bbox 0 0 1 1\n2 2\n255\n", "not a binary PGM (magic 'P2')"),
+    (b"P5\n# bbox 0 0 1 1\n2x 2\n255\n", "malformed PGM header"),
+    (b"P5\n# bbox 0 0 1 1\n2 \xe92\n255\n", "malformed PGM header"),
+    (b"P5\n# bbox 0 0 1 1\n-2 -2\n255\n", "malformed PGM header"),
+    (b"P5\n# bbox 0.0 zero 1.0 1.0\n2 2\n255\n",
+     "bbox comment must hold 4 numbers"),
+    (b"P5\n# bbox 0 0 0 1\n2 2\n255\n", "bbox must be finite with x0 < x1 "
+                                       "and y0 < y1, got (0.0, 0.0, 0.0, 1.0)"),
+], ids=["ascii", "size-2x", "non-ascii", "negative-size", "bbox-word",
+        "flat-bbox"])
+def test_render_of_an_ascii_pgm_is_an_input_error(tmp_path, capsys, head,
+                                                  message):
     raster = tmp_path / "labels.pgm"
-    raster.write_bytes(b"P2\n# bbox 0 0 1 1\n2 2\n255\n0 0\n1 1\n")
+    raster.write_bytes(head + bytes(4))
     assert cli.main(["render", "--input", str(raster),
                      "--out", str(tmp_path / "render")]) == 1
-    assert capsys.readouterr().err == \
-        f"error: {raster}: not a binary PGM (magic 'P2')\n"
+    assert capsys.readouterr().err == f"error: {raster}: {message}\n"
+
+
+def test_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["classify", "--config", str(write_config(tmp_path)),
+                     "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {taken}: cannot create output directory: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("table", [
@@ -815,24 +834,31 @@ def test_render_of_a_bad_sites_table_is_an_input_error(tmp_path, capsys,
 
 
 def test_solver_echo_has_the_solver_schema_keys(tmp_path):
+    # the echo is exactly what a solve reads
     schema = yaml.safe_load(DEFAULT_BLOCKS["solver"][1])
+    fields = {f.name for f in dataclasses.fields(SolverOptions)}
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", str(write_config(tmp_path)),
                      "--out", str(out)]) == 0
     echo = read_json(out / "solution.json")["solver"]
-    assert sorted(echo) == sorted([*schema, "threads"])
-    assert {key: echo[key] for key in schema} == schema
+    assert set(echo) == set(schema) == fields - {"weights_init"}
+    assert echo == schema
 
 
-def test_render_takes_no_threads_flag(tmp_path, capsys):
-    # render loads no config, so a --threads value would have nothing to set
-    assert cli.main(["render", "--input", str(tmp_path),
-                     "--threads", "2"]) == 1
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-    for command in ("solve", "classify", "sweep", "enumerate"):
-        args = cli.build_parser().parse_args(
-            [command, "--config", "run.yaml", "--threads", "2"])
-        assert args.threads == 2
+def test_only_enumerate_takes_a_threads_flag(tmp_path, capsys):
+    # only enumerate starts worker processes
+    config = str(write_config(tmp_path))
+    for command in ("solve", "classify", "sweep", "render"):
+        source = ["--input", str(tmp_path)] if command == "render" \
+            else ["--config", config]
+        assert cli.main([command, *source, "--out", str(tmp_path / "out"),
+                         "--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads 2" \
+            in capsys.readouterr().err
+    assert cli.main(["enumerate", "--config", config, "--out",
+                     str(tmp_path / "out"), "--threads", "-1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: hinterland enumerate: --threads must be >= 0, got -1\n"
 
 
 def test_knife_edge_params_route_to_all_sites_solver(tmp_path):

@@ -38,6 +38,7 @@ from hinterland.errors import (
     DegenerateConstantRecovery,
     DegenerateGamma1,
     EmptyCellInSum,
+    InvalidInput,
     InvalidVariantParams,
     LeftFeasibleSet,
     NonFiniteWeight,
@@ -188,6 +189,13 @@ def test_model_params_validation():
     with pytest.raises(InvalidVariantParams):
         ModelParams(sigma=5.0, alpha=0.1, beta=-0.3, delta=1.0,
                     variant=TwoSector(mu=0.5, beta=0.2))
+
+
+@pytest.mark.parametrize("k_shrink", [1.0, 0.0, -2.0, float("nan")])
+def test_solver_options_reject_k_shrink_outside_the_unit_interval(k_shrink):
+    # the shrunk set Λ^k needs k in (0, 1)
+    with pytest.raises(InvalidInput, match="k_shrink must be in"):
+        SolverOptions(k_shrink=k_shrink)
 
 
 def test_tau_applies_only_to_home_consumption():

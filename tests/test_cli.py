@@ -845,7 +845,7 @@ def test_solver_echo_has_the_solver_schema_keys(tmp_path):
     assert echo == schema
 
 
-def test_only_enumerate_takes_a_threads_flag(tmp_path, capsys):
+def test_render_takes_no_threads_flag(tmp_path, capsys):
     # only enumerate starts worker processes
     config = str(write_config(tmp_path))
     for command in ("solve", "classify", "sweep", "render"):
@@ -855,10 +855,26 @@ def test_only_enumerate_takes_a_threads_flag(tmp_path, capsys):
                          "--threads", "2"]) == 1
         assert "unrecognized arguments: --threads 2" \
             in capsys.readouterr().err
+    args = cli.build_parser().parse_args(
+        ["enumerate", "--config", "run.yaml", "--threads", "2"])
+    assert args.threads == 2
+    args = cli.build_parser().parse_args(
+        ["enumerate", "--config", "run.yaml"])
+    assert args.threads == 0
+
+
+def test_threads_flag_validation_and_echo(tmp_path, capsys):
+    config = str(write_config(tmp_path))
+    out = tmp_path / "out"
+    assert cli.main(["enumerate", "--config", config, "--out", str(out),
+                     "--threads", "2"]) == 0
     assert cli.main(["enumerate", "--config", config, "--out",
-                     str(tmp_path / "out"), "--threads", "-1"]) == 1
+                     str(tmp_path / "bad"), "--threads", "-1"]) == 1
     assert capsys.readouterr().err == \
         "error: hinterland enumerate: --threads must be >= 0, got -1\n"
+    # a solve reads no thread count, so its solver echo carries none
+    assert cli.main(["solve", "--config", config, "--out", str(out)]) == 0
+    assert "threads" not in read_json(out / "solution.json")["solver"]
 
 
 def test_knife_edge_params_route_to_all_sites_solver(tmp_path):

@@ -24,7 +24,7 @@ from .equilibrium import (
 )
 from .errors import HinterlandError, InvalidInput
 from .fields import Geography
-from .geometry import assign_labels, pairwise_metrics, sample_feasible_weights
+from .geometry import assign_labels, cross_distances, sample_feasible_weights
 from .integrals import aggregate_amenities, semielasticity_sup
 
 
@@ -132,9 +132,9 @@ def _environment_trade_decay(geography: Geography) -> float:
     trade = geography.trade
     if trade.origin == "from_metric":
         return trade.tau
-    d, _, _ = pairwise_metrics(geography.sites, geography.system)
+    d = cross_distances(geography.sites, geography.system)
     off = ~np.eye(len(d), dtype=bool)
-    return max(0.0, float((np.log(trade.values[off]) / d[off]).max()))
+    return float((np.log(trade.values[off]) / d[off]).max(initial=0.0))
 
 
 def existence_margins(geography: Geography, params: ModelParams,
@@ -148,18 +148,18 @@ def existence_margins(geography: Geography, params: ModelParams,
     """
     comp = composite_params(params, geography.productivities, geography.trade)
     eff = comp.effective
+    # the distance stack rejects coincident sites before d divides anything
+    tess0 = assign_labels(geography.grid, geography.sites, geography.system,
+                          np.zeros(geography.n_sites), geography.distances)
+    log_B0 = aggregate_amenities(tess0, geography.amenity, eff.kernel).log_B
     tau_rate = _environment_trade_decay(geography)
 
     if eta_hat is None:
         eta_hat = semielasticity_sup(geography, eff.kernel,
                                      k_shrink=k_shrink).value
-    d, d_min, radius = pairwise_metrics(geography.sites, geography.system)
-
-    tess0 = assign_labels(geography.grid, geography.sites, geography.system,
-                          np.zeros(geography.n_sites), geography.distances)
-    agg0 = aggregate_amenities(tess0, geography.amenity, eff.kernel)
+    d = cross_distances(geography.sites, geography.system)
+    radius = float(d.max(axis=1).min())
     log_abar = np.log(geography.productivities)
-    log_B0 = agg0.log_B
 
     st = comp.sigma_tilde
     sigma = params.sigma
@@ -171,11 +171,10 @@ def existence_margins(geography: Geography, params: ModelParams,
            - 2.0 * eff.beta_eff * eta_hat * radius)
     margins = (decay - creep) * d - lhs
     np.fill_diagonal(margins, np.nan)
-    finite = margins[~np.isnan(margins)]
-    min_margin = float(finite.min()) if finite.size else math.inf
+    finite = margins[~np.isnan(margins)]   # empty for one site: no pairs
     return ExistenceReport(
-        margins=margins, min_margin=min_margin,
-        passes=bool((finite >= 0).all()) if finite.size else True,
+        margins=margins, min_margin=float(finite.min(initial=math.inf)),
+        passes=bool((finite >= 0).all()),
         precondition_value=decay - creep, precondition_holds=decay > creep,
         eta_hat=eta_hat, interaction_radius=radius, trade_decay_rate=tau_rate)
 
@@ -221,7 +220,8 @@ def parameter_sweep(kind: str = "alpha_beta",
     """Classify every cell of a 2-parameter grid.
 
     Defaults follow the desk-scale ranges documented in the README:
-    alpha in [0, 0.6], beta in [-0.6, 0], sigma in [2, 12].
+    alpha in [0, 0.6], beta in [-0.6, 0], sigma in [2, 12]. Each axis needs
+    at least 2 strictly increasing values.
     """
     alphas = np.asarray(alphas if alphas is not None
                         else np.linspace(0.0, 0.6, 61), dtype=float)
@@ -237,8 +237,9 @@ def parameter_sweep(kind: str = "alpha_beta",
         points = [(a, beta, s) for s in ys for a in alphas]
     else:
         raise InvalidInput(f"unknown sweep kind {kind!r}")
-    if alphas.size < 2 or ys.size < 2:
-        raise InvalidInput("sweep needs at least 2 points per axis")
+    for name, axis in (("alpha", alphas), (kind.removeprefix("alpha_"), ys)):
+        if axis.size < 2 or not (np.diff(axis) > 0).all():
+            raise InvalidInput(f"sweep {name} axis needs at least 2 strictly increasing values")
 
     reports = tuple(classify_point(a, b, s) for (a, b, s) in points)
     category = np.array([_category_index(r) for r in reports],

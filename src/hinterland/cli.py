@@ -99,15 +99,6 @@ def _is_knife_edge(params: ModelParams) -> bool:
             and is_knife_edge(params.alpha, params.sigma))
 
 
-def _solve_from_config(config: RunConfig):
-    """Run the configured solve; returns (solution, working geography)."""
-    geography = config.require_geography()
-    params = config.require_params()
-    work = subset_geography(geography, config.active_sites)
-    solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
-    return solve(work, params, options=config.solver), work
-
-
 def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict:
     return {
         "command": "solve",
@@ -154,8 +145,10 @@ def cmd_solve(args) -> int:
     params = config.require_params()
     _log(args, f"solving {geography.n_sites}-site geography "
                f"({params.variant.kind})")
+    work = subset_geography(geography, config.active_sites)
+    solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
     try:
-        solution, work = _solve_from_config(config)
+        solution = solve(work, params, options=config.solver)
     except (NotConverged, LeftFeasibleSet) as exc:
         diagnostics = {
             "command": "solve",

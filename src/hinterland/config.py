@@ -50,7 +50,7 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
       k_shrink: v               # (0.5); in (0, 1)
     solve:
       active_sites: [ids] | null   # (null = all sites)
-    sweep:
+    sweep:                      # each axis strictly increasing (parameter_sweep)
       kind: alpha_beta | alpha_sigma   # (alpha_beta)
       alphas: {start, stop, count} | [values]   # (0..0.6, 61)
       betas:  {start, stop, count} | [values]   # alpha_beta (-0.6..0, 61)

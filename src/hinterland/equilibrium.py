@@ -26,7 +26,7 @@ from .errors import (
     ZeroLabor,
 )
 from .fields import Geography, TradeCostMatrix
-from .geometry import Tessellation, assign_labels, cross_distances
+from .geometry import Tessellation, assign_labels, check_k_shrink, cross_distances
 from .integrals import (
     CellAggregates,
     KernelSpec,
@@ -309,13 +309,13 @@ def _anderson_gamma(dF, f):
     return gamma
 
 
-def _iterate(evaluate, x, beta, tol, max_iter, what, project=lambda x: x, leave=None):
+def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None):
     """Fixed point of G by Anderson mixing, safeguarded by the damped step.
 
     ``evaluate(x)`` returns ``(G(x), ...)``. Each step mixes the last
-    ANDERSON_MEMORY + 1 residuals f = G(x) − x with weight ``beta``, then
+    ANDERSON_MEMORY + 1 residuals f = G(x) − x with weight DAMPING, then
     applies ``project``. A mixed iterate that is non-finite or whose
-    evaluation raises EmptyCellInSum gives way to the damped step x + beta·f
+    evaluation raises EmptyCellInSum yields to the damped step x + DAMPING·f
     from the same point, and mixing stops for good. After ANDERSON_MEMORY + 1
     evaluations without a new best max|f|, the history is dropped and damped
     steps run until one. A damped step that empties a cell is an exit: the
@@ -340,7 +340,7 @@ def _iterate(evaluate, x, beta, tol, max_iter, what, project=lambda x: x, leave=
         f = out[0] - x
         step = float(np.abs(f).max())
         best, stalled = (step, 0) if step < best else (best, stalled + 1)
-        nxt, fallback = x + beta * f, None
+        nxt, fallback = x + DAMPING * f, None
         if stalled > ANDERSON_MEMORY:  # damped steps until max|f| sets a new best
             xs, fs = [], []
         elif accelerate:
@@ -348,7 +348,7 @@ def _iterate(evaluate, x, beta, tol, max_iter, what, project=lambda x: x, leave=
             dX = [a - b for a, b in zip(xs, xs[1:])]
             dF = [a - b for a, b in zip(fs, fs[1:])]
             gamma = _anderson_gamma(dF, f)
-            mixed = nxt - sum(c * (dx + beta * df) for c, dx, df in zip(gamma, dX, dF))
+            mixed = nxt - sum(c * (dx + DAMPING * df) for c, dx, df in zip(gamma, dX, dF))
             if not np.isfinite(mixed).all():
                 accelerate = False
             elif gamma.any():  # a mix off the damped step
@@ -370,8 +370,7 @@ class SolverOptions:
     weights_init: np.ndarray | None = None   # original-variable differences
 
     def __post_init__(self):
-        if not 0 < self.k_shrink < 1:   # the shrunk set Λ^k needs k in (0, 1)
-            raise InvalidInput(f"k_shrink must be in (0, 1), got {self.k_shrink}")
+        check_k_shrink(self.k_shrink)
 
 
 @dataclass(frozen=True)
@@ -516,7 +515,8 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     DAMPING until max|G(λ̃) − λ̃| < tol; then the normalization
     constant, welfare, labor masses, and the market block are recovered. A
     damped step that empties a cell triggers one reprojection onto the
-    shrunk feasible set; a second exit aborts.
+    shrunk feasible set; a second exit aborts. As G_0 is exactly 0, every
+    step keeps the anchor coordinate at 0 without a projection.
     """
     sub = subset_geography(geography, y_star)
     comp = composite_params(params, sub.productivities, sub.trade)
@@ -537,8 +537,7 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
 
     lam_t, (_, g, tess, agg), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
-        DAMPING, options.tol, options.max_iter, "weights",
-        project=lambda x: np.concatenate(([0.0], x[1:])),  # zero the anchor
+        options.tol, options.max_iter, "weights",
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
     c = g[0] / denom
     lam_t_abs = lam_t + c
@@ -575,8 +574,8 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     lam_t, (g, tess, agg), _, iterations, _ = _iterate(
         lambda x: transformed_weight_map(x, comp, geography, active_only=True,
                                          band=band),
-        w0 * (comp.weight_scale * comp.gamma1), DAMPING, options.tol,
-        options.max_iter, "knife-edge weights")
+        w0 * (comp.weight_scale * comp.gamma1), options.tol, options.max_iter,
+        "knife-edge weights")
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
         lam_t, comp, geography, params, tess, agg,
@@ -632,7 +631,7 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     _, _, log_w, iterations, _ = _iterate(
         lambda log_w: (numeraire(log_wage_update(log_w, log_prices(log_w))),),
         numeraire(np.zeros(len(labor))),  # start at equal wages
-        DAMPING, tol, MARKET_MAX_ITER, "market", project=numeraire)
+        tol, MARKET_MAX_ITER, "market", project=numeraire)
     log_P = log_prices(log_w)
     return MarketEquilibrium(
         wages=np.exp(log_w), prices=np.exp(log_P), iterations=iterations,

@@ -137,6 +137,9 @@ class Geography:
                 f"{len(self.sites)} sites but {self.trade.n}x{self.trade.n} trade matrix")
         if self.amenity.grid is not self.grid and self.amenity.grid != self.grid:
             raise InvalidInput("amenity field was sampled on a different grid")
+        ids = [s.id for s in self.sites]
+        if repeated := sorted({i for i in ids if ids.count(i) > 1}):
+            raise InvalidInput(f"repeated site ids {repeated}")
 
     @property
     def n_sites(self) -> int:

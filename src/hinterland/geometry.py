@@ -87,7 +87,7 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
         Cells per axis; at least 2 per axis.
     inside_predicate : callable or None
         Vectorized predicate ``f(X, Y) -> bool array`` evaluated at cell
-        centers. ``None`` marks every cell inside.
+        centers. ``None`` marks every cell inside: one component, unchecked.
 
     Raises
     ------
@@ -96,9 +96,9 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
     DisconnectedDomain
         If the inside cells split into more than one 4-connected component.
 
-    Connectivity is counted by ``count_components``: the row runs of inside
-    cells are merged, with union-find, wherever two runs in adjacent rows
-    share a column, so diagonal contact does not join components.
+    A predicate's mask is checked by ``count_components``: the row runs of
+    inside cells are merged, with union-find, wherever two runs in adjacent
+    rows share a column, so diagonal contact does not join components.
     """
     xmin, ymin, xmax, ymax = (float(v) for v in bbox)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -115,12 +115,11 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
         if mask.shape != (ny, nx):
             raise InvalidInput(f"inside predicate returned shape {mask.shape}, expected {(ny, nx)}")
         grid = DomainGrid(bbox=grid.bbox, nx=nx, ny=ny, inside=mask)
-
-    if grid.n_inside == 0:
-        raise EmptyDomain("inside predicate marked no cell")
-    n_components = count_components(grid.inside)
-    if n_components > 1:
-        raise DisconnectedDomain(f"inside mask has {n_components} 4-connected components")
+        if grid.n_inside == 0:
+            raise EmptyDomain("inside predicate marked no cell")
+        n_components = count_components(mask)
+        if n_components > 1:
+            raise DisconnectedDomain(f"inside mask has {n_components} 4-connected components")
     grid.inside.setflags(write=False)
     return grid
 
@@ -377,11 +376,15 @@ class FeasibilityReport:
     _STATUSES = ("interior", "boundary", "infeasible")   # best to worst
 
 
+def check_k_shrink(k: float) -> None:
+    """Raise InvalidInput unless k is in (0, 1), as the shrunk set Λ^k needs."""
+    if not 0 < k < 1:
+        raise InvalidInput(f"k_shrink must be in (0, 1), got {k}")
+
+
 def _band_status(d, weights, k: float) -> np.ndarray:
     """Status of w_i - w_j for every ordered pair: 0 interior, 1 boundary,
     2 infeasible (0 on the diagonal). ``weights`` may hold one vector per row."""
-    if not (0.0 < k < 1.0):
-        raise InvalidInput(f"k must be in (0, 1), got {k}")
     diff = weights[..., :, None] - weights[..., None, :]
     # feasible band for w_i - w_j is (-d_j(y_i), d_i(y_j))
     lo, hi = -d.T, d
@@ -393,6 +396,7 @@ def _band_status(d, weights, k: float) -> np.ndarray:
 
 def lambda_feasibility(sites, system: DistanceSystem, weights, k: float) -> FeasibilityReport:
     """Classify weight differences against the active-cell feasibility bands."""
+    check_k_shrink(k)
     sites = tuple(sites)
     status = _band_status(cross_distances(sites, system),
                           np.asarray(weights, dtype=float), k)
@@ -408,8 +412,10 @@ def sample_feasible_weights(sites, system: DistanceSystem, k_shrink: float,
 
     Draws uniformly from the box |w_i| < k_shrink * d_min / 2 (so every
     difference stays below k_shrink * d_min) and rejects vectors that are not
-    interior; the draws and their order depend only on ``seed``.
+    interior; the draws and their order depend only on ``seed``. A
+    ``k_shrink`` outside (0, 1) raises InvalidInput before any draw.
     """
+    check_k_shrink(k_shrink)
     sites = tuple(sites)
     d, d_min, _ = pairwise_metrics(sites, system)
     rng = np.random.default_rng(seed)

@@ -319,8 +319,6 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     the shrunk feasible set; an edge skips twice, once per ordered pair.
     Single-site geographies give 0.
     """
-    if not (0 < k_shrink < 1):
-        raise InvalidInput(f"k_shrink must be in (0, 1), got {k_shrink}")
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
     n = geography.n_sites

@@ -22,9 +22,10 @@ from hinterland.equilibrium import (
     SolverOptions,
     TwoSector,
     composite_params,
+    subset_geography,
     variant_transform,
 )
-from hinterland.errors import HinterlandError
+from hinterland.errors import CoincidentSites, HinterlandError, InvalidInput
 from hinterland.fields import explicit_trade_costs
 from hinterland.geometry import pairwise_metrics, sample_feasible_weights
 from hinterland.integrals import semielasticity_sup
@@ -195,6 +196,25 @@ def test_environment_trade_decay_matches_pair_loop(scaled):
     assert loop_environment_trade_decay(geo) > 0
 
 
+@pytest.mark.parametrize("origin", ["from_metric", "explicit"])
+def test_existence_margins_of_one_site_pass_with_no_pairs(origin):
+    geo = make_geography(SYM2, tau=0.7)
+    if origin == "explicit":
+        geo = replace(geo, trade=explicit_trade_costs(geo.trade.values))
+    report = existence_margins(subset_geography(geo, [1]), PARAMS)
+    assert np.isnan(report.margins).all() and report.margins.shape == (1, 1)
+    assert report.min_margin == math.inf and report.passes
+    assert report.eta_hat == 0.0 and report.interaction_radius == 0.0
+    assert report.trade_decay_rate == (0.7 if origin == "from_metric" else 0.0)
+
+
+def test_existence_margins_reject_coincident_sites_before_dividing():
+    twins = make_geography(((0.3, 0.5), (0.3, 0.5)))
+    twins = replace(twins, trade=explicit_trade_costs(twins.trade.values))
+    with np.errstate(all="raise"), pytest.raises(CoincidentSites):
+        existence_margins(twins, PARAMS, eta_hat=0.0)
+
+
 def test_margin_threshold_bracketing_over_delta():
     # asymmetric productivities: margins flip sign as delta sweeps upward
     geo = make_geography(SYM2, productivities=[1.0, 1.5], tau=0.5)
@@ -283,6 +303,13 @@ def test_sweep_validates_axes():
         parameter_sweep(kind="alpha_beta", alphas=[0.1], betas=[-0.3, -0.2])
     with pytest.raises(ValueError):
         parameter_sweep(kind="unknown")
+    # the region map's cell edges assume increasing axes
+    with pytest.raises(InvalidInput, match="sweep alpha axis needs at least 2 "
+                                           "strictly increasing values"):
+        parameter_sweep(kind="alpha_beta", alphas=np.linspace(0.6, 0.0, 7))
+    with pytest.raises(InvalidInput, match="sweep beta axis needs at least 2 "
+                                           "strictly increasing values"):
+        parameter_sweep(kind="alpha_beta", betas=[-0.1, -0.5, -0.3])
 
 
 # ---------------------------------------------------------------------------

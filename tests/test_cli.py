@@ -685,6 +685,22 @@ sweep:
     assert len(document["boundary"]) == 11
 
 
+@pytest.mark.parametrize("axis, name", [
+    ("alphas: {start: 0.6, stop: 0.0, count: 7}", "alpha"),
+    ("betas: [-0.1, -0.5, -0.3]", "beta")])
+def test_sweep_axis_out_of_order_is_an_input_error(tmp_path, capsys, axis,
+                                                   name):
+    # a decreasing axis would write a regions.svg of negative height
+    config = write_config(tmp_path, f"sweep:\n  {axis}\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(config),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sweep {name} axis needs at least 2 strictly increasing "
+        "values\n")
+    assert not out.exists()
+
+
 ENUMERATE_SQUARE = """\
 geography:
   resolution: [48, 48]

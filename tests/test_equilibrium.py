@@ -51,7 +51,13 @@ from hinterland.fields import (
     explicit_trade_costs,
     trade_costs_from_metric,
 )
-from hinterland.geometry import DistanceSystem, Site, build_grid
+from hinterland.geometry import (
+    DistanceSystem,
+    Site,
+    build_grid,
+    lambda_feasibility,
+    sample_feasible_weights,
+)
 from hinterland.integrals import NarrowBand
 
 EUCLID = DistanceSystem()
@@ -196,6 +202,24 @@ def test_solver_options_reject_k_shrink_outside_the_unit_interval(k_shrink):
     # the shrunk set Λ^k needs k in (0, 1)
     with pytest.raises(InvalidInput, match="k_shrink must be in"):
         SolverOptions(k_shrink=k_shrink)
+
+
+@pytest.mark.parametrize("k_shrink", [math.nan, math.inf, -math.inf, -1.0,
+                                      0.0, 1.0, 2.0])
+def test_every_k_shrink_reader_rejects_it_outside_the_unit_interval(k_shrink):
+    # one rule for Λ^k, and the sampler applies it before its first draw
+    geo = make_geography(SYM2)
+    checks = (
+        lambda: SolverOptions(k_shrink=k_shrink),
+        lambda: lambda_feasibility(geo.sites, geo.system, [0.0, 0.0], k_shrink),
+        lambda: sample_feasible_weights(geo.sites, geo.system, k_shrink, 2, 0),
+        lambda: integrals.semielasticity_sup(
+            geo, variant_transform(PARAMS).kernel, k_shrink=k_shrink,
+            n_samples=4),
+    )
+    for check in checks:
+        with pytest.raises(InvalidInput, match=r"k_shrink must be in \(0, 1\)"):
+            check()
 
 
 def test_tau_applies_only_to_home_consumption():
@@ -661,12 +685,13 @@ def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
     expected = damped_fixed_point_solve(geo, p)
     damped_evaluations = len(map_evaluations)
 
-    gammas, emptied = [], []
+    gammas, emptied, anchors = [], [], []
     evaluate = equilibrium.transformed_weight_map
 
-    def recording(*args, **kwargs):
+    def recording(lam_t, *args, **kwargs):
+        anchors.append(lam_t[0])
         try:
-            return evaluate(*args, **kwargs)
+            return evaluate(lam_t, *args, **kwargs)
         except EmptyCellInSum:
             emptied.append(1)
             raise
@@ -678,6 +703,8 @@ def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
     sol = fixed_point_solve(geo, p)
     assert gammas == [0, 1]        # acceleration stops after the rejection
     assert emptied == [1]          # one rejected evaluation, and no exit
+    # mixed, rejected and fallback iterates keep the anchor at 0 unprojected
+    assert all(anchor == 0.0 for anchor in anchors)
     assert not sol.exited_feasible
     assert np.array_equal(sol.tessellation.labels, expected.tessellation.labels)
     assert np.abs(sol.weights - expected.weights).max() < 1e-10
@@ -711,6 +738,8 @@ def test_damped_step_that_empties_a_cell_is_an_exit(monkeypatch):
     assert np.array_equal(reprojected, _reproject(step, comp, geo, 0.5))
     for a, b in zip(points["anderson"][:3], points["damped"][:3]):
         assert np.array_equal(a, b)
+    # the damped and reprojected iterates keep the anchor at 0 unprojected
+    assert all(lam_t[0] == 0.0 for seen in points.values() for lam_t in seen)
 
 
 def test_alpha_equal_to_minus_beta_fails_before_any_evaluation(
@@ -767,9 +796,9 @@ def test_every_fixed_point_runs_through_the_one_driver(monkeypatch):
     solved = []
     iterate = equilibrium._iterate
 
-    def recording(evaluate, x, beta, tol, max_iter, what, **kwargs):
+    def recording(evaluate, x, tol, max_iter, what, **kwargs):
         solved.append(what)
-        return iterate(evaluate, x, beta, tol, max_iter, what, **kwargs)
+        return iterate(evaluate, x, tol, max_iter, what, **kwargs)
 
     monkeypatch.setattr(equilibrium, "_iterate", recording)
     geo = make_geography(SYM2, productivities=[1.0, 1.05])

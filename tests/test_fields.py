@@ -160,6 +160,14 @@ def test_geography_shape_mismatch_rejected():
                   trade=explicit_trade_costs(np.ones((3, 3))))
 
 
+def test_geography_rejects_repeated_site_ids():
+    # positions_of would resolve a repeated id to the last of its sites
+    sites = (Site(0, (0.3, 0.5)), Site(0, (0.7, 0.5)), Site(2, (0.5, 0.8)),
+             Site(2, (0.5, 0.2)))
+    with pytest.raises(ValueError, match=r"repeated site ids \[0, 2\]"):
+        make_geography(sites=sites)
+
+
 def test_from_metric_triangle_bound_holds_for_random_layouts():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -593,6 +593,18 @@ def test_swap_margins_use_the_solver_shrunk_set():
         assert margin == existence_margins(sub, p, k_shrink=0.3).min_margin
 
 
+def test_moving_a_lone_city_swaps_one_site():
+    # one active site: no pairs, so both margins are inf, and both solves
+    # converge wherever the city stands
+    geo = geo_with_sites(THREE)
+    report = site_swap_experiment(geo, STRONG, [0], y_c=0, y_p=1)
+    assert report.y_double_star == (1,)
+    assert report.swap_distance == pytest.approx(0.7)
+    assert report.base_min_margin == report.swapped_min_margin == math.inf
+    assert report.base_converged and report.swapped_converged
+    assert report.base_error == report.swapped_error == ""
+
+
 def test_swap_validates_membership():
     geo = geo_with_sites(THREE)
     with pytest.raises(ValueError):

@@ -299,7 +299,7 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     """Solve from seeded random feasible starts and cluster the fixed points.
 
     The starts are drawn from the same shrunk set Λ^k as the solver's
-    reprojection, ``options.k_shrink``.
+    reprojection, ``options.k_shrink``; one site starts every solve at [0.0].
 
     Clustering compares anchored weight differences in sup norm at
     CLUSTER_TOL; a single cluster is evidence (not proof) of uniqueness.
@@ -307,11 +307,8 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     if n_starts < 1:
         raise InvalidInput("n_starts must be >= 1")
     sub = subset_geography(geography, y_star)
-    if sub.n_sites == 1:
-        starts = [np.zeros(1) for _ in range(n_starts)]
-    else:
-        starts = sample_feasible_weights(sub.sites, sub.system,
-                                         options.k_shrink, n_starts, seed)
+    starts = sample_feasible_weights(sub.sites, sub.system,
+                                     options.k_shrink, n_starts, seed)
 
     clusters: list[SolutionCluster] = []
     failures = []

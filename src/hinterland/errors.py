@@ -18,30 +18,26 @@ class InvalidInput(HinterlandError, ValueError):
 # --- geometry ---------------------------------------------------------------
 
 
-class EmptyDomain(HinterlandError):
+class EmptyDomain(InvalidInput):
     """The inside predicate marked no cell of the grid."""
 
 
-class DisconnectedDomain(HinterlandError):
+class DisconnectedDomain(InvalidInput):
     """The inside mask splits into more than one 4-connected component."""
 
 
-class NonFiniteWeight(HinterlandError):
+class NonFiniteWeight(InvalidInput):
     """A Voronoi weight vector contains NaN or infinity."""
 
 
-class SingleSite(HinterlandError):
-    """An operation needing at least two sites got one."""
-
-
-class CoincidentSites(HinterlandError):
+class CoincidentSites(InvalidInput):
     """Two sites share a position where distinct positions are required."""
 
 
 # --- fields -----------------------------------------------------------------
 
 
-class NonPositiveAmenity(HinterlandError):
+class NonPositiveAmenity(InvalidInput):
     """An amenity sample is zero, negative, or non-finite."""
 
     def __init__(self, cell_index, value):
@@ -50,25 +46,25 @@ class NonPositiveAmenity(HinterlandError):
         super().__init__(f"amenity sample at cell {cell_index} is {value!r}; must be finite and > 0")
 
 
-class AsymmetricMetric(HinterlandError):
+class AsymmetricMetric(InvalidInput):
     """A metric-generated trade matrix would be asymmetric."""
 
 
 # --- integrals --------------------------------------------------------------
 
 
-class InactiveSiteWithMass(HinterlandError):
+class InactiveSiteWithMass(InvalidInput):
     """A labor mass was supplied for a site whose cell is empty."""
 
 
 # --- equilibrium ------------------------------------------------------------
 
 
-class DegenerateGamma1(HinterlandError):
+class DegenerateGamma1(InvalidInput):
     """gamma1 = 0: the weight system loses its left-hand side."""
 
 
-class DegenerateConstantRecovery(HinterlandError):
+class DegenerateConstantRecovery(InvalidInput):
     """gamma1 = gamma2: the additive constant of the fixed point is undetermined."""
 
 
@@ -86,7 +82,7 @@ class LeftFeasibleSet(HinterlandError):
     """The weight iterate emptied a cell twice; the run left the feasible set."""
 
 
-class ZeroLabor(HinterlandError):
+class ZeroLabor(InvalidInput):
     """The market block needs strictly positive labor masses."""
 
 
@@ -101,11 +97,11 @@ class InvalidVariantParams(InvalidInput):
 # --- analysis / sustainability ----------------------------------------------
 
 
-class SiteNotVacant(HinterlandError):
+class SiteNotVacant(InvalidInput):
     """potential_weight was asked about a site that is active."""
 
 
-class SiteOutsideDomain(HinterlandError):
+class SiteOutsideDomain(InvalidInput):
     """A vacant site lies on an outside cell, so no active site hosts it."""
 
 

@@ -135,6 +135,10 @@ class Geography:
         if len(self.sites) != self.trade.n:
             raise InvalidInput(
                 f"{len(self.sites)} sites but {self.trade.n}x{self.trade.n} trade matrix")
+        scales = self.system.scales
+        if scales is not None and len(scales) != len(self.sites):
+            raise InvalidInput(
+                f"{len(self.sites)} sites but {len(scales)} metric scales")
         if self.amenity.grid is not self.grid and self.amenity.grid != self.grid:
             raise InvalidInput("amenity field was sampled on a different grid")
         ids = [s.id for s in self.sites]
@@ -271,7 +275,7 @@ def validate_geography(geography: Geography, seed: int = 0) -> GeographyReport:
     checks.append(GeographyCheck("metric_triangle_inequality", not failing.size,
                                  tri_witness))
 
-    c, C = g.system.lipschitz_constants(n)
+    c, C = g.system.lipschitz_constants()
     checks.append(GeographyCheck(
         "metric_euclidean_comparable", 0 < c <= C,
         f"c={c:.6g}, C={C:.6g}"))

@@ -20,7 +20,6 @@ from .errors import (
     EmptyDomain,
     InvalidInput,
     NonFiniteWeight,
-    SingleSite,
 )
 
 #: Label used for raster cells outside the domain.
@@ -211,12 +210,11 @@ class DistanceSystem:
             return 1.0
         return float(self.scales[i])
 
-    def lipschitz_constants(self, n_sites: int) -> tuple[float, float]:
+    def lipschitz_constants(self) -> tuple[float, float]:
         """Lower/upper constants (c, C) bounding d_i against Euclidean distance."""
         if self.kind == "euclidean":
             return 1.0, 1.0
-        scales = self.scales[:n_sites]
-        return float(min(scales)), float(max(scales))
+        return float(min(self.scales)), float(max(self.scales))
 
     def distance(self, site: Site, i: int, X, Y):
         """Evaluate d_i at points (vectorized over X, Y arrays)."""
@@ -410,16 +408,20 @@ def sample_feasible_weights(sites, system: DistanceSystem, k_shrink: float,
                             count: int, seed) -> list[np.ndarray]:
     """``count`` seeded weight vectors that ``lambda_feasibility`` marks interior.
 
-    Draws uniformly from the box |w_i| < k_shrink * d_min / 2 (so every
-    difference stays below k_shrink * d_min) and rejects vectors that are not
-    interior; the draws and their order depend only on ``seed``. A
-    ``k_shrink`` outside (0, 1) raises InvalidInput before any draw.
+    Draws uniformly from the box |w_i| < k_shrink * d_min / 2, d_min the
+    smallest off-diagonal ``cross_distances`` entry or 0 with no pair (one
+    site draws [0.0]), and rejects vectors that are not interior; the draws
+    and their order depend only on ``seed``. A ``k_shrink`` outside (0, 1)
+    raises InvalidInput before any draw; coincident sites, which no draw
+    could separate, raise CoincidentSites.
     """
     check_k_shrink(k_shrink)
     sites = tuple(sites)
-    d, d_min, _ = pairwise_metrics(sites, system)
+    _check_distinct_positions(sites)
+    d = cross_distances(sites, system)
+    off = d[~np.eye(len(sites), dtype=bool)]
     rng = np.random.default_rng(seed)
-    half_box = 0.5 * k_shrink * d_min
+    half_box = 0.5 * k_shrink * (float(off.min()) if off.size else 0.0)
     samples = []
     while len(samples) < count:
         # the rows continue the stream exactly as one draw at a time would
@@ -428,22 +430,3 @@ def sample_feasible_weights(sites, system: DistanceSystem, k_shrink: float,
         interior = _band_status(d, draws, k_shrink).max(axis=(1, 2)) == 0
         samples.extend(draws[interior])
     return samples
-
-
-def pairwise_metrics(sites, system: DistanceSystem):
-    """Distance matrix plus the two separation summaries used by the checks.
-
-    Returns ``(d_matrix, d_min, r)`` where ``d_matrix[i, j] = d_i(y_j)``,
-    ``d_min`` is the smallest off-diagonal entry and ``r`` the smallest
-    eccentricity min_i max_j d_i(y_j).
-    """
-    sites = tuple(sites)
-    _check_distinct_positions(sites)
-    d = cross_distances(sites, system)
-    n = len(sites)
-    if n < 2:
-        raise SingleSite("pairwise metrics need at least two sites for d_min")
-    off = d[~np.eye(n, dtype=bool)]
-    d_min = float(off.min())
-    r = float(d.max(axis=1).min())
-    return d, d_min, r

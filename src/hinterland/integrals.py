@@ -146,9 +146,9 @@ class NarrowBand:
 
     def __init__(self, geography: Geography, kernel: KernelSpec):
         self.geography, self.kernel = geography, kernel
-        grid, n = geography.grid, geography.n_sites
+        grid = geography.grid
         self.width = (BAND_CELLS * max(grid.dx, grid.dy)
-                      * geography.system.lipschitz_constants(n)[1])
+                      * geography.system.lipschitz_constants()[1])
         self.d_max = float(geography.distances.max())
         self.ref = None    # (w_ref, tessellation) of the last full pass
         self.cells = None  # the band, built at the first evaluation near w_ref
@@ -317,16 +317,15 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     The largest off-diagonal ``semielasticity_matrix`` entry over the
     unweighted tessellation and ``n_samples - 1`` seeded weight vectors in
     the shrunk feasible set; an edge skips twice, once per ordered pair.
-    Single-site geographies give 0.
+    Single-site geographies give 0 once the sampler has checked ``k_shrink``.
     """
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
     n = geography.n_sites
-    if n < 2:
-        return SemielasticityBound(0.0, 1, 0)
-
     weight_vectors = [np.zeros(n)] + sample_feasible_weights(
         geography.sites, geography.system, k_shrink, n_samples - 1, seed)
+    if n < 2:
+        return SemielasticityBound(0.0, 1, 0)
 
     best, skipped = 0.0, 0
     for w in weight_vectors:

@@ -25,7 +25,7 @@ from hinterland.equilibrium import (
 )
 from hinterland.errors import EmptyCellInSum, LeftFeasibleSet, NotConverged
 from hinterland.fields import GeographyCheck
-from hinterland.geometry import OUTSIDE, assign_labels, cross_distances, pairwise_metrics
+from hinterland.geometry import OUTSIDE, assign_labels, cross_distances
 from hinterland.integrals import _logsumexp, aggregate_amenities
 from hinterland.io_formats import _num
 
@@ -379,7 +379,7 @@ def loop_environment_trade_decay(geography):
     """Max over ordered pairs of log T_ij / d_i(y_j) (at least 0), as a pair
     loop; each entry takes the log the package takes (np.log, whose last
     bit can differ from math.log's)."""
-    d, _, _ = pairwise_metrics(geography.sites, geography.system)
+    d = cross_distances(geography.sites, geography.system)
     n = len(geography.sites)
     best = 0.0
     for i in range(n):
@@ -393,7 +393,10 @@ def loop_existence_margins(geography, params, eta_hat, tau_rate):
     """Per-pair existence margins as a loop over ordered pairs (NaN diagonal)."""
     comp = composite_params(params, geography.productivities, geography.trade)
     eff = comp.effective
-    d, _, radius = pairwise_metrics(geography.sites, geography.system)
+    d = cross_distances(geography.sites, geography.system)
+    n = geography.n_sites
+    # smallest eccentricity: min over i of max over j of d_i(y_j)
+    radius = min(max(d[i, j] for j in range(n)) for i in range(n))
     tess = assign_labels(geography.grid, geography.sites, geography.system,
                          np.zeros(geography.n_sites))
     log_B0 = aggregate_amenities(tess, geography.amenity, eff.kernel).log_B
@@ -402,7 +405,6 @@ def loop_existence_margins(geography, params, eta_hat, tau_rate):
     sigma = params.sigma
     decay = comp.weight_scale * abs(comp.gamma1)
     creep = tau_rate * (sigma - 1.0)
-    n = geography.n_sites
     margins = np.full((n, n), np.nan)
     for i in range(n):
         for j in range(n):
@@ -463,7 +465,11 @@ def loop_lambda_feasibility(sites, system, weights, k):
 
 def loop_feasible_starts(sites, system, k_shrink, count, seed):
     """Seeded rejection sampling of interior weight vectors, one draw at a time."""
-    _, d_min, _ = pairwise_metrics(sites, system)
+    d = cross_distances(sites, system)
+    n = len(sites)
+    # smallest separation over ordered pairs i != j, 0.0 with no pair
+    d_min = min((d[i, j] for i in range(n) for j in range(n) if i != j),
+                default=0.0)
     rng = np.random.default_rng(seed)
     starts = []
     while len(starts) < count:

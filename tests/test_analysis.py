@@ -27,7 +27,7 @@ from hinterland.equilibrium import (
 )
 from hinterland.errors import CoincidentSites, HinterlandError, InvalidInput
 from hinterland.fields import explicit_trade_costs
-from hinterland.geometry import pairwise_metrics, sample_feasible_weights
+from hinterland.geometry import cross_distances, sample_feasible_weights
 from hinterland.integrals import semielasticity_sup
 
 from helpers import (
@@ -238,8 +238,8 @@ def test_margins_increase_with_separation():
     rn = existence_margins(near, p)
     rf = existence_margins(far, p)
     assert rn.precondition_holds and rf.precondition_holds
-    assert (pairwise_metrics(far.sites, far.system)[1]
-            > pairwise_metrics(near.sites, near.system)[1])
+    assert (cross_distances(far.sites, far.system)[0, 1]
+            > cross_distances(near.sites, near.system)[0, 1])
     assert rf.min_margin > rn.min_margin
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import hinterland.equilibrium as equilibrium
 import hinterland.integrals as integrals
 from hinterland import cli, sustainability
-from hinterland.analysis import classify_point
+from hinterland.analysis import classify_point, existence_margins
 from helpers import (
     damped_fixed_point_solve,
     damped_knife_edge_solve,
@@ -216,6 +216,8 @@ def test_every_k_shrink_reader_rejects_it_outside_the_unit_interval(k_shrink):
         lambda: integrals.semielasticity_sup(
             geo, variant_transform(PARAMS).kernel, k_shrink=k_shrink,
             n_samples=4),
+        lambda: existence_margins(subset_geography(geo, [1]), PARAMS,
+                                  k_shrink=k_shrink),
     )
     for check in checks:
         with pytest.raises(InvalidInput, match=r"k_shrink must be in \(0, 1\)"):

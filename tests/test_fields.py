@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hinterland.errors import AsymmetricMetric, NonPositiveAmenity
+from hinterland.errors import AsymmetricMetric, InvalidInput, NonPositiveAmenity
 from hinterland.fields import (
     Geography,
     GeographyReport,
@@ -158,6 +158,20 @@ def test_geography_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         Geography(grid=g, sites=sites, system=EUCLID, amenity=amenity,
                   trade=explicit_trade_costs(np.ones((3, 3))))
+
+
+@pytest.mark.parametrize("scales", [(1.0, 2.0, 3.0), (1.0,)])
+def test_geography_rejects_a_scale_count_other_than_its_site_count(scales):
+    # a third scale would be ignored, and one scale would fail at site 1
+    g = unit_square(32)
+    sites = (Site(0, (0.25, 0.5)), Site(1, (0.75, 0.5)))
+    amenity = amenity_from_function(g, lambda X, Y: np.ones_like(X))
+    with pytest.raises(InvalidInput,
+                       match=f"2 sites but {len(scales)} metric scales"):
+        Geography(grid=g, sites=sites,
+                  system=DistanceSystem("scaled_euclidean", scales=scales),
+                  amenity=amenity,
+                  trade=explicit_trade_costs([[1.0, 1.5], [1.5, 1.0]]))
 
 
 def test_geography_rejects_repeated_site_ids():

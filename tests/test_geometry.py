@@ -12,7 +12,6 @@ from hinterland.errors import (
     DisconnectedDomain,
     EmptyDomain,
     NonFiniteWeight,
-    SingleSite,
 )
 from hinterland.geometry import (
     OUTSIDE,
@@ -23,7 +22,6 @@ from hinterland.geometry import (
     count_components,
     cross_distances,
     lambda_feasibility,
-    pairwise_metrics,
     sample_feasible_weights,
 )
 
@@ -377,6 +375,8 @@ def test_feasibility_matches_pair_loop(scaled):
 def test_feasibility_of_a_single_site_is_interior():
     report = lambda_feasibility((Site(0, (0.0, 0.0)),), EUCLID, [3.0], 0.5)
     assert report.pairs == {} and report.verdict == "interior"
+    starts = sample_feasible_weights((Site(0, (0.0, 0.0)),), EUCLID, 0.5, 3, 0)
+    assert [w.tolist() for w in starts] == [[0.0]] * 3
 
 
 @pytest.mark.parametrize("scaled", [False, True])
@@ -394,24 +394,14 @@ def test_feasible_weight_sampler_pins_the_seeded_draws(scaled):
     assert sample_feasible_weights(sites, system, 0.5, 0, seed=7) == []
 
 
-def test_pairwise_metrics_collinear_example():
+def test_cross_distances_collinear_example():
     sites = (Site(0, (0.0, 0.0)), Site(1, (1.0, 0.0)), Site(2, (3.0, 0.0)))
-    d, d_min, r = pairwise_metrics(sites, EUCLID)
-    assert d_min == 1.0
-    assert r == 2.0  # middle site's farthest neighbor
+    d = cross_distances(sites, EUCLID)
     assert d[0, 2] == 3.0 and d[2, 0] == 3.0
 
 
-def test_pairwise_metrics_scaled_asymmetry():
+def test_cross_distances_scaled_asymmetry():
     sites = two_sites(1.0)
     system = DistanceSystem("scaled_euclidean", scales=(2.0, 0.5))
-    d, d_min, r = pairwise_metrics(sites, system)
+    d = cross_distances(sites, system)
     assert d[0, 1] == 2.0 and d[1, 0] == 0.5
-    assert d_min == 0.5
-    assert r == 0.5
-    assert cross_distances(sites, system)[0, 1] == 2.0
-
-
-def test_pairwise_metrics_needs_two_sites():
-    with pytest.raises(SingleSite):
-        pairwise_metrics((Site(0, (0.0, 0.0)),), EUCLID)

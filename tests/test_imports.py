@@ -2,7 +2,8 @@
 multiprocessing (loaded only when enumerate starts workers), its source
 makes no BLAS or LAPACK call (a first one raises peak RSS, and a forked
 worker must not touch OpenBLAS's threads) and raises no bare ValueError (a
-deliberate input check raises InvalidInput, which the CLI reports), it
+deliberate input check raises InvalidInput, which the CLI reports, and every
+input-check error derives from it), it
 carries no public name or import that nothing uses, and a forked enumerate
 prints what the parent prints, once."""
 
@@ -12,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hinterland import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
@@ -49,6 +52,17 @@ def test_package_source_makes_no_blas_or_lapack_call():
 
 def test_package_source_raises_no_bare_value_error():
     assert _source_lines_matching(re.compile(r"raise ValueError\b")) == []
+
+
+def test_every_input_check_error_is_an_invalid_input():
+    # only a solver failure, an inactive cell in a kernel sum and a config
+    # error are not input checks
+    not_input = {"HinterlandError", "InvalidInput", "EmptyCellInSum",
+                 "NotConverged", "LeftFeasibleSet", "ConfigError"}
+    outside = [name for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.HinterlandError)
+               and name not in not_input and not issubclass(cls, errors.InvalidInput)]
+    assert outside == []
 
 
 def _names(tree):

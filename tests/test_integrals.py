@@ -29,7 +29,7 @@ from hinterland.geometry import (
     Site,
     assign_labels,
     build_grid,
-    pairwise_metrics,
+    cross_distances,
 )
 from hinterland.integrals import (
     KernelSpec,
@@ -212,7 +212,7 @@ def test_aggregate_flags_inactive_site():
 
 def test_inscribed_radius_ball_stays_in_cell():
     grid, sites, amen, kern = two_site_setup(n=128)
-    _, d_min, _ = pairwise_metrics(sites, EUCLID)
+    d_min = cross_distances(sites, EUCLID)[0, 1]
     k = 0.5
     eps = inscribed_radius(d_min, k)
     # at any feasible weight vector in the k-shrunk band, the ball around a

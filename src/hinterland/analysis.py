@@ -16,6 +16,7 @@ from .equilibrium import (
     ModelParams,
     SolverOptions,
     _gammas,
+    check_sigma,
     composite_params,
     fixed_point_solve,
     spillover_regime,
@@ -151,12 +152,13 @@ def existence_margins(geography: Geography, params: ModelParams,
     # the distance stack rejects coincident sites before d divides anything
     tess0 = assign_labels(geography.grid, geography.sites, geography.system,
                           np.zeros(geography.n_sites), geography.distances)
-    log_B0 = aggregate_amenities(tess0, geography.amenity, eff.kernel).log_B
+    aggregates0 = aggregate_amenities(tess0, geography.amenity, eff.kernel)
     tau_rate = _environment_trade_decay(geography)
 
     if eta_hat is None:
-        eta_hat = semielasticity_sup(geography, eff.kernel,
-                                     k_shrink=k_shrink).value
+        eta_hat = semielasticity_sup(geography, eff.kernel, k_shrink=k_shrink,
+                                     unweighted=(tess0, aggregates0)).value
+    log_B0 = aggregates0.log_B
     d = cross_distances(geography.sites, geography.system)
     radius = float(d.max(axis=1).min())
     log_abar = np.log(geography.productivities)
@@ -214,38 +216,53 @@ def _category_index(report: RegimeReport) -> int:
     return base + (0 if report.labor_uniqueness else 1)
 
 
+def check_axis_size(name: str, size: int) -> None:
+    """Raise InvalidInput unless a sweep axis has at least 2 values."""
+    if size < 2:
+        raise InvalidInput(f"sweep {name} axis needs at least 2 strictly increasing values")
+
+
+def sweep_axis(name: str, values) -> np.ndarray:
+    """``values`` as a float array, once they make a sweep axis: at least 2,
+    strictly increasing and, on the sigma axis, every value > 1."""
+    axis = np.asarray(values, dtype=float)
+    # an axis out of order counts as one with no increasing values
+    check_axis_size(name, axis.size if (np.diff(axis) > 0).all() else 0)
+    if name == "sigma":
+        check_sigma(axis[0])   # the least value of an increasing axis
+    return axis
+
+
 def parameter_sweep(kind: str = "alpha_beta",
                     alphas=None, betas=None, sigmas=None,
                     sigma: float = 9.0, beta: float = -0.3) -> SweepResult:
     """Classify every cell of a 2-parameter grid.
 
     Defaults follow the desk-scale ranges documented in the README:
-    alpha in [0, 0.6], beta in [-0.6, 0], sigma in [2, 12]. Each axis needs
-    at least 2 strictly increasing values.
+    alpha in [0, 0.6], beta in [-0.6, 0], sigma in [2, 12]. Each axis passes
+    ``sweep_axis``, and the fixed ``sigma`` of an alpha_beta sweep must be > 1.
     """
-    alphas = np.asarray(alphas if alphas is not None
-                        else np.linspace(0.0, 0.6, 61), dtype=float)
+    alphas = sweep_axis("alpha", alphas if alphas is not None
+                        else np.linspace(0.0, 0.6, 61))
     if kind == "alpha_beta":
-        ys = np.asarray(betas if betas is not None
-                        else np.linspace(-0.6, 0.0, 61), dtype=float)
+        check_sigma(sigma)
+        ys = sweep_axis("beta", betas if betas is not None
+                        else np.linspace(-0.6, 0.0, 61))
         fixed = {"sigma": float(sigma)}
         points = [(a, b, sigma) for b in ys for a in alphas]
     elif kind == "alpha_sigma":
-        ys = np.asarray(sigmas if sigmas is not None
-                        else np.linspace(2.0, 12.0, 51), dtype=float)
+        ys = sweep_axis("sigma", sigmas if sigmas is not None
+                        else np.linspace(2.0, 12.0, 51))
         fixed = {"beta": float(beta)}
         points = [(a, beta, s) for s in ys for a in alphas]
     else:
         raise InvalidInput(f"unknown sweep kind {kind!r}")
-    for name, axis in (("alpha", alphas), (kind.removeprefix("alpha_"), ys)):
-        if axis.size < 2 or not (np.diff(axis) > 0).all():
-            raise InvalidInput(f"sweep {name} axis needs at least 2 strictly increasing values")
 
     reports = tuple(classify_point(a, b, s) for (a, b, s) in points)
     category = np.array([_category_index(r) for r in reports],
                         dtype=np.int8).reshape(ys.size, alphas.size)
     if kind == "alpha_sigma":
-        boundary = tuple((1.0 / (s - 1.0), float(s)) for s in ys if s > 1.0)
+        boundary = tuple((1.0 / (s - 1.0), float(s)) for s in ys)
     else:
         boundary = ((1.0 / (sigma - 1.0), float(sigma)),)
     return SweepResult(kind=kind, x_values=alphas, y_values=ys, fixed=fixed,

@@ -1,24 +1,24 @@
 """Run-configuration loading and schema validation.
 
-A run configuration is a single YAML document (nested sections, ``#``
-comments allowed).  Every key is validated against the schema below before
-any computation starts; unknown keys are rejected, and every schema error
-carries the ``file:line`` of the offending entry.  A rule that the library
-already enforces (site productivity, distance scales, trade entries, model
-parameters, site ids) is not repeated here: its ``InvalidInput`` is reported
-at the key that holds the value.
+A run configuration is one YAML document (nested sections, ``#`` comments
+allowed), checked against the schema below before any computation starts;
+relative file paths resolve beside it.  Checked here: syntax (types, list
+shapes, known keys, the keys each ``kind`` reads) and > 0 for a disk's
+``radius`` and a bump's ``width``, which no library call takes.  Every
+other value rule has one owner in the library, named after ``->``; its
+``InvalidInput`` is reported at its key's line (the block's for ``params``).
 
 Schema (defaults in parentheses; [r] = required when the block is present)::
 
     geography:                  # needed by solve / enumerate / render
-      bbox: [x0, y0, x1, y1]    # ([0, 0, 1, 1])
-      resolution: [nx, ny]      # ([128, 128])
-      domain:                   # (whole bbox)
+      bbox: [x0, y0, x1, y1]    # ([0, 0, 1, 1]) -> check_bbox
+      resolution: [nx, ny]      # ([128, 128]) -> check_resolution
+      domain:                   # (whole bbox) -> build_grid
         kind: all | disk | mask
         center: [x, y]          # disk (bbox center)
         radius: r               # disk [r]
         file: mask.pgm          # mask [r]; 255 = outside
-      amenity:                  # (uniform 1.0)
+      amenity:                  # (uniform 1.0) -> amenity_from_function
         kind: uniform | bumps | raster
         value: a                # uniform (1.0)
         base: a                 # bumps (1.0)
@@ -26,63 +26,63 @@ Schema (defaults in parentheses; [r] = required when the block is present)::
           - {center: [x, y], height: h, width: w}
         file: field.fld         # raster [r]
       metric: euclidean | scaled_euclidean   # (euclidean)
-      scales: [s_1, ..., s_n]   # scaled_euclidean [r]; one per site
-      sites:                    # [r]
-        - {position: [x, y], productivity: a}   # productivity (1.0)
+      scales: [s_1, ..., s_n]   # scaled_euclidean [r] -> DistanceSystem
+      sites:                    # [r]; same position -> _check_distinct_positions
+        - {position: [x, y], productivity: a}   # (1.0) -> Site
       trade:                    # [r]
         kind: from_metric | explicit
-        tau: t                  # from_metric [r]
-        file: trade.csv         # explicit [r]; square, headerless, > 0
-    params:                     # needed by solve / classify / enumerate
-      sigma: s                  # [r] > 1
+        tau: t                  # from_metric [r] -> trade_costs_from_metric
+        file: trade.csv         # explicit [r] -> explicit_trade_costs, Geography
+    params:                     # for solve / classify / enumerate -> ModelParams
+      sigma: s                  # [r]
       alpha: a                  # [r]
-      beta: b                   # [r] < 0 unless two_sector
-      delta: d                  # [r] > 0
+      beta: b                   # [r]
+      delta: d                  # [r]
       tau: t                    # (0.0); non-zero only for home_consumption
       total_labor: L            # (1.0)
       variant:                  # (baseline)
         kind: baseline | home_consumption | two_sector
         mu: m                   # two_sector [r]
         beta_tilde: b           # two_sector [r]
-    solver:
+    solver:                     # -> SolverOptions
       tol: v                    # (1e-12)
       max_iter: n               # (2000)
-      k_shrink: v               # (0.5); in (0, 1)
+      k_shrink: v               # (0.5)
     solve:
-      active_sites: [ids] | null   # (null = all sites)
-    sweep:                      # each axis strictly increasing (parameter_sweep)
+      active_sites: [ids] | null   # (null = all sites) -> Geography.positions_of
+    sweep:                      # -> sweep_axis, check_axis_size (parameter_sweep's)
       kind: alpha_beta | alpha_sigma   # (alpha_beta)
       alphas: {start, stop, count} | [values]   # (0..0.6, 61)
       betas:  {start, stop, count} | [values]   # alpha_beta (-0.6..0, 61)
-      sigmas: {start, stop, count} | [values]   # alpha_sigma (2..12, 51); > 1
-      sigma: s                  # alpha_beta: fixed sigma (9.0); > 1
+      sigmas: {start, stop, count} | [values]   # alpha_sigma (2..12, 51)
+      sigma: s                  # alpha_beta: fixed sigma (9.0) -> check_sigma
       beta: b                   # alpha_sigma: fixed beta (-0.3)
-    enumerate:
+    enumerate:                  # -> check_subset_request (enumerate_urban_systems')
       sizes: [k, ...]           # ([2])
       max_subsets: n            # (256)
       seed: n                   # (0) of the sampling above max_subsets
-
-Relative file paths resolve against the directory of the config file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 from yaml.constructor import SafeConstructor
 
+from .analysis import check_axis_size, sweep_axis
 from .equilibrium import (
     Baseline,
     HomeConsumption,
     ModelParams,
     SolverOptions,
     TwoSector,
+    check_sigma,
 )
-from .errors import ConfigError, HinterlandError
+from .errors import AsymmetricMetric, ConfigError, HinterlandError
 from .fields import (
     Geography,
     amenity_from_function,
@@ -94,8 +94,11 @@ from .geometry import (
     Site,
     _check_distinct_positions,
     build_grid,
+    check_bbox,
+    check_resolution,
 )
 from .io_formats import read_field_raster, read_label_raster, read_matrix_csv
+from .sustainability import check_subset_request
 
 _MISSING = object()
 
@@ -155,8 +158,6 @@ class _Section:
 
     def take_float(self, key, default=_MISSING, above=None):
         value = self._take(key, default)
-        if value is None and default is None:
-            return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(f"'{key}' must be a number, got {value!r}", key)
         value = float(value)
@@ -166,20 +167,14 @@ class _Section:
             self.error(f"'{key}' must be > {above}, got {value}", key)
         return value
 
-    def take_int(self, key, default=_MISSING, minimum=None):
+    def take_int(self, key, default=_MISSING):
         value = self._take(key, default)
-        if value is None and default is None:
-            return None
         if not _is_int(value):
             self.error(f"'{key}' must be an integer, got {value!r}", key)
-        if minimum is not None and value < minimum:
-            self.error(f"'{key}' must be >= {minimum}, got {value}", key)
         return value
 
     def take_str(self, key, default=_MISSING, choices=None):
         value = self._take(key, default)
-        if value is None and default is None:
-            return None
         if not isinstance(value, str):
             self.error(f"'{key}' must be a string, got {value!r}", key)
         if choices is not None and value not in choices:
@@ -199,7 +194,7 @@ class _Section:
         if length is not None and len(value) != length:
             self.error(f"'{key}' must have {length} entries, "
                        f"got {len(value)}", key)
-        return [float(v) for v in value]
+        return tuple(float(v) for v in value)
 
     take_value = _take
 
@@ -287,7 +282,7 @@ def _take_raster(section, read, what, base_dir, resolution, bbox):
                       "file")
     if not np.allclose(file_bbox, bbox, rtol=1e-9, atol=1e-12):
         section.error(f"{what} raster bbox {file_bbox} does not match "
-                      f"geography bbox {tuple(bbox)}", "file")
+                      f"geography bbox {bbox}", "file")
     return values
 
 
@@ -315,8 +310,7 @@ def _build_grid(section, resolution, base_dir, bbox):
                               resolution, bbox) >= 0
         predicate = lambda X, Y: inside
     section.finish()
-    return _reported_at(section, None, build_grid, tuple(bbox),
-                        (resolution[0], resolution[1]), predicate)
+    return _reported_at(section, None, build_grid, bbox, resolution, predicate)
 
 
 def _build_amenity(section, grid, base_dir):
@@ -324,8 +318,9 @@ def _build_amenity(section, grid, base_dir):
                             choices=("uniform", "bumps", "raster"))
     key = None
     if kind == "uniform":
-        value = section.take_float("value", 1.0, above=0.0)
+        value = section.take_float("value", 1.0)
         source = lambda X, Y: np.full_like(X, value)
+        key = "value"
     elif kind == "bumps":
         base = section.take_float("base", 1.0)
         bumps = []
@@ -352,14 +347,13 @@ def _build_amenity(section, grid, base_dir):
 
 def _build_geography(section, base_dir):
     bbox = section.take_floats("bbox", [0.0, 0.0, 1.0, 1.0], length=4)
-    if not (bbox[0] < bbox[2] and bbox[1] < bbox[3]):
-        section.error(f"bbox must satisfy x0 < x1 and y0 < y1, got {bbox}",
-                      "bbox")
+    _reported_at(section, "bbox", check_bbox, bbox)
     resolution = section.take_value("resolution", [128, 128])
     if not (isinstance(resolution, list) and len(resolution) == 2
-            and all(_is_int(v) and v >= 2 for v in resolution)):
-        section.error(f"'resolution' must be [nx, ny] with integers >= 2, "
+            and all(_is_int(v) for v in resolution)):
+        section.error(f"'resolution' must be [nx, ny] with integers, "
                       f"got {resolution!r}", "resolution")
+    _reported_at(section, "resolution", check_resolution, resolution)
 
     site_sections = section.take_sections("sites")
     if not site_sections:
@@ -369,20 +363,20 @@ def _build_geography(section, base_dir):
         position = site_sec.take_floats("position", length=2)
         if not (bbox[0] <= position[0] <= bbox[2]
                 and bbox[1] <= position[1] <= bbox[3]):
-            site_sec.error(f"site {i} position {tuple(position)} lies "
-                           f"outside bbox {tuple(bbox)}", "position")
+            site_sec.error(f"site {i} position {position} lies "
+                           f"outside bbox {bbox}", "position")
         productivity = site_sec.take_float("productivity", 1.0)
         site_sec.finish()
         sites.append(_reported_at(site_sec, "productivity", Site, i,
-                                  tuple(position), productivity))
+                                  position, productivity))
         _reported_at(site_sec, "position", _check_distinct_positions, sites)
     sites = tuple(sites)
 
     metric = section.take_str("metric", "euclidean",
                               choices=("euclidean", "scaled_euclidean"))
-    scales = section.take_floats("scales", None, length=len(sites))
-    system = _reported_at(section, "scales", DistanceSystem, metric,
-                          None if scales is None else tuple(scales))
+    scales = section.take_floats("scales", None)
+    system = _reported_at(section, "scales", DistanceSystem, metric, scales)
+    _reported_at(section, "scales", system.check_site_count, len(sites))
 
     grid = _build_grid(section.take_section("domain"), resolution, base_dir,
                        bbox)
@@ -395,10 +389,14 @@ def _build_geography(section, base_dir):
     trade_kind = trade_sec.take_str("kind",
                                     choices=("from_metric", "explicit"))
     if trade_kind == "from_metric":
-        tau = trade_sec.take_float("tau", above=0.0)
+        tau = trade_sec.take_float("tau")
         trade_sec.finish()
-        trade = _reported_at(section, None, trade_costs_from_metric, sites,
-                             system, tau)
+        try:
+            trade = trade_costs_from_metric(sites, system, tau)
+        except AsymmetricMetric as exc:   # unequal scales, not tau
+            section.error(str(exc))
+        except HinterlandError as exc:
+            trade_sec.error(str(exc), "tau")
     else:
         name = trade_sec.take_str("file")
         try:
@@ -440,33 +438,32 @@ def _build_params(section):
 
 
 def _build_solver(section):
-    tol = section.take_float("tol", SolverOptions.tol, above=0.0)
-    max_iter = section.take_int("max_iter", SolverOptions.max_iter, minimum=1)
-    k_shrink = section.take_float("k_shrink", SolverOptions.k_shrink)
+    # one field at a time, so that SolverOptions' error is reported at its key
+    options = SolverOptions()
+    for key, take in (("tol", section.take_float),
+                      ("max_iter", section.take_int),
+                      ("k_shrink", section.take_float)):
+        options = _reported_at(section, key, replace, options,
+                               **{key: take(key, getattr(options, key))})
     section.finish()
-    return _reported_at(section, "k_shrink", SolverOptions, tol=tol,
-                        max_iter=max_iter, k_shrink=k_shrink)
+    return options
 
 
-def _axis(section, key, above=None):
+def _axis(section, key):
     """An axis is either a list of values or a {start, stop, count} range."""
     if not section.has(key):
         return None
     if isinstance(section._data[key], list):
-        values = np.asarray(section.take_floats(key))
-        if len(values) < 2:
-            section.error(f"'{key}' needs at least 2 values", key)
+        values = section.take_floats(key)
     else:
         sub = section.take_section(key)
         start = sub.take_float("start")
         stop = sub.take_float("stop")
-        count = sub.take_int("count", minimum=2)
+        count = sub.take_int("count")
+        _reported_at(sub, "count", check_axis_size, key[:-1], count)
         sub.finish()
         values = np.linspace(start, stop, count)
-    if above is not None and not (values > above).all():
-        section.error(f"'{key}' values must be > {above}, "
-                      f"got {values.min()}", key)
-    return values
+    return _reported_at(section, key, sweep_axis, key[:-1], values)
 
 
 def _build_sweep(section):
@@ -474,31 +471,33 @@ def _build_sweep(section):
                             choices=("alpha_beta", "alpha_sigma"))
     # each kind reads its own y axis and fixed scalar, not the other kind's
     other = ("sigmas", "beta") if kind == "alpha_beta" else ("betas", "sigma")
-    for key in other:
-        if section.has(key):
-            section.error(f"'{key}' does not apply to the {kind} sweep", key)
+    for key in filter(section.has, other):
+        section.error(f"'{key}' does not apply to the {kind} sweep", key)
     alphas = _axis(section, "alphas")
     betas = _axis(section, "betas")
-    sigmas = _axis(section, "sigmas", above=1.0)
-    sigma = section.take_float(
-        "sigma", 9.0 if kind == "alpha_beta" else None, above=1.0)
-    beta = section.take_float("beta", -0.3 if kind == "alpha_sigma" else None)
+    sigmas = _axis(section, "sigmas")
+    if kind == "alpha_beta":
+        sigma, beta = section.take_float("sigma", 9.0), None
+        _reported_at(section, "sigma", check_sigma, sigma)
+    else:
+        sigma, beta = None, section.take_float("beta", -0.3)
     section.finish()
     return SweepConfig(kind=kind, alphas=alphas, betas=betas, sigmas=sigmas,
                        sigma=sigma, beta=beta)
 
 
 def _build_enumerate(section):
-    sizes_raw = section.take_value("sizes", [2])
-    if (not isinstance(sizes_raw, list) or not sizes_raw
-            or any(not _is_int(v) or v < 1 for v in sizes_raw)):
-        section.error(f"'sizes' must be a list of integers >= 1, "
-                      f"got {sizes_raw!r}", "sizes")
-    max_subsets = section.take_int("max_subsets", 256, minimum=1)
-    seed = section.take_int("seed", 0, minimum=0)
+    sizes = section.take_value("sizes", [2])
+    if not (isinstance(sizes, list) and sizes and all(map(_is_int, sizes))):
+        section.error(f"'sizes' must be a non-empty list of integers, "
+                      f"got {sizes!r}", "sizes")
+    values = {"sizes": tuple(sizes),
+              "max_subsets": section.take_int("max_subsets", 256),
+              "seed": section.take_int("seed", 0)}
     section.finish()
-    return EnumerateConfig(sizes=tuple(sizes_raw), max_subsets=max_subsets,
-                           seed=seed)
+    for key, value in values.items():
+        _reported_at(section, key, check_subset_request, **{key: value})
+    return EnumerateConfig(**values)
 
 
 def _build_active_sites(section, geography):

@@ -68,6 +68,12 @@ class TwoSector:
     kind: str = field(default="two_sector", init=False)
 
 
+def check_sigma(sigma: float) -> None:
+    """Raise InvalidInput unless sigma > 1, where the cutoff 1/(sigma-1) is > 0."""
+    if not sigma > 1:
+        raise InvalidInput(f"sigma must be > 1, got {sigma}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Structural parameters shared by all solvers."""
@@ -81,8 +87,7 @@ class ModelParams:
     variant: Baseline | HomeConsumption | TwoSector = Baseline()
 
     def __post_init__(self):
-        if not self.sigma > 1:
-            raise InvalidInput(f"sigma must be > 1, got {self.sigma}")
+        check_sigma(self.sigma)
         if not self.alpha > -1:
             raise InvalidInput(f"alpha must be > -1, got {self.alpha}")
         if not self.delta > 0:
@@ -370,6 +375,10 @@ class SolverOptions:
     weights_init: np.ndarray | None = None   # original-variable differences
 
     def __post_init__(self):
+        if not self.tol > 0:
+            raise InvalidInput(f"tol must be > 0, got {self.tol}")
+        if not self.max_iter >= 1:
+            raise InvalidInput(f"max_iter must be >= 1, got {self.max_iter}")
         check_k_shrink(self.k_shrink)
 
 

@@ -135,10 +135,7 @@ class Geography:
         if len(self.sites) != self.trade.n:
             raise InvalidInput(
                 f"{len(self.sites)} sites but {self.trade.n}x{self.trade.n} trade matrix")
-        scales = self.system.scales
-        if scales is not None and len(scales) != len(self.sites):
-            raise InvalidInput(
-                f"{len(self.sites)} sites but {len(scales)} metric scales")
+        self.system.check_site_count(len(self.sites))
         if self.amenity.grid is not self.grid and self.amenity.grid != self.grid:
             raise InvalidInput("amenity field was sampled on a different grid")
         ids = [s.id for s in self.sites]

@@ -99,13 +99,10 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
     inside cells are merged, with union-find, wherever two runs in adjacent
     rows share a column, so diagonal contact does not join components.
     """
+    check_resolution(resolution)
+    check_bbox(bbox)
     xmin, ymin, xmax, ymax = (float(v) for v in bbox)
     nx, ny = int(resolution[0]), int(resolution[1])
-    if nx < 2 or ny < 2:
-        raise InvalidInput(f"resolution must be at least 2 per axis, got {nx}x{ny}")
-    if not (xmax > xmin and ymax > ymin):
-        raise InvalidInput(f"degenerate bbox {bbox}")
-
     grid = DomainGrid(bbox=(xmin, ymin, xmax, ymax), nx=nx, ny=ny,
                       inside=np.ones((ny, nx), dtype=bool))
     if inside_predicate is not None:
@@ -121,6 +118,20 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
             raise DisconnectedDomain(f"inside mask has {n_components} 4-connected components")
     grid.inside.setflags(write=False)
     return grid
+
+
+def check_resolution(resolution) -> None:
+    """Raise InvalidInput unless ``(nx, ny)`` has at least 2 cells per axis."""
+    nx, ny = resolution
+    if nx < 2 or ny < 2:
+        raise InvalidInput(f"resolution must be at least 2 per axis, got {nx}x{ny}")
+
+
+def check_bbox(bbox) -> None:
+    """Raise InvalidInput unless ``(xmin, ymin, xmax, ymax)`` spans some area."""
+    xmin, ymin, xmax, ymax = (float(v) for v in bbox)
+    if not (xmax > xmin and ymax > ymin):
+        raise InvalidInput(f"degenerate bbox {bbox}")
 
 
 def count_components(mask) -> int:
@@ -204,6 +215,11 @@ class DistanceSystem:
                 raise InvalidInput("scaled_euclidean needs positive per-site scales")
         elif self.scales is not None:
             raise InvalidInput("scales apply only to the scaled_euclidean metric")
+
+    def check_site_count(self, n: int) -> None:
+        """Raise InvalidInput unless a scaled metric has one scale per site."""
+        if self.scales is not None and len(self.scales) != n:
+            raise InvalidInput(f"{n} sites but {len(self.scales)} metric scales")
 
     def scale_of(self, i: int) -> float:
         if self.kind == "euclidean":

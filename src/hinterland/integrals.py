@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -255,7 +256,7 @@ def resident_density(tess: Tessellation, aggregates: CellAggregates,
 
 
 def semielasticity_matrix(tess: Tessellation, amenity: AmenityField,
-                          kernel: KernelSpec):
+                          kernel: KernelSpec, aggregates=None):
     """Semielasticities of every B_i in every weight: ``(eta, skipped)``.
 
     ``eta[i, k]``, i != k, sums over the raster edges between the cells of i
@@ -263,9 +264,12 @@ def semielasticity_matrix(tess: Tessellation, amenity: AmenityField,
     over I_i, times the edge length projected on the interface normal, over
     the speed |grad d_i - grad d_k|, times |beta_eff|; ``eta[i, i]`` is row
     i's sum. ``skipped`` counts the edges with speed under
-    DEGENERATE_NORMAL_CUTOFF.
+    DEGENERATE_NORMAL_CUTOFF. ``aggregates`` are ``tess``'s
+    ``aggregate_amenities``, summed here when not given.
     """
-    log_raw = aggregate_amenities(tess, amenity, kernel).log_raw
+    if aggregates is None:
+        aggregates = aggregate_amenities(tess, amenity, kernel)
+    log_raw = aggregates.log_raw
     grid, n = tess.grid, tess.n_sites
     spacing = np.array([[grid.dx], [grid.dy]])
     pos = site_positions(tess.sites).T - np.reshape(grid.bbox[:2], (2, 1))
@@ -311,29 +315,35 @@ class SemielasticityBound:
 
 def semielasticity_sup(geography: Geography, kernel: KernelSpec,
                        k_shrink: float = 0.5, n_samples: int = 16,
-                       seed: int = 0) -> SemielasticityBound:
+                       seed: int = 0, unweighted=None) -> SemielasticityBound:
     """Estimate the supremum of the cross-weight semielasticity over Λ^k.
 
     The largest off-diagonal ``semielasticity_matrix`` entry over the
     unweighted tessellation and ``n_samples - 1`` seeded weight vectors in
     the shrunk feasible set; an edge skips twice, once per ordered pair.
     Single-site geographies give 0 once the sampler has checked ``k_shrink``.
+    ``unweighted`` is the zero-weight ``(tessellation, aggregates)`` pair of
+    a caller that already holds it; otherwise it is computed here.
     """
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
     n = geography.n_sites
-    weight_vectors = [np.zeros(n)] + sample_feasible_weights(
-        geography.sites, geography.system, k_shrink, n_samples - 1, seed)
+    draws = sample_feasible_weights(geography.sites, geography.system,
+                                    k_shrink, n_samples - 1, seed)
     if n < 2:
         return SemielasticityBound(0.0, 1, 0)
 
+    def label(w):
+        return assign_labels(geography.grid, geography.sites, geography.system,
+                             w, geography.distances)
+
     best, skipped = 0.0, 0
-    for w in weight_vectors:
-        tess = assign_labels(geography.grid, geography.sites, geography.system, w,
-                             geography.distances)
-        eta, skip = semielasticity_matrix(tess, geography.amenity, kernel)
+    first = unweighted or (label(np.zeros(n)), None)
+    for tess, aggregates in chain([first], ((label(w), None) for w in draws)):
+        eta, skip = semielasticity_matrix(tess, geography.amenity, kernel,
+                                          aggregates)
         np.fill_diagonal(eta, 0.0)
         best = max(best, float(eta.max()))
         skipped += int(skip.sum())
-    return SemielasticityBound(value=best, n_weight_vectors=len(weight_vectors),
+    return SemielasticityBound(value=best, n_weight_vectors=1 + len(draws),
                                skipped_edges=skipped)

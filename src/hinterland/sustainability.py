@@ -210,10 +210,24 @@ class EquilibriumCatalog:
     max_subsets: int
 
 
+def check_subset_request(*, sizes=(1,), max_subsets=1, seed=0) -> None:
+    """Raise InvalidInput unless every subset size and ``max_subsets`` are
+    >= 1 and ``seed`` is >= 0. Each argument left out takes its least valid
+    value, so one can be checked alone; a size above the site count is
+    ``_candidate_subsets``' to reject, since only the geography knows it.
+    """
+    if not all(size >= 1 for size in sizes):
+        raise InvalidInput(f"subset sizes must be >= 1, got {list(sizes)}")
+    if not max_subsets >= 1:
+        raise InvalidInput(f"max_subsets must be >= 1, got {max_subsets}")
+    if not seed >= 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
+
+
 def _candidate_subsets(ids, sizes, max_subsets, seed):
     all_subsets = []
     for size in sorted(set(sizes)):
-        if not 1 <= size <= len(ids):
+        if size > len(ids):
             raise InvalidInput(f"subset size {size} out of range 1..{len(ids)}")
         all_subsets.extend(combinations(ids, size))
     if len(all_subsets) <= max_subsets:
@@ -298,6 +312,7 @@ def enumerate_urban_systems(geography: Geography, params: ModelParams,
     active. Solver errors are recorded per subset, never fatal. ``threads``
     processes share the subsets; the catalog does not depend on how many.
     """
+    check_subset_request(sizes=sizes, max_subsets=max_subsets, seed=seed)
     ids = tuple(s.id for s in geography.sites)
     subsets, strategy = _candidate_subsets(ids, sizes, max_subsets, seed)
     solve = partial(_subset_outcome, geography, params, options)

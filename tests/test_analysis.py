@@ -392,6 +392,30 @@ def test_semielasticity_sup_evaluates_zero_then_seeded_draws(monkeypatch):
     assert all(np.array_equal(w, e) for w, e in zip(weights, expected))
 
 
+def test_existence_margins_label_the_unweighted_tessellation_once(monkeypatch):
+    geo = make_geography(THREE, n=16)
+    expected = existence_margins(geo, PARAMS)
+    calls = {"labels": 0, "sums": 0}
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+
+    for module in (analysis, integrals):
+        counted(module, "assign_labels", "labels")
+    counted(analysis, "aggregate_amenities", "sums")
+    counted(integrals, "aggregate_amenities", "sums")
+    report = existence_margins(geo, PARAMS)
+    # the zero vector and 15 draws, each labelled and summed once
+    assert calls == {"labels": 16, "sums": 16}
+    assert report.eta_hat == expected.eta_hat
+    assert np.array_equal(report.margins, expected.margins, equal_nan=True)
+
+
 def test_probe_deterministic_in_seed():
     geo = make_geography(SYM2, productivities=[1.0, 1.05])
     a = multistart_probe(geo, PARAMS, n_starts=4, seed=9)

@@ -324,8 +324,8 @@ def test_sweep_rejects_the_other_kinds_scalar_at_its_line(kind, scalar):
 def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
                                                     low):
     text = f"sweep:\n  kind: alpha_sigma\n  sigmas: {axis}\n"
-    with pytest.raises(ConfigError, match=f"'sigmas' values must be > 1.0, "
-                                          f"got {low}") as exc:
+    with pytest.raises(ConfigError, match=f"sigma must be > 1, got {low}") \
+            as exc:
         parse_config(text)
     assert exc.value.path == "<config>:3"
     out = tmp_path / "out"
@@ -340,9 +340,42 @@ def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
     (("  trade:", "  metric: scaled_euclidean\n  scales: [1.0, -2.0]\n"
       "  trade:"), 7, "scaled_euclidean needs positive per-site scales"),
     (("  delta: 2.0", "  delta: -2.0"), 10, "delta must be > 0, got -2.0"),
+    (("tau: 0.5", "tau: -0.5"), 8, "tau must be > 0, got -0.5"),
+    (("[48, 48]", "[48, 1]"), 2, "resolution must be at least 2 per axis, "
+                                 "got 48x1"),
+    (("geography:\n", "geography:\n  bbox: [0.0, 1.0, 1.0, 0.0]\n"), 2,
+     r"degenerate bbox \(0.0, 1.0, 1.0, 0.0\)"),
+    (("  trade:", "  amenity:\n    kind: uniform\n    value: 0.0\n  trade:"),
+     8, r"amenity sample at cell \(0, 0\) is 0.0"),
+    (("  trade:", "  metric: scaled_euclidean\n  scales: [1.0, 1.0, 1.0]\n"
+      "  trade:"), 7, "2 sites but 3 metric scales"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsolver:\n  max_iter: 9\n  tol: -1.0\n"),
+     16, "tol must be > 0, got -1.0"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsolver:\n  tol: 1.0e-9\n  max_iter: 0\n"),
+     16, "max_iter must be >= 1, got 0"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  kind: alpha_beta\n"
+      "  sigma: 1.0\n"), 16, "sigma must be > 1, got 1.0"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  kind: alpha_sigma\n"
+      "  sigmas:\n    start: 0.5\n    stop: 3.0\n    count: 4\n"), 17,
+     "sigma must be > 1, got 0.5"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  alphas: [0.1]\n"), 15,
+     "sweep alpha axis needs at least 2 strictly increasing values"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  betas:\n    start: -0.5\n"
+      "    stop: -0.1\n    count: 1\n"), 18,
+     "sweep beta axis needs at least 2 strictly increasing values"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  alphas:\n    start: 0.6\n"
+      "    stop: 0.0\n    count: 7\n"), 16,
+     "sweep alpha axis needs at least 2 strictly increasing values"),
+    (("  delta: 2.0\n", "  delta: 2.0\nenumerate:\n  sizes: [0, 2]\n"), 15,
+     r"subset sizes must be >= 1, got \[0, 2\]"),
+    (("  delta: 2.0\n", "  delta: 2.0\nenumerate:\n  sizes: [1]\n"
+      "  max_subsets: 0\n"), 16, "max_subsets must be >= 1, got 0"),
+    (("  delta: 2.0\n", "  delta: 2.0\nenumerate:\n  seed: -1\n"), 15,
+     "seed must be >= 0, got -1"),
 ])
 def test_library_rules_are_reported_at_their_key(replace, line, message):
-    # one rule per fact: the library's InvalidInput, at the key's line
+    # one rule per fact: the library's InvalidInput, at the key's line (a
+    # range axis written as a block is at its first line, its count at its own)
     with pytest.raises(ConfigError, match=message) as exc:
         parse_config(MINIMAL.replace(*replace))
     assert exc.value.path == f"<config>:{line}"
@@ -487,7 +520,7 @@ def test_cross_block_and_site_errors_keep_their_line():
         parse_config(same)
     assert exc.value.path == "<config>:5"
     # metric trade costs need tau > 0; tau 0 once escaped as a ValueError
-    with pytest.raises(ConfigError, match="'tau' must be > 0.0, got 0.0") as exc:
+    with pytest.raises(ConfigError, match="tau must be > 0, got 0.0") as exc:
         parse_config(MINIMAL.replace("tau: 0.5", "tau: 0"))
     assert exc.value.path == "<config>:8"
 
@@ -696,8 +729,8 @@ def test_sweep_axis_out_of_order_is_an_input_error(tmp_path, capsys, axis,
     assert cli.main(["sweep", "--config", str(config),
                      "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"error: sweep {name} axis needs at least 2 strictly increasing "
-        "values\n")
+        f"error: {config}:2: sweep {name} axis needs at least 2 strictly "
+        "increasing values\n")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hinterland import fields, sustainability
 from hinterland.analysis import (
     existence_margins,
     multistart_probe,
+    parameter_sweep,
     regime_classify,
 )
 from hinterland.config import parse_config
@@ -21,6 +22,7 @@ from hinterland.equilibrium import (
 )
 from hinterland.errors import (
     HinterlandError,
+    InvalidInput,
     NotConverged,
     SiteNotVacant,
     SiteOutsideDomain,
@@ -611,3 +613,33 @@ def test_swap_validates_membership():
         site_swap_experiment(geo, STRONG, [0, 1], y_c=2, y_p=1)
     with pytest.raises(ValueError):
         site_swap_experiment(geo, STRONG, [0, 1], y_c=0, y_p=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverOptions(tol=-1.0), "tol must be > 0, got -1.0"),
+    (lambda: SolverOptions(tol=0.0), "tol must be > 0, got 0.0"),
+    (lambda: SolverOptions(tol=math.nan), "tol must be > 0, got nan"),
+    (lambda: SolverOptions(max_iter=0), "max_iter must be >= 1, got 0"),
+    (lambda: parameter_sweep(sigma=1.0), "sigma must be > 1, got 1.0"),
+    (lambda: parameter_sweep(sigma=0.5), "sigma must be > 1, got 0.5"),
+    (lambda: parameter_sweep("alpha_sigma", sigmas=[1.0, 2.0, 3.0]),
+     "sigma must be > 1, got 1.0"),
+    (lambda: enumerate_urban_systems(geo_with_sites(THREE, n=32), STRONG,
+                                     max_subsets=0),
+     "max_subsets must be >= 1, got 0"),
+    (lambda: enumerate_urban_systems(geo_with_sites(THREE, n=32), STRONG,
+                                     max_subsets=-1),
+     "max_subsets must be >= 1, got -1"),
+    (lambda: enumerate_urban_systems(geo_with_sites(THREE, n=32), STRONG,
+                                     seed=-1), "seed must be >= 0, got -1"),
+    (lambda: enumerate_urban_systems(geo_with_sites(THREE, n=32), STRONG,
+                                     sizes=(0,)),
+     r"subset sizes must be >= 1, got \[0\]"),
+], ids=["tol-1", "tol0", "tol-nan", "max_iter0", "sigma1", "sigma0.5",
+        "sigmas-1", "max_subsets0", "max_subsets-1", "seed-1", "sizes0"])
+def test_every_value_rule_is_an_invalid_input_of_its_library_owner(call,
+                                                                    message):
+    # not ZeroDivisionError, NumPy's bare ValueError, a RuntimeWarning (an
+    # error under the test settings) or a silent result
+    with pytest.raises(InvalidInput, match=message):
+        call()

@@ -16,6 +16,7 @@ from .equilibrium import (
     ModelParams,
     SolverOptions,
     _gammas,
+    alpha_cutoff,
     check_sigma,
     composite_params,
     fixed_point_solve,
@@ -52,13 +53,12 @@ def classify_point(alpha: float, beta: float, sigma: float) -> RegimeReport:
     ``beta`` is the congestion weight entering the composite constants; for
     the two-sector variant pass the variant-resolved value.
     """
-    cutoff = 1.0 / (sigma - 1.0)
     multiplicity = spillover_regime(alpha, sigma)
     gamma1, gamma2 = _gammas(alpha, beta, sigma)
     ratio = abs(gamma2 / gamma1) if gamma1 != 0.0 else math.inf
     unique = ratio < 1.0
     return RegimeReport(
-        alpha=alpha, beta=beta, sigma=sigma, alpha_cutoff=cutoff,
+        alpha=alpha, beta=beta, sigma=sigma, alpha_cutoff=alpha_cutoff(sigma),
         location_multiplicity=multiplicity, gamma_ratio=ratio,
         labor_uniqueness=unique,
         reconciliation=(multiplicity == "multiple") and unique)
@@ -262,9 +262,9 @@ def parameter_sweep(kind: str = "alpha_beta",
     category = np.array([_category_index(r) for r in reports],
                         dtype=np.int8).reshape(ys.size, alphas.size)
     if kind == "alpha_sigma":
-        boundary = tuple((1.0 / (s - 1.0), float(s)) for s in ys)
+        boundary = tuple((alpha_cutoff(s), float(s)) for s in ys)
     else:
-        boundary = ((1.0 / (sigma - 1.0), float(sigma)),)
+        boundary = ((alpha_cutoff(sigma), float(sigma)),)
     return SweepResult(kind=kind, x_values=alphas, y_values=ys, fixed=fixed,
                        category=category, reports=reports, boundary=boundary)
 

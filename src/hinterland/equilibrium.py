@@ -74,6 +74,11 @@ def check_sigma(sigma: float) -> None:
         raise InvalidInput(f"sigma must be > 1, got {sigma}")
 
 
+def alpha_cutoff(sigma: float) -> float:
+    """The knife-edge spillover level 1/(sigma-1)."""
+    return 1.0 / (sigma - 1.0)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Structural parameters shared by all solvers."""
@@ -109,10 +114,6 @@ class ModelParams:
                 raise InvalidVariantParams(
                     f"agricultural beta must be < 0, got {self.variant.beta}")
 
-    @property
-    def alpha_cutoff(self) -> float:
-        return 1.0 / (self.sigma - 1.0)
-
 
 #: Distance from the cutoff 1/(sigma-1) within which alpha is the knife edge.
 KNIFE_EDGE_TOL = 1e-12
@@ -121,7 +122,7 @@ KNIFE_EDGE_TOL = 1e-12
 def spillover_regime(alpha: float, sigma: float) -> str:
     """Regime of alpha against the cutoff 1/(sigma-1): "knife_edge" within
     KNIFE_EDGE_TOL, else "multiple" above or "spread" below."""
-    cutoff = 1.0 / (sigma - 1.0)
+    cutoff = alpha_cutoff(sigma)
     if abs(alpha - cutoff) <= KNIFE_EDGE_TOL:
         return "knife_edge"
     return "multiple" if alpha > cutoff else "spread"
@@ -248,24 +249,28 @@ def subset_geography(geography: Geography, site_ids=None) -> Geography:
                      amenity=geography.amenity, trade=trade)
 
 
+def _tessellate(lam_t, comp: CompositeParams, geography: Geography) -> Tessellation:
+    """Labels at the original-variable weights λ̃ / (weight_scale·γ1)."""
+    return assign_labels(geography.grid, geography.sites, geography.system,
+                         lam_t / (comp.weight_scale * comp.gamma1),
+                         geography.distances)
+
+
 def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
                            active_only: bool = False, band: NarrowBand | None = None):
     """One evaluation of the transformed weight map g at λ̃.
 
-    Returns (g, tessellation, aggregates). The tessellation is induced by
-    the original-variable weight differences λ̃ / (weight_scale·γ1). With
+    Returns (g, aggregates), the sums over ``_tessellate(lam_t, ...)``. With
     ``active_only`` the sums skip terms of empty cells (the all-sites
     system); otherwise an empty cell raises EmptyCellInSum. Without a
     ``band`` (a NarrowBand of this geography and kernel), a full pass.
     """
     lam_t = np.asarray(lam_t, dtype=float)
-    lam = lam_t / (comp.weight_scale * comp.gamma1)
     if band is None:
-        tess = assign_labels(geography.grid, geography.sites, geography.system, lam,
-                             geography.distances)
-        agg = aggregate_amenities(tess, geography.amenity, comp.effective.kernel)
+        agg = aggregate_amenities(_tessellate(lam_t, comp, geography),
+                                  geography.amenity, comp.effective.kernel)
     else:
-        tess, agg = band.tessellate(lam)
+        agg = band.aggregates(lam_t / (comp.weight_scale * comp.gamma1))
     active = agg.active
     if not active_only and not active.all():
         raise EmptyCellInSum(
@@ -278,7 +283,7 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
     own = np.zeros(len(lam_t))
     own[active] = st * comp.phi1 * agg.log_B[active]
     g = own + _logsumexp(terms, axis=1)
-    return g, tess, agg
+    return g, agg
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +365,7 @@ def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None):
                 nxt, fallback = mixed, nxt
         if step < tol:
             return x, out, project(nxt), iteration, exits
-        x, out = project(nxt), None  # drop its rasters before the next evaluation
+        x = project(nxt)
     raise NotConverged(what, max_iter, step)
 
 
@@ -520,19 +525,15 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     """Solve the weight system restricted to the active set ``y_star``.
 
     The anchor is the first site of ``y_star`` (of all sites when None):
-    ``_iterate`` mixes the anchored map G(λ̃) = g(λ̃) − g_0(λ̃) with weight
-    DAMPING until max|G(λ̃) − λ̃| < tol; then the normalization
-    constant, welfare, labor masses, and the market block are recovered. A
-    damped step that empties a cell triggers one reprojection onto the
-    shrunk feasible set; a second exit aborts. As G_0 is exactly 0, every
-    step keeps the anchor coordinate at 0 without a projection.
+    ``_iterate`` runs the anchored map G(λ̃) = g(λ̃) − g_0(λ̃), whose G_0 = 0
+    keeps the anchor at 0, and an exit reprojects onto the shrunk feasible
+    set. The last evaluation's cells are labelled once; then the
+    normalization constant, welfare, labor masses and market are recovered.
     """
     sub = subset_geography(geography, y_star)
     comp = composite_params(params, sub.productivities, sub.trade)
-
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(sub.n_sites), dtype=float)
-
     denom = 1.0 - comp.gamma_ratio
     if abs(denom) < 1e-10:
         raise DegenerateConstantRecovery(
@@ -541,19 +542,19 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     band = NarrowBand(sub, comp.effective.kernel)
 
     def evaluate(x):
-        g, tess, agg = transformed_weight_map(x, comp, sub, band=band)
-        return g - g[0], g, tess, agg
+        g, agg = transformed_weight_map(x, comp, sub, band=band)
+        return g - g[0], g, agg
 
-    lam_t, (_, g, tess, agg), _, iterations, exits = _iterate(
+    lam_t, (_, g, agg), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
         options.tol, options.max_iter, "weights",
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
+    del band  # its columns go before the labelling pass
     c = g[0] / denom
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
-
     return _recover_solution(
-        lam_t_abs, comp, sub, params, tess, agg,
+        lam_t_abs, comp, sub, params, _tessellate(lam_t, comp, sub), agg,
         iterations=iterations, exited_feasible=exits > 0,
         transformed_residual=residual)
 
@@ -565,29 +566,28 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
 
     Requires ``is_knife_edge(alpha, sigma)``; alpha is snapped to the cutoff.
     Districts whose cells empty simply drop out of the sums, so the active
-    set is an outcome, not an input. ``_iterate`` mixes the map with weight
-    DAMPING until max|g(λ̃) − λ̃| < tol.
+    set is an outcome, not an input. ``_iterate`` runs the map g itself.
     """
     if params.variant.kind != "baseline":
         raise InvalidVariantParams("the all-sites solver supports the baseline variant")
-    cutoff = params.alpha_cutoff
+    cutoff = alpha_cutoff(params.sigma)
     if not is_knife_edge(params.alpha, params.sigma):
         raise InvalidVariantParams(
             f"alpha must equal 1/(sigma-1) = {cutoff!r}, got {params.alpha!r}")
     params = replace(params, alpha=cutoff)
     comp = composite_params(params, geography.productivities, geography.trade)
-
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(geography.n_sites), dtype=float)
     band = NarrowBand(geography, comp.effective.kernel)
-    lam_t, (g, tess, agg), _, iterations, _ = _iterate(
+    lam_t, (g, agg), _, iterations, _ = _iterate(
         lambda x: transformed_weight_map(x, comp, geography, active_only=True,
                                          band=band),
         w0 * (comp.weight_scale * comp.gamma1), options.tol, options.max_iter,
         "knife-edge weights")
+    del band  # its columns go before the labelling pass
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
-        lam_t, comp, geography, params, tess, agg,
+        lam_t, comp, geography, params, _tessellate(lam_t, comp, geography), agg,
         iterations=iterations, exited_feasible=False,
         transformed_residual=residual)
 

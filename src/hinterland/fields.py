@@ -96,7 +96,9 @@ def trade_costs_from_metric(sites, system: DistanceSystem, tau: float) -> TradeC
     """
     if not tau > 0:
         raise InvalidInput(f"tau must be > 0, got {tau}")
-    d = cross_distances(tuple(sites), system)
+    sites = tuple(sites)
+    system.check_site_count(len(sites))
+    d = cross_distances(sites, system)
     if d.size and np.abs(d - d.T).max() > 1e-12 * max(d.max(), 1.0):
         i, j = np.unravel_index(np.abs(d - d.T).argmax(), d.shape)
         raise AsymmetricMetric(

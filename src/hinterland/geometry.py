@@ -128,10 +128,11 @@ def check_resolution(resolution) -> None:
 
 
 def check_bbox(bbox) -> None:
-    """Raise InvalidInput unless ``(xmin, ymin, xmax, ymax)`` spans some area."""
-    xmin, ymin, xmax, ymax = (float(v) for v in bbox)
-    if not (xmax > xmin and ymax > ymin):
-        raise InvalidInput(f"degenerate bbox {bbox}")
+    """Raise InvalidInput unless ``(x0, y0, x1, y1)`` is finite and spans some area."""
+    x0, y0, x1, y1 = bbox = tuple(float(v) for v in bbox)
+    if not (x0 < x1 and y0 < y1 and all(map(math.isfinite, bbox))):
+        raise InvalidInput(f"degenerate bbox {bbox}: must be finite with x0 < x1 "
+                           "and y0 < y1")
 
 
 def count_components(mask) -> int:

@@ -1,6 +1,6 @@
 """Cell functionals: amenity aggregates, resident densities, and boundary
 sensitivities of the aggregates to the tessellation weights; the narrow band
-that relabels and re-sums only the cells near the interfaces.
+that re-sums only the cells near the interfaces.
 
 All kernel sums run in log space (max-shifted sums per cell aggregate) because
 exp(distance_coeff * d / |beta|) overflows float64 quickly for strong decay.
@@ -131,7 +131,7 @@ BLOCK_CELLS = 8192
 
 
 class NarrowBand:
-    """Per-solve state that relabels and re-sums only the cells near interfaces.
+    """Per-solve state that re-sums only the cells near interfaces.
 
     A full pass (``assign_labels`` + ``aggregate_amenities``) sets the
     reference weights w_ref. The band holds every inside cell where another
@@ -139,10 +139,9 @@ class NarrowBand:
     metric scale) of the cell's best. While w stays near w_ref, with
     max(w − w_ref) − min(w − w_ref) + slack < T (the slack bounds the cost
     rounding), no cell outside the band can change label, so only the band is
-    relabelled: labels and cell measures equal a full pass bit for bit, log
-    integrals to rounding. Otherwise a full pass becomes the new reference.
-    Band evaluations update the reference rasters in place: only the latest
-    evaluation's tessellation is valid.
+    relabelled and re-summed: the log integrals equal a full pass's to
+    rounding. Otherwise a full pass becomes the new reference.
+    The reference tessellation is never written after it is built.
     """
 
     def __init__(self, geography: Geography, kernel: KernelSpec):
@@ -154,8 +153,8 @@ class NarrowBand:
         self.ref = None    # (w_ref, tessellation) of the last full pass
         self.cells = None  # the band, built at the first evaluation near w_ref
 
-    def tessellate(self, weights) -> tuple[Tessellation, CellAggregates]:
-        """Labels and aggregates at ``weights``: the band near the reference,
+    def aggregates(self, weights) -> CellAggregates:
+        """Aggregates at ``weights``: the band re-summed near the reference,
         else a full pass that becomes the new reference."""
         if self.ref is not None:
             shift = weights - self.ref[0]
@@ -164,16 +163,15 @@ class NarrowBand:
             if shift.max() - shift.min() + slack < self.width:  # False on NaN
                 if self.cells is None:
                     self.cells = self._build()
-                return self._relabel(weights)
+                return self._resum(weights)
         self.ref = self.cells = None  # free the old rasters before the pass
         geo = self.geography
         tess = assign_labels(geo.grid, geo.sites, geo.system, weights, geo.distances)
-        agg = aggregate_amenities(tess, geo.amenity, self.kernel)
         self.ref = weights, tess
-        return tess, agg
+        return aggregate_amenities(tess, geo.amenity, self.kernel)
 
     def _build(self):
-        """Band cells, their distance columns and the fixed sums outside them.
+        """Band distance columns and amenities, and the fixed sums outside.
 
         Works through blocks of about BLOCK_CELLS cells, whole rows each, so
         its temporaries stay a small fraction of a labeling pass's.
@@ -182,7 +180,7 @@ class NarrowBand:
         geo, grid, n = self.geography, self.geography.grid, self.geography.n_sites
         d, inside, log_amenity = geo.distances, grid.inside, geo.amenity.log_inside
         band = np.zeros(inside.shape, dtype=bool)
-        counts, log_rest = np.zeros(n, dtype=np.int64), np.full(n, -np.inf)
+        log_rest = np.full(n, -np.inf)
         first = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])  # per row
         step = max(1, BLOCK_CELLS // grid.nx)
         for r in range(0, grid.ny, step):
@@ -202,34 +200,20 @@ class NarrowBand:
             cells = slice(first[r], first[min(r + step, grid.ny)])
             log_f = self.kernel.log_values(log_amenity[cells][rest],
                                            tess.own_distance[cells][rest])
-            counts += np.bincount(labels, minlength=n)
             log_rest = np.logaddexp(log_rest, _group_log_sum(labels, log_f, n))
-        flat, pos = np.flatnonzero(band), np.flatnonzero(band[inside])
         sites = np.flatnonzero(np.isfinite(log_rest))
-        return (flat, pos, d.reshape(n, -1)[:, flat], log_amenity[pos], counts,
-                sites, log_rest[sites])
+        return d[:, band], log_amenity[band[inside]], sites, log_rest[sites]
 
-    def _relabel(self, weights):
-        """Relabel the band cells in the reference rasters; re-sum the band."""
-        flat, pos, d, log_amenity, counts, sites, log_rest = self.cells
-        ref = self.ref[1]
+    def _resum(self, weights) -> CellAggregates:
+        """Relabel the band cells and add their kernel to the fixed sums."""
+        d, log_amenity, sites, log_rest = self.cells
         labels = _first_min_labels(d, weights)
-        own = d[labels, np.arange(len(flat))]
-        for raster, where, values in ((ref.labels, flat, labels),
-                                      (ref.own_distance, pos, own)):
-            raster.setflags(write=True)
-            np.put(raster, where, values)
-            raster.setflags(write=False)
-        grid, n = ref.grid, len(d)
-        tess = Tessellation(
-            grid=grid, sites=ref.sites, system=ref.system, labels=ref.labels,
-            own_distance=ref.own_distance,
-            cell_measure=(counts + np.bincount(labels, minlength=n)) * grid.cell_area)
+        own = d[labels, np.arange(d.shape[1])]
         log_raw = _group_log_sum(
             np.concatenate([sites, labels]),
             np.concatenate([log_rest, self.kernel.log_values(log_amenity, own)]),
-            n) + math.log(grid.cell_area)
-        return tess, CellAggregates.from_log_raw(log_raw, self.kernel)
+            len(d)) + math.log(self.geography.grid.cell_area)
+        return CellAggregates.from_log_raw(log_raw, self.kernel)
 
 
 def resident_density(tess: Tessellation, aggregates: CellAggregates,

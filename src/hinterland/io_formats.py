@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import OUTSIDE, raster_interfaces
+from .geometry import OUTSIDE, check_bbox, raster_interfaces
 
 OUTSIDE_BYTE = 255
 
@@ -99,9 +99,10 @@ def read_label_raster(path):
         x0, y0, x1, y1 = bbox = tuple(float(v) for v in bbox)
     except ValueError:
         raise InvalidInput(f"{path}: bbox comment must hold 4 numbers") from None
-    if not (x0 < x1 and y0 < y1 and all(map(math.isfinite, bbox))):
-        raise InvalidInput(f"{path}: bbox must be finite with x0 < x1 and "
-                           f"y0 < y1, got {bbox}")
+    try:
+        check_bbox(bbox)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
     start = header.end()
     body = np.frombuffer(raw[start:start + nx * ny], dtype=np.uint8)
     if body.size != nx * ny:

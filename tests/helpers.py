@@ -20,6 +20,8 @@ from hinterland.equilibrium import (
     SolverOptions,
     _recover_solution,
     _reproject,
+    _tessellate,
+    alpha_cutoff,
     composite_params,
     subset_geography,
 )
@@ -287,8 +289,8 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
 # solvers ran before Anderson mixing, with their stop rule (the damped step
 # below tol) and their final evaluation at the fixed point. They call
 # ``equilibrium.transformed_weight_map`` through the module, so a test can
-# count their map evaluations, and lift the result with the package's own
-# ``_recover_solution``.
+# count their map evaluations, label the fixed point with the solvers' own
+# ``_tessellate`` and lift the result with their ``_recover_solution``.
 
 def damped_fixed_point_solve(geography, params, y_star=None,
                              options=SolverOptions()):
@@ -307,7 +309,7 @@ def damped_fixed_point_solve(geography, params, y_star=None,
     theta = equilibrium.DAMPING
     for iteration in range(1, options.max_iter + 1):
         try:
-            g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
+            g, _ = equilibrium.transformed_weight_map(lam_t, comp, sub)
         except EmptyCellInSum:
             exits += 1
             if exits > 1:
@@ -324,18 +326,19 @@ def damped_fixed_point_solve(geography, params, y_star=None,
             break
     else:
         raise NotConverged("weights", options.max_iter, step)
-    g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
+    g, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
     c = g[0] / (1.0 - comp.gamma_ratio)
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
     return _recover_solution(
-        lam_t_abs, comp, sub, params, tess, agg, iterations=iteration,
-        exited_feasible=exits > 0, transformed_residual=residual)
+        lam_t_abs, comp, sub, params, _tessellate(lam_t, comp, sub), agg,
+        iterations=iteration, exited_feasible=exits > 0,
+        transformed_residual=residual)
 
 
 def damped_knife_edge_solve(geography, params, options=SolverOptions()):
     """The damped all-sites loop at alpha = 1/(sigma-1): an ``EquilibriumSolution``."""
-    params = replace(params, alpha=params.alpha_cutoff)
+    params = replace(params, alpha=alpha_cutoff(params.sigma))
     comp = composite_params(params, geography.productivities, geography.trade)
     scale = comp.weight_scale * comp.gamma1
     if options.weights_init is not None:
@@ -344,8 +347,8 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
         lam_t = np.zeros(geography.n_sites)
     theta = equilibrium.DAMPING
     for iteration in range(1, options.max_iter + 1):
-        g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
-                                                          active_only=True)
+        g, _ = equilibrium.transformed_weight_map(lam_t, comp, geography,
+                                                  active_only=True)
         new = (1.0 - theta) * lam_t + theta * g
         step = float(np.abs(new - lam_t).max())
         lam_t = new
@@ -353,12 +356,13 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
             break
     else:
         raise NotConverged("knife-edge weights", options.max_iter, step)
-    g, tess, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
-                                                      active_only=True)
+    g, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
+                                                active_only=True)
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
-        lam_t, comp, geography, params, tess, agg, iterations=iteration,
-        exited_feasible=False, transformed_residual=residual)
+        lam_t, comp, geography, params, _tessellate(lam_t, comp, geography),
+        agg, iterations=iteration, exited_feasible=False,
+        transformed_residual=residual)
 
 
 def loop_reproject_scale(lam, geography, k_shrink):

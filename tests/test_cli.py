@@ -344,7 +344,8 @@ def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
     (("[48, 48]", "[48, 1]"), 2, "resolution must be at least 2 per axis, "
                                  "got 48x1"),
     (("geography:\n", "geography:\n  bbox: [0.0, 1.0, 1.0, 0.0]\n"), 2,
-     r"degenerate bbox \(0.0, 1.0, 1.0, 0.0\)"),
+     r"degenerate bbox \(0.0, 1.0, 1.0, 0.0\): must be finite with x0 < x1 "
+     r"and y0 < y1"),
     (("  trade:", "  amenity:\n    kind: uniform\n    value: 0.0\n  trade:"),
      8, r"amenity sample at cell \(0, 0\) is 0.0"),
     (("  trade:", "  metric: scaled_euclidean\n  scales: [1.0, 1.0, 1.0]\n"
@@ -842,8 +843,8 @@ def test_enumerate_size_above_the_site_count_is_an_input_error(tmp_path,
     (b"P5\n# bbox 0 0 1 1\n-2 -2\n255\n", "malformed PGM header"),
     (b"P5\n# bbox 0.0 zero 1.0 1.0\n2 2\n255\n",
      "bbox comment must hold 4 numbers"),
-    (b"P5\n# bbox 0 0 0 1\n2 2\n255\n", "bbox must be finite with x0 < x1 "
-                                       "and y0 < y1, got (0.0, 0.0, 0.0, 1.0)"),
+    (b"P5\n# bbox 0 0 0 1\n2 2\n255\n", "degenerate bbox (0.0, 0.0, 0.0, 1.0): "
+                                       "must be finite with x0 < x1 and y0 < y1"),
 ], ids=["ascii", "size-2x", "non-ascii", "negative-size", "bbox-word",
         "flat-bbox"])
 def test_render_of_an_ascii_pgm_is_an_input_error(tmp_path, capsys, head,

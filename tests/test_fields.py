@@ -174,6 +174,16 @@ def test_geography_rejects_a_scale_count_other_than_its_site_count(scales):
                   trade=explicit_trade_costs([[1.0, 1.5], [1.5, 1.0]]))
 
 
+@pytest.mark.parametrize("scales", [(1.0, 2.0, 3.0), (1.0,)])
+def test_metric_trade_costs_reject_a_scale_count_other_than_its_site_count(scales):
+    # three scales would fail to broadcast, and one would serve both sites
+    sites = (Site(0, (0.25, 0.5)), Site(1, (0.75, 0.5)))
+    with pytest.raises(InvalidInput,
+                       match=f"^2 sites but {len(scales)} metric scales$"):
+        trade_costs_from_metric(
+            sites, DistanceSystem("scaled_euclidean", scales=scales), tau=0.5)
+
+
 def test_geography_rejects_repeated_site_ids():
     # positions_of would resolve a repeated id to the last of its sites
     sites = (Site(0, (0.3, 0.5)), Site(0, (0.7, 0.5)), Site(2, (0.5, 0.8)),

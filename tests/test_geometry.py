@@ -11,6 +11,7 @@ from hinterland.errors import (
     CoincidentSites,
     DisconnectedDomain,
     EmptyDomain,
+    InvalidInput,
     NonFiniteWeight,
 )
 from hinterland.geometry import (
@@ -157,6 +158,15 @@ def test_component_check_on_full_256_grid_is_fast():
 def test_degenerate_resolution_rejected():
     with pytest.raises(ValueError):
         build_grid((0, 0, 1, 1), (1, 16))
+
+
+@pytest.mark.parametrize("bbox", [(0, 0, math.inf, 1), (-math.inf, 0, 1, 1),
+                                  (0, 0, 1, math.nan)])
+def test_non_finite_bbox_rejected(bbox):
+    # an infinite bound would give cells of infinite width
+    with pytest.raises(InvalidInput, match=r"^degenerate bbox \(.*\): must be "
+                                           "finite with x0 < x1 and y0 < y1$"):
+        build_grid(bbox, (4, 4))
 
 
 def test_site_validation():

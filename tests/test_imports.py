@@ -1,9 +1,9 @@
 """The package's import path stays free of SciPy (a cold-start cost) and of
 multiprocessing (loaded only when enumerate starts workers), its source
 makes no BLAS or LAPACK call (a first one raises peak RSS, and a forked
-worker must not touch OpenBLAS's threads) and raises no bare ValueError (a
+worker must not touch OpenBLAS's threads), raises no bare ValueError (a
 deliberate input check raises InvalidInput, which the CLI reports, and every
-input-check error derives from it), it
+input-check error derives from it) and makes no read-only array writable, it
 carries no public name or import that nothing uses, and a forked enumerate
 prints what the parent prints, once."""
 
@@ -52,6 +52,13 @@ def test_package_source_makes_no_blas_or_lapack_call():
 
 def test_package_source_raises_no_bare_value_error():
     assert _source_lines_matching(re.compile(r"raise ValueError\b")) == []
+
+
+def test_package_source_makes_no_array_writable_again():
+    # a raster handed out read-only, such as a tessellation's labels, stays
+    # as it was built; write is also setflags' first positional argument
+    writable = re.compile(r"setflags\(\s*(write\s*=\s*)?True")
+    assert _source_lines_matching(writable) == []
 
 
 def test_every_input_check_error_is_an_invalid_input():

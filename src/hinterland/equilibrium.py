@@ -5,7 +5,8 @@ scalar drops out, with one coordinate anchored at zero; welfare, labor
 masses, wages, and prices are then recovered in original variables from
 the population constraint and the gravity trade block. All three fixed
 points (anchored weights, knife-edge weights, log wages) run through one
-driver, ``_iterate``: Anderson mixing safeguarded by the damped step.
+driver, ``_iterate``, safeguarded by the damped step: Anderson mixing for
+the weights, Newton steps with the exact Jacobian for the log wages.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def composite_params(params: ModelParams, productivities,
     if abs(gamma1) < 1e-12:
         raise DegenerateGamma1(
             f"gamma1 = {gamma1:.3g} at sigma={sigma}, alpha={alpha}, "
-            "congestion={b}; the weight system degenerates")
+            f"congestion={b}; the weight system degenerates")
     weight_scale = -(eff.weight_decay / eff.beta_eff) * sigma_tilde
 
     log_abar = np.log(np.asarray(productivities, dtype=float))
@@ -292,6 +293,7 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
 ANDERSON_MEMORY = 3   # ΔF columns kept by the Anderson mixing
 DAMPING = 0.5         # weight β of the damped step, in every fixed point
 ANDERSON_DROP = 1e-8  # relative Gram–Schmidt remainder below which a column is dropped
+PIVOT_DROP = 1e-12    # relative pivot below which an elimination gives up
 
 
 def _anderson_gamma(dF, f):
@@ -319,18 +321,54 @@ def _anderson_gamma(dF, f):
     return gamma
 
 
-def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None):
-    """Fixed point of G by Anderson mixing, safeguarded by the damped step.
+def _solve_linear(A, b):
+    """x with A·x = b by Gaussian elimination with partial pivoting, in sums
+    of products (a first BLAS or LAPACK call alone raises peak RSS); None at
+    a pivot below PIVOT_DROP times the largest |A_ij|."""
+    rows = np.column_stack([A, b]).tolist()
+    n = len(rows)
+    floor = PIVOT_DROP * float(np.abs(A).max())
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > abs(rows[p][k]):
+                p = i
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        if not abs(pivot[k]) > floor:
+            return None
+        for row in rows[k + 1:]:
+            c = row[k] / pivot[k]
+            for j in range(k, n + 1):
+                row[j] -= c * pivot[j]
+    x = [0.0] * n
+    for k in reversed(range(n)):  # back substitution
+        row, total = rows[k], rows[k][n]
+        for j in range(k + 1, n):
+            total -= row[j] * x[j]
+        x[k] = total / row[k]
+    return np.array(x)
 
-    ``evaluate(x)`` returns ``(G(x), ...)``. Each step mixes the last
-    ANDERSON_MEMORY + 1 residuals f = G(x) − x with weight DAMPING, then
-    applies ``project``. A mixed iterate that is non-finite or whose
-    evaluation raises EmptyCellInSum yields to the damped step x + DAMPING·f
-    from the same point, and mixing stops for good. After ANDERSON_MEMORY + 1
-    evaluations without a new best max|f|, the history is dropped and damped
-    steps run until one. A damped step that empties a cell is an exit: the
-    first moves to ``leave(x)``, a second raises LeftFeasibleSet. Stops at
-    max|f| < tol; returns ``(x, evaluate(x), next step, evaluations, exits)``.
+
+def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None,
+             jacobian=None):
+    """Fixed point of G by Anderson mixing or Newton steps, safeguarded by
+    the damped step.
+
+    ``evaluate(x)`` returns ``(G(x), ...)``. Without ``jacobian``, each step
+    mixes the last ANDERSON_MEMORY + 1 residuals f = G(x) − x with weight
+    DAMPING, then applies ``project``. A mixed iterate that is non-finite or
+    whose evaluation raises EmptyCellInSum yields to the damped step
+    x + DAMPING·f from the same point, and mixing stops for good. After
+    ANDERSON_MEMORY + 1 evaluations without a new best max|f|, the history
+    is dropped and damped steps run until one. With ``jacobian(out)``, ∂G at
+    x from ``out = evaluate(x)``, each step is the Newton step solving
+    (∂G − I)·dx = −f; on a near-zero pivot or a non-finite dx it is the
+    damped step, and a Newton iterate whose max|f| is not below the current
+    one yields to the damped step from the same point. A damped step that
+    empties a cell is an exit: the first moves to ``leave(x)``, a second
+    raises LeftFeasibleSet. Stops at max|f| < tol; returns
+    ``(x, evaluate(x), next step, evaluations, exits)``.
     """
     xs, fs = [], []  # the last ANDERSON_MEMORY + 1 iterates and residuals, newest first
     accelerate, fallback, exits, step, best, stalled = True, None, 0, math.inf, math.inf, 0
@@ -348,10 +386,18 @@ def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None):
             x = leave(x)
             continue
         f = out[0] - x
-        step = float(np.abs(f).max())
+        new_step = float(np.abs(f).max())
+        if jacobian is not None and fallback is not None and not new_step < step:
+            x, fallback = project(fallback), None  # a rejected Newton iterate
+            continue
+        step = new_step
         best, stalled = (step, 0) if step < best else (best, stalled + 1)
         nxt, fallback = x + DAMPING * f, None
-        if stalled > ANDERSON_MEMORY:  # damped steps until max|f| sets a new best
+        if jacobian is not None:
+            dx = _solve_linear(jacobian(out) - np.eye(len(x)), -f)
+            if dx is not None and np.isfinite(dx).all():
+                nxt, fallback = x + dx, nxt
+        elif stalled > ANDERSON_MEMORY:  # damped steps until max|f| sets a new best
             xs, fs = [], []
         elif accelerate:
             xs, fs = [x] + xs[:ANDERSON_MEMORY], [f] + fs[:ANDERSON_MEMORY]
@@ -606,15 +652,29 @@ class MarketEquilibrium:
 MARKET_MAX_ITER = 100000   # log-wage map evaluations before NotConverged
 
 
+def _lse_softmax(t):
+    """Row log-sum-exps of ``t`` and their derivative, the row softmax."""
+    lse = _logsumexp(t, axis=1)
+    return lse, np.exp(t - lse[:, None])
+
+
+def _market_jacobian(S, R, q, sigma):
+    """∂G of the log-wage map: ∂u = (R + (σ−1)·R S)/σ of the wage update,
+    with S and R the row softmaxes of its price and wage terms, projected
+    by the numeraire's I − 1 qᵀ, with q the wage-bill shares."""
+    du = (R + (sigma - 1.0) * (R[:, :, None] * S[None, :, :]).sum(axis=1)) / sigma
+    return du - (q[:, None] * du).sum(axis=0)[None, :]
+
+
 def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
                              params: ModelParams, tol: float = 1e-12
                              ) -> MarketEquilibrium:
     """Solve the wage/price-index gravity system for given labor masses.
 
-    ``_iterate`` mixes the log-wage map with weight DAMPING, prices
-    following wages, until max|G(log_w) − log_w| < tol; the numeraire
-    sum(w_i L_i) = 1 pins the scale after each mix. Productivities enter
-    through the spillover A_i = productivities_i * L_i^alpha.
+    ``_iterate`` takes Newton steps on the log-wage map with its exact
+    Jacobian, prices following wages, until max|G(log_w) − log_w| < tol;
+    the numeraire sum(w_i L_i) = 1 pins the scale after each step.
+    Productivities enter through the spillover A_i = productivities_i * L_i^alpha.
     """
     labor = np.asarray(labor, dtype=float)
     if np.any(labor <= 0):
@@ -627,21 +687,29 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     def log_prices(log_w):
         # P_i^(1-sigma) = sum_j T_ji^(1-sigma) A_j^(sigma-1) w_j^(1-sigma)
         t = M.T + (sigma - 1.0) * log_A[None, :] + (1.0 - sigma) * log_w[None, :]
-        return _logsumexp(t, axis=1) / (1.0 - sigma)
+        lse, S = _lse_softmax(t)
+        return lse / (1.0 - sigma), S
 
     def log_wage_update(log_w, log_P):
         # w_i^sigma L_i = A_i^(sigma-1) sum_j T_ij^(1-sigma) P_j^(sigma-1) w_j L_j
         t = M + (sigma - 1.0) * log_P[None, :] + (log_w + log_L)[None, :]
-        return ((sigma - 1.0) * log_A + _logsumexp(t, axis=1) - log_L) / sigma
+        lse, R = _lse_softmax(t)
+        return ((sigma - 1.0) * log_A + lse - log_L) / sigma, R
 
     def numeraire(log_w):
         return log_w - _logsumexp(log_w + log_L)
 
+    def evaluate(log_w):
+        log_P, S = log_prices(log_w)
+        u, R = log_wage_update(log_w, log_P)
+        return numeraire(u), S, R
+
     _, _, log_w, iterations, _ = _iterate(
-        lambda log_w: (numeraire(log_wage_update(log_w, log_prices(log_w))),),
-        numeraire(np.zeros(len(labor))),  # start at equal wages
-        tol, MARKET_MAX_ITER, "market", project=numeraire)
-    log_P = log_prices(log_w)
+        evaluate, numeraire(np.zeros(len(labor))),  # start at equal wages
+        tol, MARKET_MAX_ITER, "market", project=numeraire,
+        jacobian=lambda out: _market_jacobian(out[1], out[2],
+                                              np.exp(out[0] + log_L), sigma))
+    log_P = log_prices(log_w)[0]
     return MarketEquilibrium(
         wages=np.exp(log_w), prices=np.exp(log_P), iterations=iterations,
-        residual=float(np.abs(log_wage_update(log_w, log_P) - log_w).max()))
+        residual=float(np.abs(log_wage_update(log_w, log_P)[0] - log_w).max()))

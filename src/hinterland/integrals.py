@@ -141,7 +141,8 @@ class NarrowBand:
     rounding), no cell outside the band can change label, so only the band is
     relabelled and re-summed: the log integrals equal a full pass's to
     rounding. Otherwise a full pass becomes the new reference.
-    The reference tessellation is never written after it is built.
+    The reference tessellation is never written, and it is dropped once
+    the band is built from it.
     """
 
     def __init__(self, geography: Geography, kernel: KernelSpec):
@@ -150,33 +151,36 @@ class NarrowBand:
         self.width = (BAND_CELLS * max(grid.dx, grid.dy)
                       * geography.system.lipschitz_constants()[1])
         self.d_max = float(geography.distances.max())
-        self.ref = None    # (w_ref, tessellation) of the last full pass
+        self.w_ref = None  # weights of the last full pass
+        self.tess = None   # its tessellation, until the band is built from it
         self.cells = None  # the band, built at the first evaluation near w_ref
 
     def aggregates(self, weights) -> CellAggregates:
         """Aggregates at ``weights``: the band re-summed near the reference,
         else a full pass that becomes the new reference."""
-        if self.ref is not None:
-            shift = weights - self.ref[0]
+        if self.w_ref is not None:
+            shift = weights - self.w_ref
             slack = 16 * np.finfo(float).eps * (
-                self.d_max + np.abs(weights).max() + np.abs(self.ref[0]).max())
+                self.d_max + np.abs(weights).max() + np.abs(self.w_ref).max())
             if shift.max() - shift.min() + slack < self.width:  # False on NaN
                 if self.cells is None:
-                    self.cells = self._build()
+                    self.cells, self.tess = self._build(self.tess), None
                 return self._resum(weights)
-        self.ref = self.cells = None  # free the old rasters before the pass
+        self.tess = self.cells = None  # free the old rasters before the pass
         geo = self.geography
-        tess = assign_labels(geo.grid, geo.sites, geo.system, weights, geo.distances)
-        self.ref = weights, tess
-        return aggregate_amenities(tess, geo.amenity, self.kernel)
+        self.tess = assign_labels(geo.grid, geo.sites, geo.system, weights,
+                                  geo.distances)
+        self.w_ref = weights
+        return aggregate_amenities(self.tess, geo.amenity, self.kernel)
 
-    def _build(self):
-        """Band distance columns and amenities, and the fixed sums outside.
+    def _build(self, tess: Tessellation):
+        """Band distance columns and amenities, and the fixed sums outside
+        them, from the reference tessellation ``tess``.
 
         Works through blocks of about BLOCK_CELLS cells, whole rows each, so
         its temporaries stay a small fraction of a labeling pass's.
         """
-        w_ref, tess = self.ref
+        w_ref = self.w_ref
         geo, grid, n = self.geography, self.geography.grid, self.geography.n_sites
         d, inside, log_amenity = geo.distances, grid.inside, geo.amenity.log_inside
         band = np.zeros(inside.shape, dtype=bool)

@@ -254,11 +254,9 @@ def loop_boundary_path(labels, x_edges, y_edges, tf):
     return f'<path d="{d}" stroke="#000000" stroke-width="1" fill="none"/>'
 
 
-def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
-                        max_iter=100000):
-    """The plain damped log-wage loop the market block used before Anderson
-    mixing: returns (log wages, log prices, iterations); raises
-    RuntimeError after ``max_iter`` iterations."""
+def log_wage_map(labor, productivities, trade, params):
+    """The market block's log-wage map G, with the numeraire sum(w_i L_i) = 1
+    applied: returns ``(G, numeraire, log_prices)``."""
     sigma = params.sigma
     log_L = np.log(np.asarray(labor, dtype=float))
     log_A = np.log(np.asarray(productivities, dtype=float)) + params.alpha * log_L
@@ -268,18 +266,28 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
         t = M.T + (sigma - 1.0) * log_A[None, :] + (1.0 - sigma) * log_w[None, :]
         return logsumexp(t, axis=1) / (1.0 - sigma)
 
-    def log_wage_update(log_w, log_P):
-        t = M + (sigma - 1.0) * log_P[None, :] + (log_w + log_L)[None, :]
-        return ((sigma - 1.0) * log_A + logsumexp(t, axis=1) - log_L) / sigma
+    def numeraire(log_w):
+        return log_w - logsumexp(log_w + log_L)
 
-    log_w = -logsumexp(log_L) * np.ones(len(log_L))
+    def G(log_w):
+        t = M + (sigma - 1.0) * log_prices(log_w)[None, :] + (log_w + log_L)[None, :]
+        return numeraire(((sigma - 1.0) * log_A + logsumexp(t, axis=1) - log_L) / sigma)
+
+    return G, numeraire, log_prices
+
+
+def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
+                        max_iter=100000):
+    """The plain damped log-wage loop the market block used before Anderson
+    mixing: returns (log wages, log prices, iterations); raises
+    RuntimeError after ``max_iter`` iterations."""
+    G, numeraire, log_prices = log_wage_map(labor, productivities, trade, params)
+    log_w = numeraire(np.zeros(len(labor)))
     theta = equilibrium.DAMPING
     for iteration in range(1, max_iter + 1):
-        log_w_new = log_wage_update(log_w, log_prices(log_w))
-        log_w_new -= logsumexp(log_w_new + log_L)
+        log_w_new = G(log_w)
         step = float(np.abs(log_w_new - log_w).max())
-        log_w = (1.0 - theta) * log_w + theta * log_w_new
-        log_w -= logsumexp(log_w + log_L)
+        log_w = numeraire((1.0 - theta) * log_w + theta * log_w_new)
         if step < tol:
             return log_w, log_prices(log_w), iteration
     raise RuntimeError(f"damped market loop: {max_iter} iterations, step {step:.3e}")

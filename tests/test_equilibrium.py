@@ -14,6 +14,7 @@ from helpers import (
     damped_fixed_point_solve,
     damped_knife_edge_solve,
     damped_market_solve,
+    log_wage_map,
     loop_amenity_integral,
     loop_reproject_scale,
 )
@@ -25,6 +26,7 @@ from hinterland.equilibrium import (
     SolverOptions,
     TwoSector,
     _reproject,
+    _solve_linear,
     composite_params,
     fixed_point_solve,
     market_equilibrium_solve,
@@ -118,6 +120,14 @@ def test_composite_gamma1_zero_raises():
     geo = make_geography(SYM2)
     p = ModelParams(sigma=2.0, alpha=2.0, beta=-0.5, delta=1.0)
     with pytest.raises(DegenerateGamma1):
+        composite_params(p, geo.productivities, geo.trade)
+
+
+def test_degenerate_gamma1_message_carries_the_congestion_weight():
+    # gamma1 = 1 - 8*0.4625 + 9*0.3 = 0
+    geo = make_geography(SYM2)
+    p = ModelParams(sigma=9.0, alpha=0.4625, beta=-0.3, delta=2.0)
+    with pytest.raises(DegenerateGamma1, match=r"congestion=-0\.3;"):
         composite_params(p, geo.productivities, geo.trade)
 
 
@@ -1083,13 +1093,22 @@ def test_anderson_market_needs_a_quarter_of_the_damped_iterations():
 
 
 def test_anderson_drops_dependent_columns_and_falls_back_on_nan(monkeypatch):
-    # two sites: the numeraire leaves one free direction, so the ΔF columns
-    # become parallel and all but the newest are dropped
+    # the driver mixes the 2-site log-wage map (the market block itself takes
+    # Newton steps): the numeraire leaves one free direction, so the ΔF
+    # columns become parallel and all but the newest are dropped
     p = ModelParams(sigma=5.0, alpha=0.2, beta=-0.3, delta=1.0)
     trade = trade_costs_from_metric(
         (Site(0, (0.3, 0.5)), Site(1, (0.7, 0.5))), EUCLID, tau=0.5)
     L, abar = [0.3, 0.7], [1.0, 1.0]
     log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p)
+    G, numeraire, log_prices = log_wage_map(L, abar, trade, p)
+
+    def mix():
+        _, _, mixed, iterations, _ = equilibrium._iterate(
+            lambda x: (G(x),), numeraire(np.zeros(2)), 1e-12,
+            equilibrium.MARKET_MAX_ITER, "log wages", project=numeraire)
+        return mixed, iterations
+
     solve_gamma = equilibrium._anderson_gamma
     gammas = []
 
@@ -1098,18 +1117,104 @@ def test_anderson_drops_dependent_columns_and_falls_back_on_nan(monkeypatch):
         return gammas[-1]
 
     monkeypatch.setattr(equilibrium, "_anderson_gamma", recording)
-    m = market_equilibrium_solve(L, abar, trade, p)
+    mixed, iterations = mix()
     assert any(len(g) > 1 and np.count_nonzero(g) < len(g) for g in gammas)
-    assert np.abs(np.log(m.wages) - log_w).max() < 1e-10
-    assert np.abs(np.log(m.prices) - log_P).max() < 1e-10
-    assert m.iterations < damped_iterations
+    assert np.abs(mixed - log_w).max() < 1e-10
+    assert np.abs(log_prices(mixed) - log_P).max() < 1e-10
+    assert iterations < damped_iterations
 
     monkeypatch.setattr(equilibrium, "_anderson_gamma",
                         lambda dF, f: np.full(len(dF), np.nan))
-    m = market_equilibrium_solve(L, abar, trade, p)  # plain damped steps only
+    mixed, iterations = mix()  # plain damped steps only
+    assert np.abs(mixed - log_w).max() < 1e-10
+    assert np.abs(log_prices(mixed) - log_P).max() < 1e-10
+    assert abs(iterations - damped_iterations) <= 1
+
+
+def _market_driver_arguments(market):
+    """The log-wage ``evaluate`` and ``jacobian`` the market block hands to
+    the driver."""
+    seen = {}
+    iterate = equilibrium._iterate
+
+    def recording(evaluate, x, *args, jacobian=None, **kwargs):
+        seen.update(evaluate=evaluate, jacobian=jacobian)
+        return iterate(evaluate, x, *args, jacobian=jacobian, **kwargs)
+
+    with mock.patch.object(equilibrium, "_iterate", recording):
+        market_equilibrium_solve(*market)
+    return seen["evaluate"], seen["jacobian"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(market=random_markets(), shift=st.lists(st.floats(-0.5, 0.5), min_size=16,
+                                                max_size=16))
+def test_market_jacobian_matches_central_differences(market, shift):
+    # at a point off the fixed point, against the independent map of the helpers
+    evaluate, jacobian = _market_driver_arguments(market)
+    G, numeraire, _ = log_wage_map(*market)
+    x = numeraire(np.asarray(shift[:len(market[0])]))
+    out = evaluate(x)
+    assert np.abs(out[0] - G(x)).max() < 1e-13
+    h = 1e-6
+    fd = np.column_stack([(G(x + h * e) - G(x - h * e)) / (2 * h)
+                          for e in np.eye(len(x))])
+    J = jacobian(out)
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(market=random_markets())
+def test_newton_market_takes_at_most_8_iterations(market):
+    assert market_equilibrium_solve(*market).iterations <= 8
+
+
+def test_solve_linear_matches_the_product():
+    rng = np.random.default_rng(5)
+    for n in range(1, 17):
+        for _ in range(10):
+            # a diagonally dominant matrix with its rows shuffled: a pivot
+            # search is needed to find each column's largest entry
+            A = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+            A = A[rng.permutation(n)]
+            b = rng.uniform(-1.0, 1.0, n)
+            x = _solve_linear(A, b)
+            assert np.abs(A @ x - b).max() < 1e-13 * n
+    assert _solve_linear(np.zeros((3, 3)), np.ones(3)) is None
+    assert _solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(market=random_markets())
+def test_market_with_a_singular_newton_system_takes_damped_steps(market):
+    # ∂G = I makes ∂G − I zero: every step is the damped step of the oracle
+    L, abar, trade, p = market
+    log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p,
+                                                          tol=1e-13)
+    with mock.patch.object(equilibrium, "_market_jacobian",
+                           lambda S, R, q, sigma: np.eye(len(q))):
+        m = market_equilibrium_solve(L, abar, trade, p, tol=1e-13)
     assert np.abs(np.log(m.wages) - log_w).max() < 1e-10
     assert np.abs(np.log(m.prices) - log_P).max() < 1e-10
     assert abs(m.iterations - damped_iterations) <= 1
+
+
+def test_newton_iterate_that_raises_the_residual_yields_to_the_damped_step():
+    # ∂G = 2I makes every Newton step −f, away from the fixed point: each
+    # Newton iterate is evaluated and rejected, and the damped step from the
+    # same point follows, so the damped oracle's steps come with one
+    # rejected evaluation between each two
+    p = ModelParams(sigma=7.0, alpha=0.15, beta=-0.3, delta=1.0)
+    sites = (Site(0, (0.2, 0.2)), Site(1, (0.8, 0.3)), Site(2, (0.5, 0.8)))
+    trade = trade_costs_from_metric(sites, EUCLID, tau=0.8)
+    L, abar = [0.5, 0.3, 0.2], [1.0, 1.2, 0.9]
+    log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p)
+    with mock.patch.object(equilibrium, "_market_jacobian",
+                           lambda S, R, q, sigma: 2.0 * np.eye(len(q))):
+        m = market_equilibrium_solve(L, abar, trade, p)
+    assert np.abs(np.log(m.wages) - log_w).max() < 1e-10
+    assert np.abs(np.log(m.prices) - log_P).max() < 1e-10
+    assert abs(m.iterations - (2 * damped_iterations - 1)) <= 2
 
 
 def test_solution_keeps_market_iterations():

@@ -1,12 +1,13 @@
 """Equilibrium solvers for districts on weighted-Voronoi commuting areas.
 
 The weight system is solved in transformed coordinates where the welfare
-scalar drops out, with one coordinate anchored at zero; welfare, labor
-masses, wages, and prices are then recovered in original variables from
-the population constraint and the gravity trade block. All three fixed
-points (anchored weights, knife-edge weights, log wages) run through one
-driver, ``_iterate``, safeguarded by the damped step: Anderson mixing for
-the weights, Newton steps with the exact Jacobian for the log wages.
+scalar drops out, anchored at the first site by one solve for a given
+active set and at the knife edge alike; welfare, labor masses, wages, and
+prices are then recovered in original variables from the population
+constraint and the gravity trade block. Both fixed points (anchored
+weights, log wages) run through one driver, ``_iterate``, safeguarded by
+the damped step: Anderson mixing for the weights, Newton steps with the
+exact Jacobian for the log wages.
 """
 
 from __future__ import annotations
@@ -565,18 +566,16 @@ def _reproject(lam_t, comp: CompositeParams, geography: Geography,
     return lam_t * min(1.0, (bound[over] / diff[over]).min(initial=1.0))
 
 
-def fixed_point_solve(geography: Geography, params: ModelParams,
-                      y_star=None, options: SolverOptions = SolverOptions()
-                      ) -> EquilibriumSolution:
-    """Solve the weight system restricted to the active set ``y_star``.
+def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
+                    active_only: bool, what: str) -> EquilibriumSolution:
+    """The weight solve on ``sub``, anchored at its first site.
 
-    The anchor is the first site of ``y_star`` (of all sites when None):
     ``_iterate`` runs the anchored map G(λ̃) = g(λ̃) − g_0(λ̃), whose G_0 = 0
     keeps the anchor at 0, and an exit reprojects onto the shrunk feasible
-    set. The last evaluation's cells are labelled once; then the
+    set. With ``active_only`` empty cells drop out of the sums, so no exit
+    happens. The last evaluation's cells are labelled once; then the
     normalization constant, welfare, labor masses and market are recovered.
     """
-    sub = subset_geography(geography, y_star)
     comp = composite_params(params, sub.productivities, sub.trade)
     w0 = np.asarray(options.weights_init if options.weights_init is not None
                     else np.zeros(sub.n_sites), dtype=float)
@@ -588,12 +587,13 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
     band = NarrowBand(sub, comp.effective.kernel)
 
     def evaluate(x):
-        g, agg = transformed_weight_map(x, comp, sub, band=band)
+        g, agg = transformed_weight_map(x, comp, sub, active_only=active_only,
+                                        band=band)
         return g - g[0], g, agg
 
     lam_t, (_, g, agg), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
-        options.tol, options.max_iter, "weights",
+        options.tol, options.max_iter, what,
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
     del band  # its columns go before the labelling pass
     c = g[0] / denom
@@ -605,6 +605,15 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
         transformed_residual=residual)
 
 
+def fixed_point_solve(geography: Geography, params: ModelParams,
+                      y_star=None, options: SolverOptions = SolverOptions()
+                      ) -> EquilibriumSolution:
+    """Solve the weight system restricted to the active set ``y_star`` (all
+    sites when None), anchored at its first site; an empty cell is an exit."""
+    return _anchored_solve(subset_geography(geography, y_star), params, options,
+                           active_only=False, what="weights")
+
+
 def solve_knife_edge_system(geography: Geography, params: ModelParams,
                             options: SolverOptions = SolverOptions()
                             ) -> EquilibriumSolution:
@@ -612,30 +621,15 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
 
     Requires ``is_knife_edge(alpha, sigma)``; alpha is snapped to the cutoff.
     Districts whose cells empty simply drop out of the sums, so the active
-    set is an outcome, not an input. ``_iterate`` runs the map g itself.
-    """
+    set is an outcome, not an input; the first site stays the anchor."""
     if params.variant.kind != "baseline":
         raise InvalidVariantParams("the all-sites solver supports the baseline variant")
     cutoff = alpha_cutoff(params.sigma)
     if not is_knife_edge(params.alpha, params.sigma):
         raise InvalidVariantParams(
             f"alpha must equal 1/(sigma-1) = {cutoff!r}, got {params.alpha!r}")
-    params = replace(params, alpha=cutoff)
-    comp = composite_params(params, geography.productivities, geography.trade)
-    w0 = np.asarray(options.weights_init if options.weights_init is not None
-                    else np.zeros(geography.n_sites), dtype=float)
-    band = NarrowBand(geography, comp.effective.kernel)
-    lam_t, (g, agg), _, iterations, _ = _iterate(
-        lambda x: transformed_weight_map(x, comp, geography, active_only=True,
-                                         band=band),
-        w0 * (comp.weight_scale * comp.gamma1), options.tol, options.max_iter,
-        "knife-edge weights")
-    del band  # its columns go before the labelling pass
-    residual = float(np.abs(lam_t - g).max())
-    return _recover_solution(
-        lam_t, comp, geography, params, _tessellate(lam_t, comp, geography), agg,
-        iterations=iterations, exited_feasible=False,
-        transformed_residual=residual)
+    return _anchored_solve(geography, replace(params, alpha=cutoff), options,
+                           active_only=True, what="knife-edge weights")
 
 
 # ---------------------------------------------------------------------------

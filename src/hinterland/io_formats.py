@@ -136,11 +136,15 @@ def read_field_raster(path):
     raw = Path(path).read_bytes()
     if len(raw) < _FLD_HEAD.size or raw[:4] != _FLD_MAGIC:
         raise InvalidInput(f"{path}: not a FLD1 field raster")
-    magic, nx, ny, x0, y0, x1, y1 = _FLD_HEAD.unpack_from(raw)
+    _, nx, ny, *bbox = _FLD_HEAD.unpack_from(raw)
+    try:
+        check_bbox(bbox)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
     body = np.frombuffer(raw, dtype="<f8", offset=_FLD_HEAD.size)
     if body.size != nx * ny:
         raise InvalidInput(f"{path}: expected {nx * ny} values, got {body.size}")
-    return body.reshape(ny, nx).copy(), (x0, y0, x1, y1)
+    return body.reshape(ny, nx).copy(), tuple(bbox)
 
 
 # ---------------------------------------------------------------------------

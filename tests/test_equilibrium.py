@@ -669,8 +669,8 @@ def test_weight_solvers_agree_with_damped_loops(map_evaluations):
     assert {"converged", "LeftFeasibleSet"} <= outcomes
     # converged solves only: a failing solve costs about what the damped
     # loop spends on it (both spend max_iter on a raster cycle). This batch
-    # gives 0.31; batches from seeds 1-3 give 0.33, 0.32 and 0.42 (0.35 over
-    # all 120 draws: spread 0.30, knife edge 0.39, strong 0.35)
+    # gives 0.29; batches from seeds 1-3 give 0.32, 0.29 and 0.39 (0.33 over
+    # all 120 draws: spread 0.30, knife edge 0.33, strong 0.35)
     assert evaluations["anderson"] <= evaluations["damped"] / 3
 
 
@@ -758,49 +758,82 @@ def test_damped_step_that_empties_a_cell_is_an_exit(monkeypatch):
 def test_alpha_equal_to_minus_beta_fails_before_any_evaluation(
         tmp_path, map_evaluations, capsys):
     # gamma1 = gamma2 = 1 + alpha: the normalization constant is lost, so the
-    # solve stops before the first map evaluation, and the CLI exits 1
+    # solve stops before the first map evaluation, and the CLI exits 1; at
+    # sigma = 9, alpha = 1/8 is also the knife edge
     geo = make_geography(((0.2, 0.3), (0.8, 0.3), (0.5, 0.8)))
-    p = ModelParams(sigma=9.0, alpha=0.3, beta=-0.3, delta=2.0)
-    with pytest.raises(DegenerateConstantRecovery):
-        fixed_point_solve(geo, p)
-    with pytest.raises(DegenerateConstantRecovery):
-        fixed_point_solve(geo, p, y_star=[0, 2])
-    assert map_evaluations == []
-    config = tmp_path / "run.yaml"
-    config.write_text(
-        "geography:\n  resolution: [48, 48]\n  sites:\n"
-        "    - {position: [0.2, 0.3]}\n    - {position: [0.8, 0.3]}\n"
-        "    - {position: [0.5, 0.8]}\n"
-        "  trade: {kind: from_metric, tau: 0.5}\n"
-        "params: {sigma: 9.0, alpha: 0.3, beta: -0.3, delta: 2.0}\n")
-    assert cli.main(["solve", "--config", str(config),
-                     "--out", str(tmp_path / "out")]) == 1
-    assert "normalization constant" in capsys.readouterr().err
-    assert map_evaluations == []
+    for alpha in (0.3, 0.125):
+        p = ModelParams(sigma=9.0, alpha=alpha, beta=-alpha, delta=2.0)
+        if equilibrium.is_knife_edge(alpha, p.sigma):
+            with pytest.raises(DegenerateConstantRecovery):
+                solve_knife_edge_system(geo, p)
+        else:
+            with pytest.raises(DegenerateConstantRecovery):
+                fixed_point_solve(geo, p)
+            with pytest.raises(DegenerateConstantRecovery):
+                fixed_point_solve(geo, p, y_star=[0, 2])
+        assert map_evaluations == []
+        config = tmp_path / f"run-{alpha}.yaml"
+        config.write_text(
+            "geography:\n  resolution: [48, 48]\n  sites:\n"
+            "    - {position: [0.2, 0.3]}\n    - {position: [0.8, 0.3]}\n"
+            "    - {position: [0.5, 0.8]}\n"
+            "  trade: {kind: from_metric, tau: 0.5}\n"
+            f"params: {{sigma: 9.0, alpha: {alpha}, beta: {-alpha}, delta: 2.0}}\n")
+        assert cli.main(["solve", "--config", str(config),
+                         "--out", str(tmp_path / f"out-{alpha}")]) == 1
+        assert "normalization constant" in capsys.readouterr().err
+        assert map_evaluations == []
 
 
 def test_stalled_acceleration_pauses_for_damped_steps(monkeypatch, map_evaluations):
-    # two sites at the knife edge whose mixed iterates circle a one-cell flip
-    # near the fixed point: mixing pauses while damped steps leave the circle,
+    # two sites in the strong regime whose mixed iterates stop improving the
+    # residual near the fixed point: mixing pauses while damped steps run,
     # and resumes, with a fresh history, once the residual improves
     geo = make_geography(
-        ((0.5900316834184246, 0.1351536063691067),
-         (0.1285442230188769, 0.5119110562170962)),
-        productivities=[0.9932412050650579, 1.0834335546385705],
+        ((0.5331279869041317, 0.19009093243244576),
+         (0.6955045810779192, 0.7815007297874056)),
+        productivities=[1.0642206176789277, 1.096365664574359],
         amenity_fn=lambda x, y: 1.0 + np.exp(
-            -((x - 0.5775357526946063) ** 2 + (y - 0.5084705879597085) ** 2) / 0.04))
-    p = ModelParams(sigma=9.0, alpha=1.0 / 8.0, beta=-0.3, delta=2.0)
-    expected = damped_knife_edge_solve(geo, p)
+            -((x - 0.28335900747211856) ** 2 + (y - 0.6222714615600788) ** 2) / 0.04))
+    p = ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0)
+    expected = damped_fixed_point_solve(geo, p)
     mixed_at = []  # the evaluation count at each mix, and the history it used
     solve_gamma = equilibrium._anderson_gamma
     map_evaluations.clear()
     _patch_weight_gamma(monkeypatch, lambda dF, f: mixed_at.append(
         (len(map_evaluations), len(dF))) or solve_gamma(dF, f))
-    sol = solve_knife_edge_system(geo, p)
+    sol = fixed_point_solve(geo, p)
     at, history = np.array(mixed_at).T
     pauses = np.flatnonzero(np.diff(at) > 1)
     assert len(pauses) > 0 and (history[pauses + 1] == 0).all()
     assert sol.iterations < expected.iterations
+    assert np.array_equal(sol.tessellation.labels, expected.tessellation.labels)
+    assert np.abs(sol.weights - expected.weights).max() < 1e-10
+
+
+@pytest.mark.parametrize("positions, productivities, active", [
+    (((0.3, 0.5), (0.7, 0.5), (0.5078125, 0.5078125)), [1.0, 1.0, 1.0], (0, 1, 2)),
+    (((0.5078125, 0.5078125), (0.3, 0.5), (0.7, 0.5)), [0.5, 1.0, 1.0], (1, 2)),
+], ids=["all-active", "anchor-empties"])
+def test_knife_edge_evaluations_keep_the_anchor_at_zero(
+        monkeypatch, positions, productivities, active):
+    # the knife-edge solve is anchored at its first site like the restricted
+    # one, also when that site's own cell empties and it drops out of the sums
+    geo = make_geography(positions, productivities, n=64)
+    p = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0)
+    expected = damped_knife_edge_solve(geo, p)
+    anchors = []
+    evaluate = equilibrium.transformed_weight_map
+
+    def recording(lam_t, *args, **kwargs):
+        anchors.append(lam_t[0])
+        return evaluate(lam_t, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "transformed_weight_map", recording)
+    sol = solve_knife_edge_system(geo, p)
+    assert len(anchors) == sol.iterations
+    assert all(anchor == 0.0 for anchor in anchors)
+    assert sol.active_ids == expected.active_ids == active
     assert np.array_equal(sol.tessellation.labels, expected.tessellation.labels)
     assert np.abs(sol.weights - expected.weights).max() < 1e-10
 

@@ -107,6 +107,16 @@ def test_field_raster_rejects_foreign_bytes(tmp_path):
         read_field_raster(path)
 
 
+@pytest.mark.parametrize("bbox", [(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, math.inf),
+                                  (math.nan, 0.0, 1.0, 1.0)],
+                         ids=["flat", "inf", "nan"])
+def test_field_raster_read_rejects_a_degenerate_bbox(tmp_path, bbox):
+    path = tmp_path / "bad.fld"
+    write_field_raster(path, np.ones((2, 2)), bbox)
+    with pytest.raises(ValueError, match=r"bad\.fld: degenerate bbox .*must be finite"):
+        read_field_raster(path)
+
+
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -5,9 +5,9 @@ scalar drops out, anchored at the first site by one solve for a given
 active set and at the knife edge alike; welfare, labor masses, wages, and
 prices are then recovered in original variables from the population
 constraint and the gravity trade block. Both fixed points (anchored
-weights, log wages) run through one driver, ``_iterate``, safeguarded by
-the damped step: Anderson mixing for the weights, Newton steps with the
-exact Jacobian for the log wages.
+weights, log wages) run through one driver, ``_iterate``: Newton steps
+with each map's exact Jacobian, the weights' with the labels held,
+safeguarded by the damped step.
 """
 
 from __future__ import annotations
@@ -258,6 +258,20 @@ def _tessellate(lam_t, comp: CompositeParams, geography: Geography) -> Tessellat
                          geography.distances)
 
 
+def _lse_softmax(t):
+    """Row log-sum-exps of ``t`` and their derivative, the row softmax."""
+    lse = _logsumexp(t, axis=1)
+    return lse, np.exp(t - lse[:, None])
+
+
+def _weight_terms(lam_t, comp: CompositeParams, agg: CellAggregates):
+    """The log-sum-exp terms of g at λ̃ over the active columns of ``agg``."""
+    active = agg.active
+    return (comp.log_K[:, active]
+            + comp.sigma_tilde * comp.phi2 * agg.log_B[None, active]
+            + comp.gamma_ratio * lam_t[None, active])
+
+
 def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
                            active_only: bool = False, band: NarrowBand | None = None):
     """One evaluation of the transformed weight map g at λ̃.
@@ -278,48 +292,26 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
         raise EmptyCellInSum(
             f"sites {np.flatnonzero(~active).tolist()} have empty cells at "
             "the current weights")
-    st = comp.sigma_tilde
-    terms = (comp.log_K[:, active]
-             + st * comp.phi2 * agg.log_B[None, active]
-             + comp.gamma_ratio * lam_t[None, active])
     own = np.zeros(len(lam_t))
-    own[active] = st * comp.phi1 * agg.log_B[active]
-    g = own + _logsumexp(terms, axis=1)
+    own[active] = comp.sigma_tilde * comp.phi1 * agg.log_B[active]
+    g = own + _logsumexp(_weight_terms(lam_t, comp, agg), axis=1)
     return g, agg
+
+
+def _weight_jacobian(lam_t, comp: CompositeParams, agg: CellAggregates):
+    """∂G of the anchored map G = g − g_0 at λ̃ with the labels held, where
+    the map is smooth: (γ2/γ1)·(S − 1·S_0ᵀ), with S the row softmax of
+    ``_weight_terms`` on the active columns and zero on the others."""
+    S = np.zeros((len(lam_t), len(lam_t)))
+    S[:, agg.active] = _lse_softmax(_weight_terms(lam_t, comp, agg))[1]
+    return comp.gamma_ratio * (S - S[0])
 
 
 # ---------------------------------------------------------------------------
 # iteration driver
 
-ANDERSON_MEMORY = 3   # ΔF columns kept by the Anderson mixing
 DAMPING = 0.5         # weight β of the damped step, in every fixed point
-ANDERSON_DROP = 1e-8  # relative Gram–Schmidt remainder below which a column is dropped
 PIVOT_DROP = 1e-12    # relative pivot below which an elimination gives up
-
-
-def _anderson_gamma(dF, f):
-    """Least-squares γ minimising |f − Σ_j γ_j dF[j]| by modified Gram–Schmidt
-    in sums of products (a first BLAS or LAPACK call alone raises peak RSS);
-    a column nearly dependent on the newer ones before it gets γ_j = 0."""
-    qs, kept, b, rest = [], [], [], f.copy()
-    R = np.zeros((len(dF), len(dF)))
-    for j, col in enumerate(dF):
-        v, m = col.copy(), len(qs)
-        for k, q in enumerate(qs):
-            R[k, m] = (q * v).sum()
-            v -= R[k, m] * q
-        norm = math.sqrt((v * v).sum())
-        if norm > ANDERSON_DROP * math.sqrt((col * col).sum()):
-            R[m, m] = norm
-            qs.append(v / norm)
-            kept.append(j)
-            b.append((qs[-1] * rest).sum())
-            rest -= b[-1] * qs[-1]
-    gamma = np.zeros(len(dF))
-    for k in reversed(range(len(qs))):  # back substitution on R γ = Qᵀf
-        gamma[kept[k]] = (b[k] - (R[k, k + 1:len(qs)] * gamma[kept[k + 1:]]).sum()) \
-            / R[k, k]
-    return gamma
 
 
 def _solve_linear(A, b):
@@ -351,34 +343,27 @@ def _solve_linear(A, b):
     return np.array(x)
 
 
-def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None,
-             jacobian=None):
-    """Fixed point of G by Anderson mixing or Newton steps, safeguarded by
-    the damped step.
+def _iterate(evaluate, x, tol, max_iter, what, *, jacobian, project=lambda x: x,
+             leave=None):
+    """Fixed point of G by Newton steps, safeguarded by the damped step.
 
-    ``evaluate(x)`` returns ``(G(x), ...)``. Without ``jacobian``, each step
-    mixes the last ANDERSON_MEMORY + 1 residuals f = G(x) − x with weight
-    DAMPING, then applies ``project``. A mixed iterate that is non-finite or
-    whose evaluation raises EmptyCellInSum yields to the damped step
-    x + DAMPING·f from the same point, and mixing stops for good. After
-    ANDERSON_MEMORY + 1 evaluations without a new best max|f|, the history
-    is dropped and damped steps run until one. With ``jacobian(out)``, ∂G at
-    x from ``out = evaluate(x)``, each step is the Newton step solving
-    (∂G − I)·dx = −f; on a near-zero pivot or a non-finite dx it is the
-    damped step, and a Newton iterate whose max|f| is not below the current
-    one yields to the damped step from the same point. A damped step that
-    empties a cell is an exit: the first moves to ``leave(x)``, a second
-    raises LeftFeasibleSet. Stops at max|f| < tol; returns
+    ``evaluate(x)`` returns ``(G(x), ...)`` and ``jacobian(out)`` gives ∂G at
+    x from ``out = evaluate(x)``. Each step solves (∂G − I)·dx = −f, with
+    f = G(x) − x, then applies ``project``. The damped step x + DAMPING·f
+    from the same point replaces it on a near-zero pivot or a non-finite dx,
+    and when the Newton iterate's evaluation raises EmptyCellInSum or its
+    max|f| is not below the current one. A damped step that empties a cell
+    is an exit: the first moves to ``leave(x)``, a second raises
+    LeftFeasibleSet. Stops at max|f| < tol; returns
     ``(x, evaluate(x), next step, evaluations, exits)``.
     """
-    xs, fs = [], []  # the last ANDERSON_MEMORY + 1 iterates and residuals, newest first
-    accelerate, fallback, exits, step, best, stalled = True, None, 0, math.inf, math.inf, 0
+    fallback, exits, step = None, 0, math.inf
     for iteration in range(1, max_iter + 1):
         try:
             out = evaluate(x)
         except EmptyCellInSum:
-            if fallback is not None:  # a rejected mixed iterate
-                x, fallback, accelerate = project(fallback), None, False
+            if fallback is not None:  # a rejected Newton iterate
+                x, fallback = project(fallback), None
                 continue
             exits += 1
             if exits > 1:
@@ -388,28 +373,14 @@ def _iterate(evaluate, x, tol, max_iter, what, project=lambda x: x, leave=None,
             continue
         f = out[0] - x
         new_step = float(np.abs(f).max())
-        if jacobian is not None and fallback is not None and not new_step < step:
+        if fallback is not None and not new_step < step:
             x, fallback = project(fallback), None  # a rejected Newton iterate
             continue
         step = new_step
-        best, stalled = (step, 0) if step < best else (best, stalled + 1)
         nxt, fallback = x + DAMPING * f, None
-        if jacobian is not None:
-            dx = _solve_linear(jacobian(out) - np.eye(len(x)), -f)
-            if dx is not None and np.isfinite(dx).all():
-                nxt, fallback = x + dx, nxt
-        elif stalled > ANDERSON_MEMORY:  # damped steps until max|f| sets a new best
-            xs, fs = [], []
-        elif accelerate:
-            xs, fs = [x] + xs[:ANDERSON_MEMORY], [f] + fs[:ANDERSON_MEMORY]
-            dX = [a - b for a, b in zip(xs, xs[1:])]
-            dF = [a - b for a, b in zip(fs, fs[1:])]
-            gamma = _anderson_gamma(dF, f)
-            mixed = nxt - sum(c * (dx + DAMPING * df) for c, dx, df in zip(gamma, dX, dF))
-            if not np.isfinite(mixed).all():
-                accelerate = False
-            elif gamma.any():  # a mix off the damped step
-                nxt, fallback = mixed, nxt
+        dx = _solve_linear(jacobian(out) - np.eye(len(x)), -f)
+        if dx is not None and np.isfinite(dx).all():
+            nxt, fallback = x + dx, nxt
         if step < tol:
             return x, out, project(nxt), iteration, exits
         x = project(nxt)
@@ -571,10 +542,13 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
     """The weight solve on ``sub``, anchored at its first site.
 
     ``_iterate`` runs the anchored map G(λ̃) = g(λ̃) − g_0(λ̃), whose G_0 = 0
-    keeps the anchor at 0, and an exit reprojects onto the shrunk feasible
-    set. With ``active_only`` empty cells drop out of the sums, so no exit
-    happens. The last evaluation's cells are labelled once; then the
-    normalization constant, welfare, labor masses and market are recovered.
+    keeps the anchor at 0, with ``_weight_jacobian``. When |γ2/γ1| > 1 the
+    elimination of a Newton step may pivot away from the anchor's row and
+    leave a rounding error there, which the projection removes. An exit
+    reprojects onto the shrunk feasible set. With ``active_only`` empty
+    cells drop out of the sums, so no exit happens. The last evaluation's
+    cells are labelled once; then the normalization constant, welfare,
+    labor masses and market are recovered.
     """
     comp = composite_params(params, sub.productivities, sub.trade)
     w0 = np.asarray(options.weights_init if options.weights_init is not None
@@ -589,11 +563,13 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
     def evaluate(x):
         g, agg = transformed_weight_map(x, comp, sub, active_only=active_only,
                                         band=band)
-        return g - g[0], g, agg
+        return g - g[0], g, agg, x
 
-    lam_t, (_, g, agg), _, iterations, exits = _iterate(
+    lam_t, (_, g, agg, _), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
         options.tol, options.max_iter, what,
+        jacobian=lambda out: _weight_jacobian(out[3], comp, out[2]),
+        project=lambda x: x - x[0],
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
     del band  # its columns go before the labelling pass
     c = g[0] / denom
@@ -644,12 +620,6 @@ class MarketEquilibrium:
 
 
 MARKET_MAX_ITER = 100000   # log-wage map evaluations before NotConverged
-
-
-def _lse_softmax(t):
-    """Row log-sum-exps of ``t`` and their derivative, the row softmax."""
-    lse = _logsumexp(t, axis=1)
-    return lse, np.exp(t - lse[:, None])
 
 
 def _market_jacobian(S, R, q, sigma):

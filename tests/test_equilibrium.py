@@ -630,17 +630,17 @@ def _random_geography(rng, n):
 def test_weight_solvers_agree_with_damped_loops(map_evaluations):
     # two draws per (site count, regime): spread, strong and knife edge
     rng = np.random.default_rng(0)
-    evaluations = {"anderson": 0, "damped": 0}
+    evaluations = {"newton": 0, "damped": 0}
     outcomes = set()
     for n in range(2, 7):
         for alpha in (0.05, 0.2, 1.0 / 8.0) * 2:
             geo = _random_geography(rng, n)
             p = ModelParams(sigma=9.0, alpha=alpha, beta=-0.3, delta=2.0)
             if equilibrium.is_knife_edge(alpha, p.sigma):
-                solvers = {"anderson": solve_knife_edge_system,
+                solvers = {"newton": solve_knife_edge_system,
                            "damped": damped_knife_edge_solve}
             else:
-                solvers = {"anderson": fixed_point_solve,
+                solvers = {"newton": fixed_point_solve,
                            "damped": damped_fixed_point_solve}
             results = {}
             for name, solve in solvers.items():
@@ -648,7 +648,7 @@ def test_weight_solvers_agree_with_damped_loops(map_evaluations):
                 results[name] = _outcome(lambda: solve(geo, p))
                 if results[name][0] == "converged":
                     evaluations[name] += len(map_evaluations)
-            (outcome, new), (expected, old) = results["anderson"], results["damped"]
+            (outcome, new), (expected, old) = results["newton"], results["damped"]
             assert outcome == expected, (n, alpha)
             outcomes.add(outcome)
             if new is None:
@@ -661,36 +661,22 @@ def test_weight_solvers_agree_with_damped_loops(map_evaluations):
             else:  # another discrete fixed point: interfaces shifted by a few cells
                 for sol in (new, old):
                     assert sol.residuals["weights"] <= 1e4 * SolverOptions().tol
-                # within two cells of an interface: in 120 draws of this kind,
-                # 15 of the 16 that differ touch one; the other (here, 3 sites,
-                # strong regime) has 91 cells up to two deep, weights 1.4e-2 apart
+                # within two cells of an interface: in 120 draws of this kind
+                # (seeds 0-3), the 3 whose labels differ each touch one
                 band = _grow(_boundary_cells(a) | _boundary_cells(b))
                 assert band[a != b].all()
     assert {"converged", "LeftFeasibleSet"} <= outcomes
     # converged solves only: a failing solve costs about what the damped
     # loop spends on it (both spend max_iter on a raster cycle). This batch
-    # gives 0.29; batches from seeds 1-3 give 0.32, 0.29 and 0.39 (0.33 over
-    # all 120 draws: spread 0.30, knife edge 0.33, strong 0.35)
-    assert evaluations["anderson"] <= evaluations["damped"] / 3
+    # gives 0.19; batches from seeds 1-3 give 0.17, 0.17 and 0.22 (0.19 over
+    # all 120 draws: spread 0.15, knife edge 0.17, strong 0.27)
+    assert evaluations["newton"] <= evaluations["damped"] / 3
 
 
 SPREAD3 = ((0.2, 0.3), (0.8, 0.4), (0.5, 0.8))
 
 
-def _patch_weight_gamma(monkeypatch, gamma):
-    """Replace ``_anderson_gamma`` by ``gamma`` until the market block starts."""
-    solve_gamma = equilibrium._anderson_gamma
-    market = equilibrium.market_equilibrium_solve
-
-    def market_with_own_gamma(*args, **kwargs):
-        monkeypatch.setattr(equilibrium, "_anderson_gamma", solve_gamma)
-        return market(*args, **kwargs)
-
-    monkeypatch.setattr(equilibrium, "_anderson_gamma", gamma)
-    monkeypatch.setattr(equilibrium, "market_equilibrium_solve", market_with_own_gamma)
-
-
-def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
+def test_rejected_newton_iterate_that_empties_a_cell_falls_back(
         monkeypatch, map_evaluations):
     geo = make_geography(SPREAD3, productivities=[1.0, 1.1, 0.95])
     p = ModelParams(sigma=9.0, alpha=0.05, beta=-0.3, delta=2.0)
@@ -698,7 +684,7 @@ def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
     expected = damped_fixed_point_solve(geo, p)
     damped_evaluations = len(map_evaluations)
 
-    gammas, emptied, anchors = [], [], []
+    emptied, anchors = [], []
     evaluate = equilibrium.transformed_weight_map
 
     def recording(lam_t, *args, **kwargs):
@@ -709,14 +695,15 @@ def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
             emptied.append(1)
             raise
 
-    # a γ this large throws the first mixed iterate far outside the feasible set
+    # ∂G = 0.98·I makes the first Newton step 50·f, far outside the feasible
+    # set; ∂G = I after it leaves ∂G − I singular, so damped steps follow
+    jacobians = iter([0.98])
     monkeypatch.setattr(equilibrium, "transformed_weight_map", recording)
-    _patch_weight_gamma(monkeypatch, lambda dF, f: gammas.append(len(dF))
-                        or np.full(len(dF), 50.0))
+    monkeypatch.setattr(equilibrium, "_weight_jacobian", lambda lam_t, comp, agg:
+                        next(jacobians, 1.0) * np.eye(len(lam_t)))
     sol = fixed_point_solve(geo, p)
-    assert gammas == [0, 1]        # acceleration stops after the rejection
     assert emptied == [1]          # one rejected evaluation, and no exit
-    # mixed, rejected and fallback iterates keep the anchor at 0 unprojected
+    # Newton, rejected and fallback iterates keep the anchor at 0
     assert all(anchor == 0.0 for anchor in anchors)
     assert not sol.exited_feasible
     assert np.array_equal(sol.tessellation.labels, expected.tessellation.labels)
@@ -728,14 +715,15 @@ def test_rejected_mixed_iterate_falls_back_and_stops_accelerating(
 
 
 def test_damped_step_that_empties_a_cell_is_an_exit(monkeypatch):
-    # from the start, the first step has no history to mix: when it empties
-    # a cell, both solvers reproject at once instead of retrying it (alpha is
-    # not -beta, which is rejected before the first step)
+    # from the start, the Newton iterate empties a cell and yields to the
+    # damped step; when that empties a cell too, both solvers reproject at
+    # once instead of retrying it (alpha is not -beta, which is rejected
+    # before the first step)
     geo = make_geography(SYM2, productivities=[1.0, 2.0])
     p = ModelParams(sigma=9.0, alpha=0.32, beta=-0.3, delta=2.0)
     evaluate = equilibrium.transformed_weight_map
     points = {}
-    for name, solve in (("anderson", fixed_point_solve),
+    for name, solve in (("newton", fixed_point_solve),
                         ("damped", damped_fixed_point_solve)):
         seen = points[name] = []
 
@@ -747,12 +735,65 @@ def test_damped_step_that_empties_a_cell_is_an_exit(monkeypatch):
         with pytest.raises(LeftFeasibleSet):
             solve(geo, p)
     comp = composite_params(p, geo.productivities, geo.trade)
-    start, step, reprojected = points["anderson"][:3]
+    start, newton, step, reprojected = points["newton"][:4]
     assert np.array_equal(reprojected, _reproject(step, comp, geo, 0.5))
-    for a, b in zip(points["anderson"][:3], points["damped"][:3]):
+    for a, b in zip([start, step, reprojected], points["damped"][:3]):
         assert np.array_equal(a, b)
-    # the damped and reprojected iterates keep the anchor at 0 unprojected
+    # the Newton, damped and reprojected iterates keep the anchor at 0
     assert all(lam_t[0] == 0.0 for seen in points.values() for lam_t in seen)
+
+
+def _jacobian_error(lam_t, comp, geo, active_only, h=1e-7):
+    """max|J − FD| / max|J| of ``_weight_jacobian`` against central
+    differences of the anchored map g − g_0 at λ̃, or None when a step of h
+    relabels a cell (the map is smooth only between relabellings)."""
+    def anchored(x):
+        g, agg = transformed_weight_map(x, comp, geo, active_only=active_only)
+        return g - g[0], agg, equilibrium._tessellate(x, comp, geo).labels
+
+    _, agg, labels = anchored(lam_t)
+    columns = []
+    for e in h * np.eye(len(lam_t)):
+        (up, _, up_labels), (down, _, down_labels) = anchored(lam_t + e), \
+            anchored(lam_t - e)
+        if not (np.array_equal(up_labels, labels)
+                and np.array_equal(down_labels, labels)):
+            return None
+        columns.append((up - down) / (2 * h))
+    J = equilibrium._weight_jacobian(lam_t, comp, agg)
+    return np.abs(J - np.column_stack(columns)).max() / np.abs(J).max()
+
+
+def test_weight_jacobian_matches_central_differences():
+    # spread, strong and knife-edge draws at the start and at two seeded
+    # feasible points each; the knife edge's sums skip empty cells
+    rng = np.random.default_rng(4)
+    errors = []
+    for n in range(2, 7):
+        for alpha in (0.05, 0.2, 1.0 / 8.0):
+            geo = _random_geography(rng, n)
+            p = ModelParams(sigma=9.0, alpha=alpha, beta=-0.3, delta=2.0)
+            comp = composite_params(p, geo.productivities, geo.trade)
+            starts = sample_feasible_weights(geo.sites, geo.system, 0.5, 2, n)
+            for w in [np.zeros(n), *starts]:
+                lam_t = (w - w[0]) * (comp.weight_scale * comp.gamma1)
+                errors.append(_jacobian_error(
+                    lam_t, comp, geo, equilibrium.is_knife_edge(alpha, p.sigma)))
+    # the knife-edge solution whose anchor's cell is empty: the anchor's
+    # column of S is zero, yet G = g − g_0 still subtracts its row
+    geo = make_geography(((0.5078125, 0.5078125), (0.3, 0.5), (0.7, 0.5)),
+                         [0.5, 1.0, 1.0])
+    p = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0)
+    sol = solve_knife_edge_system(geo, p)
+    comp = composite_params(p, geo.productivities, geo.trade)
+    assert sol.active_ids == (1, 2)
+    errors.append(_jacobian_error(
+        (sol.weights - sol.weights[0]) * (comp.weight_scale * comp.gamma1),
+        comp, geo, True))
+    assert errors[-1] is not None
+    checked = [e for e in errors if e is not None]
+    assert len(checked) >= 40
+    assert max(checked) < 1e-6
 
 
 def test_alpha_equal_to_minus_beta_fails_before_any_evaluation(
@@ -785,30 +826,26 @@ def test_alpha_equal_to_minus_beta_fails_before_any_evaluation(
         assert map_evaluations == []
 
 
-def test_stalled_acceleration_pauses_for_damped_steps(monkeypatch, map_evaluations):
-    # two sites in the strong regime whose mixed iterates stop improving the
-    # residual near the fixed point: mixing pauses while damped steps run,
-    # and resumes, with a fresh history, once the residual improves
-    geo = make_geography(
-        ((0.5331279869041317, 0.19009093243244576),
-         (0.6955045810779192, 0.7815007297874056)),
-        productivities=[1.0642206176789277, 1.096365664574359],
-        amenity_fn=lambda x, y: 1.0 + np.exp(
-            -((x - 0.28335900747211856) ** 2 + (y - 0.6222714615600788) ** 2) / 0.04))
-    p = ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0)
-    expected = damped_fixed_point_solve(geo, p)
-    mixed_at = []  # the evaluation count at each mix, and the history it used
-    solve_gamma = equilibrium._anderson_gamma
-    map_evaluations.clear()
-    _patch_weight_gamma(monkeypatch, lambda dF, f: mixed_at.append(
-        (len(map_evaluations), len(dF))) or solve_gamma(dF, f))
-    sol = fixed_point_solve(geo, p)
-    at, history = np.array(mixed_at).T
-    pauses = np.flatnonzero(np.diff(at) > 1)
-    assert len(pauses) > 0 and (history[pauses + 1] == 0).all()
-    assert sol.iterations < expected.iterations
-    assert np.array_equal(sol.tessellation.labels, expected.tessellation.labels)
-    assert np.abs(sol.weights - expected.weights).max() < 1e-10
+def test_newton_steps_keep_the_anchor_at_zero_when_gamma_ratio_exceeds_one(
+        monkeypatch):
+    # at |γ2/γ1| > 1 (here -10.3) a Newton elimination can pivot away from
+    # the anchor's row −e_0 and leave rounding in dx_0
+    anchors = []
+    evaluate = equilibrium.transformed_weight_map
+
+    def recording(lam_t, *args, **kwargs):
+        anchors.append(lam_t[0])
+        return evaluate(lam_t, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "transformed_weight_map", recording)
+    rng = np.random.default_rng(0)
+    p = ModelParams(sigma=9.0, alpha=0.5, beta=-0.3, delta=2.0)
+    comp = composite_params(p, [1.0], explicit_trade_costs([[1.0]]))
+    assert abs(comp.gamma_ratio) > 1
+    for n in (2, 3, 4):
+        _outcome(lambda: fixed_point_solve(_random_geography(rng, n), p))
+    assert len(anchors) > 12
+    assert all(anchor == 0.0 for anchor in anchors)
 
 
 @pytest.mark.parametrize("positions, productivities, active", [
@@ -1123,45 +1160,6 @@ def test_anderson_market_needs_a_quarter_of_the_damped_iterations():
         anderson += market_equilibrium_solve(L, abar, trade, p).iterations
         damped += damped_market_solve(L, abar, trade, p)[2]
     assert anderson <= damped / 4
-
-
-def test_anderson_drops_dependent_columns_and_falls_back_on_nan(monkeypatch):
-    # the driver mixes the 2-site log-wage map (the market block itself takes
-    # Newton steps): the numeraire leaves one free direction, so the ΔF
-    # columns become parallel and all but the newest are dropped
-    p = ModelParams(sigma=5.0, alpha=0.2, beta=-0.3, delta=1.0)
-    trade = trade_costs_from_metric(
-        (Site(0, (0.3, 0.5)), Site(1, (0.7, 0.5))), EUCLID, tau=0.5)
-    L, abar = [0.3, 0.7], [1.0, 1.0]
-    log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p)
-    G, numeraire, log_prices = log_wage_map(L, abar, trade, p)
-
-    def mix():
-        _, _, mixed, iterations, _ = equilibrium._iterate(
-            lambda x: (G(x),), numeraire(np.zeros(2)), 1e-12,
-            equilibrium.MARKET_MAX_ITER, "log wages", project=numeraire)
-        return mixed, iterations
-
-    solve_gamma = equilibrium._anderson_gamma
-    gammas = []
-
-    def recording(dF, f):
-        gammas.append(solve_gamma(dF, f))
-        return gammas[-1]
-
-    monkeypatch.setattr(equilibrium, "_anderson_gamma", recording)
-    mixed, iterations = mix()
-    assert any(len(g) > 1 and np.count_nonzero(g) < len(g) for g in gammas)
-    assert np.abs(mixed - log_w).max() < 1e-10
-    assert np.abs(log_prices(mixed) - log_P).max() < 1e-10
-    assert iterations < damped_iterations
-
-    monkeypatch.setattr(equilibrium, "_anderson_gamma",
-                        lambda dF, f: np.full(len(dF), np.nan))
-    mixed, iterations = mix()  # plain damped steps only
-    assert np.abs(mixed - log_w).max() < 1e-10
-    assert np.abs(log_prices(mixed) - log_P).max() < 1e-10
-    assert abs(iterations - damped_iterations) <= 1
 
 
 def _market_driver_arguments(market):

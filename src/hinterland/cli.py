@@ -200,10 +200,7 @@ SWEEP_CSV_HEADER = ("alpha", "beta", "sigma", "multiplicity", "labor_unique",
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    sweep = config.sweep
-    result = parameter_sweep(kind=sweep.kind, alphas=sweep.alphas,
-                             betas=sweep.betas, sigmas=sweep.sigmas,
-                             sigma=sweep.sigma, beta=sweep.beta)
+    result = parameter_sweep(**vars(config.sweep))
     out = _out_dir(args)
     write_table_csv(out / "sweep.csv", SWEEP_CSV_HEADER, sweep_rows(result))
     write_svg(out / "regions.svg", svg_region_map(result, SWEEP_CATEGORIES))
@@ -239,9 +236,7 @@ def cmd_enumerate(args) -> int:
     geography = config.require_geography()
     params = config.require_params()
     catalog = enumerate_urban_systems(
-        geography, params, sizes=config.enumerate.sizes,
-        max_subsets=config.enumerate.max_subsets, seed=config.enumerate.seed,
-        options=config.solver,
+        geography, params, **vars(config.enumerate), options=config.solver,
         threads=args.threads or len(os.sched_getaffinity(0)))
     out = _out_dir(args)
     records = [{"subset": list(entry.subset),

@@ -5,8 +5,8 @@ allowed), checked against the schema below before any computation starts;
 relative file paths resolve beside it.  Checked here: syntax (types, list
 shapes, known keys, the keys each ``kind`` reads) and > 0 for a disk's
 ``radius`` and a bump's ``width``, which no library call takes.  Every
-other value rule has one owner in the library, named after ``->``; its
-``InvalidInput`` is reported at its key's line (the block's for ``params``).
+other value rule has one owner in the library, named after ``->``.  Every
+error is reported at its key's line, a block's own at the block's key line.
 
 Schema (defaults in parentheses; [r] = required when the block is present)::
 
@@ -101,60 +101,53 @@ from .io_formats import read_field_raster, read_label_raster, read_matrix_csv
 from .sustainability import check_subset_request
 
 _MISSING = object()
+_EMPTY = yaml.MappingNode("tag:yaml.org,2002:map", [])   # an absent block
 
 
 # ---------------------------------------------------------------------------
-# YAML -> (data, line map)
-
-def _walk(node, path, lines, source, constructor):
-    lines[path] = node.start_mark.line + 1
-    if isinstance(node, yaml.MappingNode):
-        out = {}
-        for key_node, value_node in node.value:
-            key = str(constructor.construct_object(key_node, deep=True))
-            if key in out:
-                raise ConfigError(f"{source}:{key_node.start_mark.line + 1}",
-                                  f"duplicate key {key!r}")
-            lines[path + (key,)] = key_node.start_mark.line + 1
-            out[key] = _walk(value_node, path + (key,), lines, source,
-                             constructor)
-        return out
-    if isinstance(node, yaml.SequenceNode):
-        return [_walk(item, path + (i,), lines, source, constructor)
-                for i, item in enumerate(node.value)]
-    return constructor.construct_object(node, deep=True)
-
+# YAML node tree -> typed values
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _Section:
-    """A mapping under validation: typed take(), then finish() rejects leftovers."""
+    """A YAML mapping node under validation: typed take(), then finish()
+    rejects leftovers.  Errors sit at a key's line, the node's at ``line``."""
 
-    def __init__(self, data, path, lines, source):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{source}:{lines.get(path, 1)}",
-                              f"'{_name(path)}' must be a mapping")
-        self._data = dict(data)
+    def __init__(self, node, path, line, source):
         self._path = path
-        self._lines = lines
+        self._line = line
         self._source = source
+        self._constructor = SafeConstructor()
+        self._nodes = {}
+        self._lines = {}
+        if not isinstance(node, yaml.MappingNode):
+            self.error(f"'{_name(path)}' must be a mapping")
+        for key_node, value_node in node.value:
+            key = str(self._constructor.construct_object(key_node, deep=True))
+            self._lines[key] = key_node.start_mark.line + 1
+            if key in self._nodes:
+                self.error(f"duplicate key {key!r}", key)
+            self._nodes[key] = value_node
 
     def error(self, message, key=None):
-        path = self._path + (key,) if key is not None else self._path
-        line = self._lines.get(path, self._lines.get(self._path, 1))
+        line = self._lines.get(key, self._line)
         raise ConfigError(f"{self._source}:{line}", message)
 
     def _take(self, key, default):
-        if key not in self._data:
+        if key not in self._nodes:
             if default is _MISSING:
                 self.error(f"missing required key '{_name(self._path + (key,))}'")
             return default
-        return self._data.pop(key)
+        node = self._nodes.pop(key)
+        return self._constructor.construct_object(node, deep=True)
 
     def has(self, key) -> bool:
-        return key in self._data
+        return key in self._nodes
+
+    def has_list(self, key) -> bool:
+        return isinstance(self._nodes.get(key), yaml.SequenceNode)
 
     def take_float(self, key, default=_MISSING, above=None):
         value = self._take(key, default)
@@ -200,27 +193,26 @@ class _Section:
 
     def take_section(self, key):
         """Pop a sub-mapping; an absent key reads as an empty one."""
-        return _Section(self._data.pop(key, {}), self._path + (key,),
-                        self._lines, self._source)
+        return _Section(self._nodes.pop(key, _EMPTY), self._path + (key,),
+                        self._lines.get(key, self._line), self._source)
 
     def take_sections(self, key):
         """Pop the list of sub-mappings under a required key."""
-        value = self._take(key, _MISSING)
-        if value is None:
-            self.error(f"'{key}' must be a non-empty list", key)
-        if not isinstance(value, list):
-            self.error(f"'{key}' must be a list", key)
-        return [_Section(item, self._path + (key, i), self._lines,
+        if not self.has_list(key):
+            value = self._take(key, _MISSING)
+            self.error(f"'{key}' must be a non-empty list" if value is None
+                       else f"'{key}' must be a list", key)
+        return [_Section(item, self._path + (key,), item.start_mark.line + 1,
                          self._source)
-                for i, item in enumerate(value)]
+                for item in self._nodes.pop(key).value]
 
     def finish(self):
-        for key in self._data:
+        for key in self._nodes:
             self.error(f"unknown key '{_name(self._path + (key,))}'", key)
 
 
 def _name(path) -> str:
-    return ".".join(str(p) for p in path if not isinstance(p, int)) or "<root>"
+    return ".".join(path) or "<root>"
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +445,7 @@ def _axis(section, key):
     """An axis is either a list of values or a {start, stop, count} range."""
     if not section.has(key):
         return None
-    if isinstance(section._data[key], list):
+    if section.has_list(key):
         values = section.take_floats(key)
     else:
         sub = section.take_section(key)
@@ -527,10 +519,7 @@ def parse_config(text: str, source: str = "<config>",
         raise ConfigError(where, f"invalid YAML: {exc}") from exc
     if node is None:
         raise ConfigError(source, "empty config document")
-    lines: dict = {}
-    constructor = SafeConstructor()
-    data = _walk(node, (), lines, source, constructor)
-    root = _Section(data, (), lines, source)
+    root = _Section(node, (), node.start_mark.line + 1, source)
     base_dir = Path(base_dir)
 
     geography = params = None

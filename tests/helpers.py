@@ -278,8 +278,8 @@ def log_wage_map(labor, productivities, trade, params):
 
 def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
                         max_iter=100000):
-    """The plain damped log-wage loop the market block used before Anderson
-    mixing: returns (log wages, log prices, iterations); raises
+    """The plain damped log-wage loop, the market block without its Newton
+    steps: returns (log wages, log prices, iterations); raises
     RuntimeError after ``max_iter`` iterations."""
     G, numeraire, log_prices = log_wage_map(labor, productivities, trade, params)
     log_w = numeraire(np.zeros(len(labor)))
@@ -293,8 +293,8 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
     raise RuntimeError(f"damped market loop: {max_iter} iterations, step {step:.3e}")
 
 
-# The two weight oracles below are the plain damped loops the weight
-# solvers ran before Anderson mixing, with their stop rule (the damped step
+# The two weight oracles below are the plain damped loops of the weight
+# solvers, without their Newton steps, with their stop rule (the damped step
 # below tol) and their final evaluation at the fixed point. They call
 # ``equilibrium.transformed_weight_map`` through the module, so a test can
 # count their map evaluations, label the fixed point with the solvers' own

@@ -132,7 +132,7 @@ def test_scaled_metric_requires_scales():
     with pytest.raises(ConfigError, match="scaled_euclidean needs positive "
                                           "per-site scales") as exc:
         parse_config(text)
-    assert exc.value.path == "<config>:2"
+    assert exc.value.path == "<config>:1"
     good = text.replace("  metric: scaled_euclidean",
                         "  metric: scaled_euclidean\n  scales: [2.0, 2.0]")
     cfg = parse_config(good)
@@ -280,7 +280,7 @@ def test_tau_outside_home_consumption_is_reported_at_params():
                                           "home_consumption variant, got 0.9 "
                                           "under baseline") as exc:
         parse_config(text)
-    assert exc.value.path == "<config>:10"
+    assert exc.value.path == "<config>:9"
     home = parse_config(text + "  variant: {kind: home_consumption}\n")
     assert home.params.tau == 0.9
 
@@ -339,7 +339,7 @@ def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
      r"site 1: productivity must be finite and > 0, got 0.0"),
     (("  trade:", "  metric: scaled_euclidean\n  scales: [1.0, -2.0]\n"
       "  trade:"), 7, "scaled_euclidean needs positive per-site scales"),
-    (("  delta: 2.0", "  delta: -2.0"), 10, "delta must be > 0, got -2.0"),
+    (("  delta: 2.0", "  delta: -2.0"), 9, "delta must be > 0, got -2.0"),
     (("tau: 0.5", "tau: -0.5"), 8, "tau must be > 0, got -0.5"),
     (("[48, 48]", "[48, 1]"), 2, "resolution must be at least 2 per axis, "
                                  "got 48x1"),
@@ -357,7 +357,7 @@ def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
     (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  kind: alpha_beta\n"
       "  sigma: 1.0\n"), 16, "sigma must be > 1, got 1.0"),
     (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  kind: alpha_sigma\n"
-      "  sigmas:\n    start: 0.5\n    stop: 3.0\n    count: 4\n"), 17,
+      "  sigmas:\n    start: 0.5\n    stop: 3.0\n    count: 4\n"), 16,
      "sigma must be > 1, got 0.5"),
     (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  alphas: [0.1]\n"), 15,
      "sweep alpha axis needs at least 2 strictly increasing values"),
@@ -365,7 +365,7 @@ def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
       "    stop: -0.1\n    count: 1\n"), 18,
      "sweep beta axis needs at least 2 strictly increasing values"),
     (("  delta: 2.0\n", "  delta: 2.0\nsweep:\n  alphas:\n    start: 0.6\n"
-      "    stop: 0.0\n    count: 7\n"), 16,
+      "    stop: 0.0\n    count: 7\n"), 15,
      "sweep alpha axis needs at least 2 strictly increasing values"),
     (("  delta: 2.0\n", "  delta: 2.0\nenumerate:\n  sizes: [0, 2]\n"), 15,
      r"subset sizes must be >= 1, got \[0, 2\]"),
@@ -376,7 +376,7 @@ def test_sweep_sigmas_must_exceed_one_at_their_line(tmp_path, capsys, axis,
 ])
 def test_library_rules_are_reported_at_their_key(replace, line, message):
     # one rule per fact: the library's InvalidInput, at the key's line (a
-    # range axis written as a block is at its first line, its count at its own)
+    # block's own rule at the block's key, a range axis's count at its own)
     with pytest.raises(ConfigError, match=message) as exc:
         parse_config(MINIMAL.replace(*replace))
     assert exc.value.path == f"<config>:{line}"
@@ -491,19 +491,19 @@ def _library_error_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("block, line, message", [
-    ("  domain:\n    kind: disk\n    radius: 0.001\n", 4,
+    ("  domain:\n    kind: disk\n    radius: 0.001\n", 3,
      "inside predicate marked no cell"),
-    ("  domain:\n    kind: mask\n    file: mask.pgm\n", 4,
+    ("  domain:\n    kind: mask\n    file: mask.pgm\n", 3,
      "inside mask has 2 4-connected components"),
     ("  amenity:\n    kind: bumps\n    bumps:\n"
-     "      - {center: [0.5, 0.5], height: -5.0, width: 0.1}\n", 4,
+     "      - {center: [0.5, 0.5], height: -5.0, width: 0.1}\n", 3,
      "amenity sample at cell .* must be finite and > 0"),
     ("  amenity:\n    kind: raster\n    file: field.fld\n", 5,
      "amenity sample at cell .* is -1.0"),
 ])
 def test_domain_and_amenity_errors_are_reported_at_their_block(
         tmp_path, block, line, message):
-    # the geography block starts on line 2; the domain or amenity block on 4
+    # the domain or amenity block's key is on line 3, a raster's file on 5
     _library_error_inputs(tmp_path)
     text = MINIMAL.replace("  resolution: [48, 48]\n",
                            "  resolution: [48, 48]\n" + block)
@@ -524,6 +524,60 @@ def test_cross_block_and_site_errors_keep_their_line():
     with pytest.raises(ConfigError, match="tau must be > 0, got 0.0") as exc:
         parse_config(MINIMAL.replace("tau: 0.5", "tau: 0"))
     assert exc.value.path == "<config>:8"
+
+
+NO_SITES = ("  sites:\n    - {position: [0.3, 0.5], productivity: 1.0}\n"
+            "    - {position: [0.7, 0.5], productivity: 1.0}\n")
+
+
+@pytest.mark.parametrize("replace, line, message", [
+    (("  trade:", "  metric: 5\n  trade:"), 6, "'metric' must be a string"),
+    (("  trade:", "  metric: manhattan\n  trade:"), 6,
+     "'metric' must be one of euclidean, scaled_euclidean; got 'manhattan'"),
+    (("geography:\n", "geography:\n  bbox: [0, 0, 1]\n"), 2,
+     "'bbox' must have 4 entries, got 3"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsolver:\n  max_iter: 1.5\n"), 15,
+     "'max_iter' must be an integer, got 1.5"),
+    (("  trade:", "  domain:\n    kind: disk\n    radius: 0.0\n  trade:"), 8,
+     "'radius' must be > 0.0, got 0.0"),
+    (("  trade:", "  amenity:\n    kind: bumps\n    bumps:\n"
+      "      - {center: [0.5, 0.5], height: 1.0, width: 0.0}\n  trade:"), 9,
+     "'width' must be > 0.0, got 0.0"),
+    ((NO_SITES, "  sites: []\n"), 3, "'sites' must list at least one site"),
+    ((NO_SITES, "  sites:\n"), 3, "'sites' must be a non-empty list"),
+    ((NO_SITES, "  sites: 5\n"), 3, "'sites' must be a list"),
+    (("  delta: 2.0\n", "  delta: 2.0\nenumerate:\n  sizes: [1.5]\n"), 15,
+     r"'sizes' must be a non-empty list of integers, got \[1.5\]"),
+    (("  delta: 2.0\n", "  delta: 2.0\nsolve:\n  active_sites: 3\n"), 15,
+     "'active_sites' must be a list of site ids or null, got 3"),
+    (("params:\n  sigma: 9.0\n  alpha: 0.2\n  beta: -0.3\n  delta: 2.0\n",
+      "params: 5\n"), 9, "'params' must be a mapping"),
+    # a block's own error is at the block's key, and so is an unknown block
+    (("  trade:\n    kind: from_metric\n    tau: 0.5\n", ""), 1,
+     "a 'trade' block is required"),
+    (("  delta: 2.0\n", "  delta: 2.0\nextra:\n  sigma: 9.0\n"), 14,
+     "unknown key 'extra'"),
+])
+def test_config_errors_are_reported_at_their_key(replace, line, message):
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config(MINIMAL.replace(*replace))
+    assert exc.value.path == f"<config>:{line}"
+
+
+@pytest.mark.parametrize("command, text, block", [
+    ("solve", "params:" + MINIMAL.split("params:")[1], "geography"),
+    ("enumerate", "params:" + MINIMAL.split("params:")[1], "geography"),
+    ("solve", MINIMAL.split("params:")[0], "params"),
+    ("classify", MINIMAL.split("params:")[0], "params"),
+    ("enumerate", MINIMAL.split("params:")[0], "params"),
+])
+def test_commands_report_a_missing_block(tmp_path, capsys, command, text,
+                                         block):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}: a '{block}' block is required for this command\n")
 
 
 def test_readme_configuration_example_loads():
@@ -940,3 +994,49 @@ def test_knife_edge_params_route_to_all_sites_solver(tmp_path):
     assert document["residuals"]["weights"] < 1e-8
     spread = abs(document["weights"][0] - document["weights"][1])
     assert spread < 1e-10   # symmetric pair, level-pinned weights
+
+
+TWO_SECTOR = MINIMAL + ("  variant: {kind: two_sector, mu: 0.6, "
+                        "beta_tilde: -0.4}\n")
+
+
+@pytest.mark.parametrize("command, document", [("solve", "solution.json"),
+                                               ("enumerate", "catalog.json")])
+def test_two_sector_params_are_echoed_with_mu_and_beta_tilde(tmp_path, command,
+                                                             document):
+    out = tmp_path / "out"
+    assert cli.main([command, "--config",
+                     str(write_config(tmp_path, TWO_SECTOR)),
+                     "--out", str(out)]) == 0
+    assert read_json(out / document)["params"]["variant"] == {
+        "kind": "two_sector", "mu": 0.6, "beta_tilde": -0.4}
+
+
+def test_catalog_csv_lists_rejected_subsets(tmp_path):
+    # at alpha 0.05 each site alone is unsustainable; the pair is sustainable
+    text = MINIMAL.replace("alpha: 0.2", "alpha: 0.05") \
+        + "enumerate:\n  sizes: [1, 2]\n"
+    out = tmp_path / "out"
+    config = write_config(tmp_path, text)
+    assert cli.main(["enumerate", "--config", str(config), "--out", str(out),
+                     "--threads", "1"]) == 0
+    with open(out / "catalog.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["subset"], row["active_ids"], row["verdict"])
+            for row in rows] == [("0;1", "0;1", "sustainable"),
+                                 ("0", "", "unsustainable"),
+                                 ("1", "", "unsustainable")]
+    assert all(row[key] == "" for row in rows[1:]
+               for key in ("min_margin", "welfare", "labor"))
+    assert read_json(out / "catalog.json")["rejected"] == [
+        {"subset": [0], "verdict": "unsustainable"},
+        {"subset": [1], "verdict": "unsustainable"}]
+
+
+def test_render_of_a_directory_without_a_label_raster(tmp_path, capsys):
+    render = tmp_path / "render"
+    assert cli.main(["render", "--input", str(tmp_path),
+                     "--out", str(render)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'tessellation.pgm'}: label raster not found\n")
+    assert not (render / "render.svg").exists()

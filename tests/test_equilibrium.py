@@ -1134,7 +1134,7 @@ def random_markets(draw):
 # its rate nears 1 on slow draws, so both solvers run at tol 1e-13 here.
 @settings(max_examples=40, deadline=None)
 @given(market=random_markets())
-def test_anderson_market_matches_damped_oracle(market):
+def test_newton_market_matches_damped_oracle(market):
     L, abar, trade, p = market
     log_w, log_P, damped_iterations = damped_market_solve(L, abar, trade, p,
                                                           tol=1e-13)
@@ -1145,9 +1145,9 @@ def test_anderson_market_matches_damped_oracle(market):
     assert m.iterations <= damped_iterations
 
 
-def test_anderson_market_needs_a_quarter_of_the_damped_iterations():
+def test_newton_market_needs_a_quarter_of_the_damped_iterations():
     rng = np.random.default_rng(3)
-    anderson = damped = 0
+    newton = damped = 0
     for _ in range(40):
         n = int(rng.integers(2, 9))
         sigma = float(rng.choice([5.0, 9.0]))
@@ -1157,9 +1157,9 @@ def test_anderson_market_needs_a_quarter_of_the_damped_iterations():
                       enumerate(rng.uniform(0.0, 1.0, (n, 2))))
         trade = trade_costs_from_metric(sites, EUCLID, tau=0.5)
         L, abar = rng.uniform(0.05, 1.0, n), rng.uniform(0.8, 1.25, n)
-        anderson += market_equilibrium_solve(L, abar, trade, p).iterations
+        newton += market_equilibrium_solve(L, abar, trade, p).iterations
         damped += damped_market_solve(L, abar, trade, p)[2]
-    assert anderson <= damped / 4
+    assert newton <= damped / 4
 
 
 def _market_driver_arguments(market):

@@ -209,6 +209,19 @@ def test_svg_marker_scales_with_labor_share():
     assert marker_width(big) > marker_width(small)
 
 
+def test_svg_markers_without_labor_take_the_zero_share_size():
+    labels = np.zeros((2, 2), dtype=np.int32)
+    positions = [(0.5, 0.25), (0.5, 0.75)]
+    bare = svg_tessellation(labels, BBOX, positions)
+    empty = svg_tessellation(labels, BBOX, positions, labor=[0.0, 0.0])
+
+    def markers(text):
+        return [el.attrib for el in ET.fromstring(text).iter()
+                if el.tag.endswith("rect") and el.get("fill") == "#000000"]
+
+    assert len(markers(bare)) == 2 and markers(bare) == markers(empty)
+
+
 def test_svg_boundaries_only():
     labels = np.array([[0, 1], [0, 1]], dtype=np.int32)
     text = svg_label_boundaries(labels, (0.0, 0.0, 2.0, 2.0))

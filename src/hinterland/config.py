@@ -125,8 +125,9 @@ class _Section:
         if not isinstance(node, yaml.MappingNode):
             self.error(f"'{_name(path)}' must be a mapping")
         for key_node, value_node in node.value:
-            key = str(self._constructor.construct_object(key_node, deep=True))
-            self._lines[key] = key_node.start_mark.line + 1
+            line = key_node.start_mark.line + 1
+            key = str(self._construct(key_node, line))
+            self._lines[key] = line
             if key in self._nodes:
                 self.error(f"duplicate key {key!r}", key)
             self._nodes[key] = value_node
@@ -135,13 +136,19 @@ class _Section:
         line = self._lines.get(key, self._line)
         raise ConfigError(f"{self._source}:{line}", message)
 
+    def _construct(self, node, line):
+        try:
+            return self._constructor.construct_object(node, deep=True)
+        except (yaml.YAMLError, ValueError) as exc:   # a tag that cannot build it
+            raise ConfigError(f"{self._source}:{line}", "cannot read value: "
+                              f"{getattr(exc, 'problem', None) or exc}") from exc
+
     def _take(self, key, default):
         if key not in self._nodes:
             if default is _MISSING:
                 self.error(f"missing required key '{_name(self._path + (key,))}'")
             return default
-        node = self._nodes.pop(key)
-        return self._constructor.construct_object(node, deep=True)
+        return self._construct(self._nodes.pop(key), self._lines[key])
 
     def has(self, key) -> bool:
         return key in self._nodes
@@ -310,8 +317,7 @@ def _build_amenity(section, grid, base_dir):
                             choices=("uniform", "bumps", "raster"))
     key = None
     if kind == "uniform":
-        value = section.take_float("value", 1.0)
-        source = lambda X, Y: np.full_like(X, value)
+        source = np.full((grid.ny, grid.nx), section.take_float("value", 1.0))
         key = "value"
     elif kind == "bumps":
         base = section.take_float("base", 1.0)
@@ -322,13 +328,11 @@ def _build_amenity(section, grid, base_dir):
             width = bump.take_float("width", above=0.0)
             bumps.append((center, height, width))
             bump.finish()
-
-        def source(X, Y):
-            values = np.full_like(X, base)
-            for (cx, cy), height, width in bumps:
-                values += height * np.exp(
-                    -((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * width ** 2))
-            return values
+        xs, ys = grid.cell_center_axes()
+        source = np.full((grid.ny, grid.nx), base)
+        for (cx, cy), height, width in bumps:
+            source += height * np.exp(-((xs - cx) ** 2 + ((ys - cy) ** 2)[:, None])
+                                      / (2.0 * width ** 2))
     else:
         source = _take_raster(section, read_field_raster, "amenity", base_dir,
                               (grid.nx, grid.ny), grid.bbox)
@@ -512,7 +516,7 @@ def parse_config(text: str, source: str = "<config>",
                  base_dir: Path | str = ".") -> RunConfig:
     """Validate a config document against the schema; build the objects."""
     try:
-        node = yaml.compose(text)
+        node = yaml.compose(text, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{source}:{mark.line + 1}" if mark else source

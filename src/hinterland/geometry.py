@@ -60,12 +60,15 @@ class DomainGrid:
         """Measure of the discrete domain (inside cell count times cell area)."""
         return self.n_inside * self.cell_area
 
+    def cell_center_axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return the cell-center coordinates along x, shape (nx,), and y, (ny,)."""
+        xmin, ymin, _, _ = self.bbox
+        return (xmin + (np.arange(self.nx) + 0.5) * self.dx,
+                ymin + (np.arange(self.ny) + 0.5) * self.dy)
+
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (X, Y) arrays of cell-center coordinates, shape (ny, nx)."""
-        xmin, ymin, _, _ = self.bbox
-        xs = xmin + (np.arange(self.nx) + 0.5) * self.dx
-        ys = ymin + (np.arange(self.ny) + 0.5) * self.dy
-        return np.meshgrid(xs, ys)
+        return np.meshgrid(*self.cell_center_axes())
 
     def cell_of(self, point) -> tuple[int, int]:
         """Return the (iy, ix) cell containing ``point`` (clipped to the grid)."""
@@ -318,10 +321,13 @@ def distance_stack(grid: DomainGrid, sites, system: DistanceSystem) -> np.ndarra
     """Read-only (n, ny, nx) stack of d_i at the cell centers; rejects coincident sites."""
     sites = tuple(sites)
     _check_distinct_positions(sites)
-    X, Y = grid.cell_centers()
+    xs, ys = grid.cell_center_axes()
     stack = np.empty((len(sites), grid.ny, grid.nx))
-    for i, s in enumerate(sites):
-        stack[i] = system.distance(s, i, X, Y)
+    for i, (plane, s) in enumerate(zip(stack, sites)):
+        dxv, dyv = xs - s.position[0], ys - s.position[1]   # as in DistanceSystem.distance
+        np.sqrt(np.add((dyv * dyv)[:, None], dxv * dxv, out=plane), out=plane)
+        if system.scale_of(i) != 1.0:
+            plane *= system.scale_of(i)
     stack.setflags(write=False)
     return stack
 

@@ -589,6 +589,82 @@ def test_readme_configuration_example_loads():
     assert cfg.sweep.kind == "alpha_sigma"
 
 
+@pytest.mark.parametrize("value", ["!!int 9.5", "!foo 9.5", "!!binary 9.5"])
+def test_a_value_its_tag_cannot_build_is_reported_at_its_key(tmp_path, capsys,
+                                                             value):
+    text = MINIMAL.replace("sigma: 9.0", f"sigma: {value}")
+    with pytest.raises(ConfigError, match="cannot read value") as exc:
+        parse_config(text)
+    assert exc.value.path == "<config>:10"
+    with pytest.raises(ConfigError, match="cannot read value") as exc:
+        parse_config(MINIMAL.replace("sigma: 9.0", f"{value}: 9.0"))
+    assert exc.value.path == "<config>:10"
+    config = write_config(tmp_path, text)
+    assert cli.main(["classify", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {config}:10: cannot read value: ")
+
+
+AMENITY_GEOGRAPHY = ("geography:\n  resolution: [48, 48]\n",
+                     "geography:\n  bbox: [-0.5, 0.25, 1.5, 1.25]\n"
+                     "  resolution: [37, 23]\n  amenity: {}\n")
+
+
+def test_config_amenities_equal_the_closure_formula_bit_for_bit():
+    bumps = [((0.3, 0.6), 1.5, 0.2), ((1.1, 0.4), -0.3, 0.35)]
+    listed = "".join(f"\n      - {{center: [{cx}, {cy}], height: {h}, "
+                     f"width: {w}}}" for (cx, cy), h, w in bumps)
+    geography = MINIMAL.replace(*AMENITY_GEOGRAPHY)
+    cfg = parse_config(geography.replace(
+        "{}", f"\n    kind: bumps\n    base: 0.8\n    bumps:{listed}"))
+    X, Y = cfg.geography.grid.cell_centers()
+    expected = np.full_like(X, 0.8)
+    for (cx, cy), height, width in bumps:
+        expected += height * np.exp(
+            -((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * width ** 2))
+    assert np.array_equal(cfg.geography.amenity.values, expected)
+    cfg = parse_config(geography.replace("{}", "{kind: uniform, value: 2.5}"))
+    assert np.array_equal(cfg.geography.amenity.values, np.full_like(X, 2.5))
+
+
+def _loaded_facts(cfg):
+    geo = cfg.geography
+    sweep = [getattr(cfg.sweep, f.name) for f in dataclasses.fields(cfg.sweep)]
+    return (geo.grid.bbox, geo.grid.inside.tobytes(), geo.sites, geo.system,
+            geo.amenity.values.tobytes(), geo.trade.values.tobytes(),
+            cfg.params, cfg.solver, cfg.active_sites, cfg.enumerate,
+            [v.tobytes() if isinstance(v, np.ndarray) else v for v in sweep])
+
+
+def test_pure_python_loader_gives_the_same_config(monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Configuration\n")[1]
+    example = section.split("```yaml\n")[1].split("```")[0]
+    bad = [MINIMAL.replace("params:\n  sigma: 9.0\n  alpha: 0.2\n  beta: -0.3"
+                           "\n  delta: 2.0\n", "params: 5\n"),
+           MINIMAL + "extra:\n  sigma: 9.0\n",
+           MINIMAL.replace("  delta: 2.0", "  delta: -2.0"),
+           MINIMAL.replace("tau: 0.5", "tau: -0.5"),
+           MINIMAL.replace("sigma: 9.0", "sigma: !!int 9.5"),
+           MINIMAL.replace("sigma: 9.0", "sigma: [9.0"),
+           MINIMAL.replace("sigma: 9.0", "sigma: 9.0: 3")]
+
+    def outcomes():
+        paths = []
+        for text in bad:
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text)
+            paths.append(exc.value.path)
+        return _loaded_facts(parse_config(example)), paths
+
+    with_libyaml = outcomes()   # the pure-Python loader too without libyaml
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert outcomes() == with_libyaml
+    assert with_libyaml[1] == ["<config>:9", "<config>:14", "<config>:9",
+                               "<config>:8", "<config>:10", "<config>:11",
+                               "<config>:10"]
+
+
 # ---------------------------------------------------------------------------
 # CLI commands (in-process main)
 

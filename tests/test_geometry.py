@@ -22,6 +22,7 @@ from hinterland.geometry import (
     build_grid,
     count_components,
     cross_distances,
+    distance_stack,
     lambda_feasibility,
     sample_feasible_weights,
 )
@@ -46,6 +47,32 @@ def test_unit_square_grid_geometry():
     assert X[0, 0] == pytest.approx(0.0625)
     assert Y[0, 0] == pytest.approx(0.125)
     assert X.shape == (4, 8)
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid((-0.4, 1.5, 2.3, 2.75), (37, 23)),
+    build_grid((-1, -1, 1, 1), (40, 40), lambda X, Y: X * X + Y * Y <= 0.8),
+], ids=["37x23", "disk"])
+@pytest.mark.parametrize("system", [
+    DistanceSystem(),
+    DistanceSystem("scaled_euclidean", (1.0, 0.7, 2.3)),
+], ids=["euclidean", "scaled"])
+def test_distance_stack_is_the_pointwise_distance_bit_for_bit(grid, system):
+    # the stack is built from the two center axes, the reference from the
+    # full center rasters: every plane must agree to the last bit
+    X, Y = grid.cell_centers()
+    xs, ys = grid.cell_center_axes()
+    assert xs.shape == (grid.nx,) and ys.shape == (grid.ny,)
+    assert all(np.array_equal(a, b)
+               for a, b in zip((X, Y), np.meshgrid(xs, ys)))
+    x0, y0, x1, y1 = grid.bbox
+    sites = tuple(Site(i, (x0 + f * (x1 - x0), y0 + g * (y1 - y0)))
+                  for i, (f, g) in enumerate([(0.21, 0.33), (0.77, 0.5),
+                                              (0.4, 0.91)]))
+    stack = distance_stack(grid, sites, system)
+    assert stack.shape == (3, grid.ny, grid.nx) and not stack.flags.writeable
+    for i, s in enumerate(sites):
+        assert np.array_equal(stack[i], system.distance(s, i, X, Y))
 
 
 def test_disk_area_close_to_pi():

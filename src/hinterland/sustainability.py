@@ -2,8 +2,10 @@
 
 A restricted-active-set equilibrium survives as a full spatial equilibrium
 when no commuter group gains by defecting to a vacant site. Away from the
-knife-edge spillover level the answer is parameter-determined; at the knife
-edge it is a per-site inequality evaluated here.
+knife-edge spillover level the answer is parameter-determined. At the knife
+edge one vector of potential weights λ* decides it: a vacant site y_p's
+margin is δσ̃σ·(λ*_host − λ*_p − d_host(y_p)), by how much the entrant's own
+cost at y_p, −λ*_p, exceeds its host's cost there, d_host(y_p) − λ*_host.
 """
 
 from __future__ import annotations
@@ -69,27 +71,25 @@ def _spillover_regime(params: ModelParams) -> str:
     return _REGIMES[spillover_regime(params.alpha, params.sigma)]
 
 
-def _log_trade_access(solution: EquilibriumSolution, geography: Geography,
-                      comp) -> np.ndarray:
-    """log sum_j T_qj^(1-sigma) Abar_j^(st*sigma) B_j^(-1/beta) e^(s*g2*lam_j).
+def _potential_weights(solution: EquilibriumSolution, geography: Geography,
+                       params: ModelParams) -> tuple[np.ndarray, float]:
+    """Every geography site's knife-edge potential weight λ*, and δ·σ̃·σ.
 
-    The trade-access sum entering both the potential weight and the
-    deviation inequality, taken over the solution's active sites j, for
-    every site q of the geography (one entry per geography position).
+    δσ̃σ·λ*_q = log V/β + log Σ_j K_qj B_j^(−1/β) e^(s·γ2·λ_j) over the
+    solution's active sites j: the weight system's row q, so at an active
+    site λ* is its solved weight.
     """
+    comp = composite_params(params, geography.productivities, geography.trade)
     geo_of = geography.positions_of(solution.site_ids)
     sol_idx = list(solution.tessellation.active_set)
     geo_idx = [geo_of[i] for i in sol_idx]
-    sigma = comp.sigma
-    st = comp.sigma_tilde
     beta = comp.effective.beta_eff
-    s = comp.weight_scale
-    log_abar = np.log(geography.productivities[geo_idx])
-    terms = ((1.0 - sigma) * np.log(geography.trade.values[:, geo_idx])
-             + st * sigma * log_abar
+    terms = (comp.log_K[:, geo_idx]
              + (-1.0 / beta) * np.log(solution.B[sol_idx])
-             + s * comp.gamma2 * solution.weights[sol_idx])
-    return _logsumexp(terms, axis=1)
+             + comp.weight_scale * comp.gamma2 * solution.weights[sol_idx])
+    scale = params.delta * comp.sigma_tilde * comp.sigma
+    return (math.log(solution.welfare) / beta
+            + _logsumexp(terms, axis=1)) / scale, scale
 
 
 def potential_weight(solution: EquilibriumSolution, geography: Geography,
@@ -101,16 +101,8 @@ def potential_weight(solution: EquilibriumSolution, geography: Geography,
     regime = _spillover_regime(params)
     if regime != KNIFE_EDGE:
         return PotentialWeight(value=-_DEVIATION_MARGIN[regime], regime=regime)
-
-    comp = composite_params(params, geography.productivities, geography.trade)
-    st = comp.sigma_tilde
-    sigma = comp.sigma
-    beta = comp.effective.beta_eff
-    log_sum = float(_log_trade_access(solution, geography, comp)[p_geo])
-    log_v_term = math.log(solution.welfare) / beta
-    own = st * (sigma - 1.0) * math.log(geography.productivities[p_geo])
-    lam_p = (log_v_term + own + log_sum) / (params.delta * st * sigma)
-    return PotentialWeight(value=lam_p, regime=KNIFE_EDGE)
+    lam_star, _ = _potential_weights(solution, geography, params)
+    return PotentialWeight(value=float(lam_star[p_geo]), regime=KNIFE_EDGE)
 
 
 @dataclass(frozen=True)
@@ -144,12 +136,7 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
     if regime != KNIFE_EDGE:
         margins = dict.fromkeys(vacant.values(), _DEVIATION_MARGIN[regime])
     else:
-        comp = composite_params(params, geography.productivities,
-                                geography.trade)
-        st = comp.sigma_tilde
-        sigma = comp.sigma
-        abar = geography.productivities
-        log_S = _log_trade_access(solution, geography, comp).tolist()
+        lam_star, scale = _potential_weights(solution, geography, params)
         d = cross_distances(geography.sites, geography.system)
         geo_of = geography.positions_of(solution.site_ids)
         margins = {}
@@ -162,10 +149,8 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
                     "no active site hosts it")
             hosts[v] = solution.site_ids[label]
             host_geo = geo_of[label]
-            lhs = (st * (sigma - 1.0) * math.log(abar[p_geo] / abar[host_geo])
-                   + (log_S[p_geo] - log_S[host_geo])
-                   + st * sigma * params.delta * float(d[host_geo, p_geo]))
-            margins[v] = -lhs
+            margins[v] = float(scale * (lam_star[host_geo] - lam_star[p_geo]
+                                        - d[host_geo, p_geo]))
 
     worst = min(margins.values(), default=math.inf)
     if worst <= -BOUNDARY_TOL:

@@ -523,11 +523,14 @@ def loop_triangle_check(geography, seed=0, n_samples=4096):
     return GeographyCheck("metric_triangle_inequality", True, "")
 
 
-# The deviation oracle below is the per-vacant-site loop sustainability
-# checks ran before the trade-access sums became one vector: each vacant
-# site and its host rebuild their own sum over the active sites, and the
-# host distance is a one-point ``DistanceSystem.distance`` call. Its float
-# expressions are the package's, so the tests compare with ==.
+# The deviation oracles below are per-vacant-site loops, and the host
+# distance is a one-point ``DistanceSystem.distance`` call. The potential
+# weight loop sums one site's row of the weight system at a time and writes
+# each ``log_K`` entry out in the package's order, so the tests compare it
+# and the margins built from it with ==. The deviation inequality loop is the
+# check's first form: each vacant site and its host rebuild their own
+# trade-access sum, plus the productivity ratio and the host distance; it
+# agrees with the margins to rounding.
 
 def _active_positions(solution, geography):
     pos = {s.id: p for p, s in enumerate(geography.sites)}
@@ -557,34 +560,64 @@ def loop_log_deviation_sum(solution, geography, comp, q_geo_index):
 
 
 def loop_potential_weight(solution, geography, params, y_p):
-    """Knife-edge potential weight of the vacant site ``y_p``."""
+    """Knife-edge potential weight of the site ``y_p``: its row of the weight
+    system over the active sites, one term at a time."""
     comp = composite_params(params, geography.productivities, geography.trade)
     st, sigma = comp.sigma_tilde, comp.sigma
-    p_geo = [s.id for s in geography.sites].index(y_p)
-    log_sum = loop_log_deviation_sum(solution, geography, comp, p_geo)
-    log_v_term = math.log(solution.welfare) / comp.effective.beta_eff
-    own = st * (sigma - 1.0) * math.log(geography.productivities[p_geo])
-    return (log_v_term + own + log_sum) / (params.delta * st * sigma)
+    beta = comp.effective.beta_eff
+    q = [s.id for s in geography.sites].index(y_p)
+    geo_idx, sol_idx = _active_positions(solution, geography)
+    log_T = np.log(geography.trade.values)
+    log_abar = np.log(geography.productivities)
+    log_B = np.log(solution.B)
+    terms = [(1.0 - sigma) * log_T[q, j] + st * (sigma - 1.0) * log_abar[q]
+             + st * sigma * log_abar[j]
+             + (-1.0 / beta) * log_B[i]
+             + comp.weight_scale * comp.gamma2 * solution.weights[i]
+             for j, i in zip(geo_idx, sol_idx)]
+    return ((math.log(solution.welfare) / beta + _logsumexp(np.array(terms)))
+            / (params.delta * st * sigma))
 
 
-def loop_deviation_margins(solution, geography, params):
-    """Knife-edge deviation margins and host ids, keyed by vacant site id."""
+def _loop_hosts(solution, geography):
+    """(vacant id, host id, host distance at the vacant site) per vacant site."""
     pos = {s.id: p for p, s in enumerate(geography.sites)}
-    vacant = [s.id for s in geography.sites if s.id not in solution.active_ids]
-    comp = composite_params(params, geography.productivities, geography.trade)
-    st, sigma = comp.sigma_tilde, comp.sigma
     id_of_label = dict(enumerate(solution.site_ids))
-    margins, hosts = {}, {}
-    for v in vacant:
-        p_geo = pos[v]
-        p_site = geography.sites[p_geo]
-        iy, ix = geography.grid.cell_of(p_site.position)
+    for site in geography.sites:
+        if site.id in solution.active_ids:
+            continue
+        iy, ix = geography.grid.cell_of(site.position)
         host_id = id_of_label[int(solution.tessellation.labels[iy, ix])]
-        hosts[v] = host_id
         host_geo = pos[host_id]
         d_host = float(geography.system.distance(
             geography.sites[host_geo], host_geo,
-            np.array(p_site.position[0]), np.array(p_site.position[1])))
+            np.array(site.position[0]), np.array(site.position[1])))
+        yield site.id, host_id, d_host
+
+
+def loop_deviation_margins(solution, geography, params):
+    """Knife-edge deviation margins δσ̃σ·(λ*_host − λ*_p − d_host(y_p)) and
+    host ids, keyed by vacant site id."""
+    comp = composite_params(params, geography.productivities, geography.trade)
+    scale = params.delta * comp.sigma_tilde * comp.sigma
+    margins, hosts = {}, {}
+    for v, host_id, d_host in _loop_hosts(solution, geography):
+        hosts[v] = host_id
+        margins[v] = scale * (
+            loop_potential_weight(solution, geography, params, host_id)
+            - loop_potential_weight(solution, geography, params, v) - d_host)
+    return margins, hosts
+
+
+def loop_deviation_inequality_margins(solution, geography, params):
+    """Knife-edge deviation margins from the deviation inequality: trade
+    access sums, productivity ratio and host distance, by vacant site id."""
+    pos = {s.id: p for p, s in enumerate(geography.sites)}
+    comp = composite_params(params, geography.productivities, geography.trade)
+    st, sigma = comp.sigma_tilde, comp.sigma
+    margins = {}
+    for v, host_id, d_host in _loop_hosts(solution, geography):
+        p_geo, host_geo = pos[v], pos[host_id]
         log_S_p = loop_log_deviation_sum(solution, geography, comp, p_geo)
         log_S_i = loop_log_deviation_sum(solution, geography, comp, host_geo)
         lhs = (st * (sigma - 1.0)
@@ -593,4 +626,4 @@ def loop_deviation_margins(solution, geography, params):
                + (log_S_p - log_S_i)
                + st * sigma * params.delta * d_host)
         margins[v] = -lhs
-    return margins, hosts
+    return margins

@@ -589,6 +589,17 @@ def test_readme_configuration_example_loads():
     assert cfg.sweep.kind == "alpha_sigma"
 
 
+def test_readme_minimal_python_session_solves(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    session = readme.read_text(encoding="utf-8").split("```python\n")[1]
+    namespace = {}
+    exec(session.split("```")[0], namespace)
+    solution = namespace["solution"]
+    assert solution.converged and solution.active_ids == (0, 1)
+    assert solution.residuals["population"] < 1e-10
+    assert capsys.readouterr().out.strip()
+
+
 @pytest.mark.parametrize("value", ["!!int 9.5", "!foo 9.5", "!!binary 9.5"])
 def test_a_value_its_tag_cannot_build_is_reported_at_its_key(tmp_path, capsys,
                                                              value):

@@ -8,6 +8,9 @@ carries no public name or import that nothing uses, and a forked enumerate
 prints what the parent prints, once."""
 
 import ast
+import csv
+import io
+import math
 import os
 import re
 import subprocess
@@ -121,22 +124,39 @@ enumerate:
 """
 
 
+# the same sites plus a low-productivity fourth at the knife edge, where the
+# enumerate's sustainability check weighs each vacant site against its host:
+# subset 0;1;2 is sustainable with a finite margin
+KNIFE_EDGE_ENUMERATE_CONFIG = ENUMERATE_CONFIG.replace(
+    "    - {position: [0.5, 0.8]}\n",
+    "    - {position: [0.5, 0.8]}\n"
+    "    - {position: [0.5, 0.4], productivity: 0.3}\n").replace(
+    "alpha: 0.1,", "alpha: 0.25,")
+
+
 def test_forked_enumerate_prints_once_and_writes_the_serial_catalog(
         tmp_path):
-    config = tmp_path / "run.yaml"
-    config.write_text(ENUMERATE_CONFIG)
     # buffered standard streams, so that a fork could copy unwritten output
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
-    catalogs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"out-{threads}"
-        result = subprocess.run(
-            [sys.executable, "-m", "hinterland.cli", "enumerate", "--config",
-             str(config), "--out", str(out), "--threads", threads,
-             "--verbose"], env=env, capture_output=True, text=True,
-            timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert (result.stdout + result.stderr).count("catalog:") == 1
-        catalogs[threads] = [(out / name).read_bytes()
-                             for name in ("catalog.json", "catalog.csv")]
-    assert catalogs["2"] == catalogs["1"]
+    for name, text in (("weak", ENUMERATE_CONFIG),
+                       ("knife_edge", KNIFE_EDGE_ENUMERATE_CONFIG)):
+        config = tmp_path / f"{name}.yaml"
+        config.write_text(text)
+        catalogs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "hinterland.cli", "enumerate", "--config",
+                 str(config), "--out", str(out), "--threads", threads,
+                 "--verbose"], env=env, capture_output=True, text=True,
+                timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert (result.stdout + result.stderr).count("catalog:") == 1
+            catalogs[threads] = [(out / file).read_bytes()
+                                 for file in ("catalog.json", "catalog.csv")]
+        assert catalogs["2"] == catalogs["1"]
+        if name == "knife_edge":
+            rows = csv.DictReader(io.StringIO(catalogs["1"][1].decode()))
+            [row] = [row for row in rows if row["verdict"] == "sustainable"]
+            assert row["subset"] == "0;1;2"
+            assert 0 < float(row["min_margin"]) < math.inf

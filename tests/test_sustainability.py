@@ -3,7 +3,12 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from helpers import bracket_threshold, loop_deviation_margins, loop_potential_weight
+from helpers import (
+    bracket_threshold,
+    loop_deviation_inequality_margins,
+    loop_deviation_margins,
+    loop_potential_weight,
+)
 
 from hinterland import fields, sustainability
 from hinterland.analysis import (
@@ -35,6 +40,7 @@ from hinterland.sustainability import (
     KNIFE_EDGE,
     STRONG_SPILLOVER,
     WEAK_SPILLOVER,
+    _potential_weights,
     enumerate_urban_systems,
     potential_weight,
     site_swap_experiment,
@@ -363,8 +369,8 @@ geography:
 
 
 def test_deviation_sums_match_the_per_site_loop_exactly(tmp_path):
-    # one trade-access vector per solution gives the margins, verdicts, hosts
-    # and potential weights of the per-site loop, bit for bit
+    # one potential-weight vector per solution gives the margins, verdicts,
+    # hosts and potential weights of the per-site loop, bit for bit
     solved = _knife_edge_batch(tmp_path)
     assert len(solved) >= 30
     clone_margin = None
@@ -383,6 +389,25 @@ def test_deviation_sums_match_the_per_site_loop_exactly(tmp_path):
         if geo.sites[-1].position == geo.sites[0].position:
             clone_margin = report.margins[2]
     assert clone_margin is not None and abs(clone_margin) < 1e-10
+
+
+def test_margins_are_the_deviation_inequality_and_lambda_star_the_weights(
+        tmp_path):
+    # a margin, the entrant's cost gap at its own site, is the deviation
+    # inequality (trade-access sums, productivity ratio, host distance) to
+    # rounding; at an active site the potential weight is the solved weight
+    solved = _knife_edge_batch(tmp_path)
+    assert len(solved) >= 30
+    for geo, sol in solved:
+        margins = sustainability_check(sol, geo, KNIFE).margins
+        inequality = loop_deviation_inequality_margins(sol, geo, KNIFE)
+        assert inequality.keys() == margins.keys()
+        assert all(abs(margins[v] - inequality[v]) <= 1e-12 for v in margins)
+        lam_star, _ = _potential_weights(sol, geo, KNIFE)
+        active = list(sol.tessellation.active_set)
+        geo_of = geo.positions_of(sol.site_ids)
+        np.testing.assert_allclose(lam_star[[geo_of[i] for i in active]],
+                                   sol.weights[active], rtol=0, atol=1e-10)
 
 
 @pytest.fixture

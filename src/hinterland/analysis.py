@@ -165,7 +165,7 @@ def existence_margins(geography: Geography, params: ModelParams,
 
     st = comp.sigma_tilde
     sigma = params.sigma
-    decay = comp.weight_scale * abs(comp.gamma1)
+    decay = abs(comp.weight_factor)
     creep = tau_rate * (sigma - 1.0)
 
     lhs = (st * (sigma - 1.0) * np.abs(log_abar[:, None] - log_abar[None, :])

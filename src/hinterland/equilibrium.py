@@ -150,6 +150,7 @@ class EffectiveSystem:
     congestion_weight: float      # the slot the composite formulas use for β
     welfare_exponent: float
     log_labor_prefactor: float
+    level_shift: float            # recovery adds level_shift·(log L − log S) to λ
     variant_kind: str
 
 
@@ -163,7 +164,7 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
             beta_eff=params.beta, weight_decay=decay,
             congestion_weight=params.beta,
             welfare_exponent=1.0 / params.beta, log_labor_prefactor=0.0,
-            variant_kind=v.kind)
+            level_shift=params.alpha / decay, variant_kind=v.kind)
     if v.kind == "two_sector":
         mu, beta_t = v.mu, v.beta
         return EffectiveSystem(
@@ -173,7 +174,7 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
             congestion_weight=(1 - mu) / mu * beta_t,
             welfare_exponent=-1.0 / beta_t,
             log_labor_prefactor=math.log(mu / (1 - mu)),
-            variant_kind=v.kind)
+            level_shift=0.0, variant_kind=v.kind)
     raise InvalidVariantParams(f"unknown variant {v!r}")
 
 
@@ -187,6 +188,7 @@ class CompositeParams:
     phi1: float
     phi2: float
     weight_scale: float   # multiplies λ inside the system's exponents
+    weight_factor: float  # weight_scale·γ1, the factor λ̃ = weight_factor·λ
     log_K: np.ndarray     # (n, n) log of the trade-productivity kernel
     effective: EffectiveSystem
     sigma: float
@@ -226,7 +228,8 @@ def composite_params(params: ModelParams, productivities,
     log_K.setflags(write=False)
     return CompositeParams(sigma_tilde=sigma_tilde, gamma1=gamma1, gamma2=gamma2,
                            phi1=phi1, phi2=phi2, weight_scale=weight_scale,
-                           log_K=log_K, effective=eff, sigma=sigma, alpha=alpha)
+                           weight_factor=weight_scale * gamma1, log_K=log_K,
+                           effective=eff, sigma=sigma, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +255,9 @@ def subset_geography(geography: Geography, site_ids=None) -> Geography:
 
 
 def _tessellate(lam_t, comp: CompositeParams, geography: Geography) -> Tessellation:
-    """Labels at the original-variable weights λ̃ / (weight_scale·γ1)."""
+    """Labels at the original-variable weights λ̃ / weight_factor."""
     return assign_labels(geography.grid, geography.sites, geography.system,
-                         lam_t / (comp.weight_scale * comp.gamma1),
+                         lam_t / comp.weight_factor,
                          geography.distances)
 
 
@@ -286,7 +289,7 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
         agg = aggregate_amenities(_tessellate(lam_t, comp, geography),
                                   geography.amenity, comp.effective.kernel)
     else:
-        agg = band.aggregates(lam_t / (comp.weight_scale * comp.gamma1))
+        agg = band.aggregates(lam_t / comp.weight_factor)
     active = agg.active
     if not active_only and not active.all():
         raise EmptyCellInSum(
@@ -446,16 +449,13 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
     """Lift a fixed point of the anchored map back to original variables."""
     eff = comp.effective
     active = agg.active
-    nu = lam_t / (comp.weight_scale * comp.gamma1)
+    nu = lam_t / comp.weight_factor
     L_total = params.total_labor
 
     # population-constraint sums run over active districts only
     log_terms = -(agg.log_B[active] + eff.weight_decay * nu[active]) / eff.beta_eff
     log_S = float(_logsumexp(log_terms))
-    if eff.variant_kind == "two_sector":
-        shift = 0.0
-    else:
-        shift = (params.alpha / eff.weight_decay) * (math.log(L_total) - log_S)
+    shift = eff.level_shift * (math.log(L_total) - log_S)
     lam = nu + shift
     log_S_final = log_S - (eff.weight_decay / eff.beta_eff) * shift
     log_V = (math.log(L_total) - eff.log_labor_prefactor - log_S_final) \
@@ -503,12 +503,11 @@ def _original_system_residual(lam, log_V, comp: CompositeParams,
     """Sup-norm log residual of the untransformed weight system."""
     eff = comp.effective
     st = comp.sigma_tilde
-    s = comp.weight_scale
-    lhs = s * comp.gamma1 * lam[active]
+    lhs = comp.weight_factor * lam[active]
     v_power = (comp.sigma - 1.0) * comp.alpha / eff.beta_eff
     sub = np.ix_(active, active)
     terms = (comp.log_K[sub] + st * comp.phi2 * agg.log_B[None, active]
-             + s * comp.gamma2 * lam[None, active])
+             + comp.weight_scale * comp.gamma2 * lam[None, active])
     rhs = (v_power * log_V + st * comp.phi1 * agg.log_B[active]
            + _logsumexp(terms, axis=1))
     return float(np.abs(lhs - rhs).max())
@@ -530,7 +529,7 @@ def _welfare_spread(eff: EffectiveSystem, params: ModelParams, B, wages,
 def _reproject(lam_t, comp: CompositeParams, geography: Geography,
                k_shrink: float) -> np.ndarray:
     """Scale weight differences back inside the k-shrunk feasible set."""
-    lam = lam_t / (comp.weight_scale * comp.gamma1)
+    lam = lam_t / comp.weight_factor
     bound = k_shrink * cross_distances(geography.sites, geography.system)
     diff = lam[:, None] - lam[None, :]
     over = (diff > 0) & (diff > bound)   # never on the diagonal, where diff = 0
@@ -566,7 +565,7 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
         return g - g[0], g, agg, x
 
     lam_t, (_, g, agg, _), _, iterations, exits = _iterate(
-        evaluate, (w0 - w0[0]) * (comp.weight_scale * comp.gamma1),
+        evaluate, (w0 - w0[0]) * comp.weight_factor,
         options.tol, options.max_iter, what,
         jacobian=lambda out: _weight_jacobian(out[3], comp, out[2]),
         project=lambda x: x - x[0],

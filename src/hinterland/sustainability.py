@@ -4,8 +4,9 @@ A restricted-active-set equilibrium survives as a full spatial equilibrium
 when no commuter group gains by defecting to a vacant site. Away from the
 knife-edge spillover level the answer is parameter-determined. At the knife
 edge one vector of potential weights λ* decides it: a vacant site y_p's
-margin is δσ̃σ·(λ*_host − λ*_p − d_host(y_p)), by how much the entrant's own
-cost at y_p, −λ*_p, exceeds its host's cost there, d_host(y_p) − λ*_host.
+margin is weight_factor·(λ*_host − λ*_p − d_host(y_p)), the weight system's
+own factor times how far the entrant's own cost at y_p, −λ*_p, exceeds its
+host's there, d_host(y_p) − λ*_host; two_sector raises InvalidVariantParams.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .equilibrium import (
 from .errors import (
     HinterlandError,
     InvalidInput,
+    InvalidVariantParams,
     SiteNotVacant,
     SiteOutsideDomain,
 )
@@ -73,23 +75,23 @@ def _spillover_regime(params: ModelParams) -> str:
 
 def _potential_weights(solution: EquilibriumSolution, geography: Geography,
                        params: ModelParams) -> tuple[np.ndarray, float]:
-    """Every geography site's knife-edge potential weight λ*, and δ·σ̃·σ.
+    """Every geography site's knife-edge potential weight λ*, and s·γ1.
 
-    δσ̃σ·λ*_q = log V/β + log Σ_j K_qj B_j^(−1/β) e^(s·γ2·λ_j) over the
-    solution's active sites j: the weight system's row q, so at an active
-    site λ* is its solved weight.
+    weight_factor·λ*_q = log V/β + log Σ_j K_qj B_j^(−1/β) e^(s·γ2·λ_j) over
+    the solution's active sites j: the weight system's row q, so at an active
+    site λ* is its solved weight. two_sector: InvalidVariantParams.
     """
+    if params.variant.kind == "two_sector":
+        raise InvalidVariantParams("two_sector has no knife-edge potential weights")
     comp = composite_params(params, geography.productivities, geography.trade)
-    geo_of = geography.positions_of(solution.site_ids)
     sol_idx = list(solution.tessellation.active_set)
-    geo_idx = [geo_of[i] for i in sol_idx]
+    geo_idx = geography.positions_of(solution.active_ids)
     beta = comp.effective.beta_eff
     terms = (comp.log_K[:, geo_idx]
              + (-1.0 / beta) * np.log(solution.B[sol_idx])
              + comp.weight_scale * comp.gamma2 * solution.weights[sol_idx])
-    scale = params.delta * comp.sigma_tilde * comp.sigma
     return (math.log(solution.welfare) / beta
-            + _logsumexp(terms, axis=1)) / scale, scale
+            + _logsumexp(terms, axis=1)) / comp.weight_factor, comp.weight_factor
 
 
 def potential_weight(solution: EquilibriumSolution, geography: Geography,

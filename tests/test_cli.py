@@ -1120,6 +1120,36 @@ def test_catalog_csv_lists_rejected_subsets(tmp_path):
         {"subset": [1], "verdict": "unsustainable"}]
 
 
+def test_home_consumption_knife_edge_enumerate_rejects_an_invaded_system(
+        tmp_path):
+    # the vacant fourth site's margin reads the weight system's factor
+    # (δ + τ)σ̃σ; read with δσ̃σ, subset 0;1;2 was listed as sustainable
+    text = textwrap.dedent("""\
+        geography:
+          resolution: [64, 64]
+          sites:
+            - {position: [0.2, 0.3]}
+            - {position: [0.8, 0.3], productivity: 1.05}
+            - {position: [0.5, 0.8], productivity: 0.95}
+            - {position: [0.5, 0.4], productivity: 0.5}
+          trade: {kind: from_metric, tau: 0.5}
+        params:
+          sigma: 5.0
+          alpha: 0.25
+          beta: -0.5
+          delta: 2.0
+          tau: 0.3
+          variant: {kind: home_consumption}
+        enumerate:
+          sizes: [3]
+        """)
+    out = tmp_path / "out"
+    assert cli.main(["enumerate", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out), "--threads", "1"]) == 0
+    catalog = read_json(out / "catalog.json")
+    assert {"subset": [0, 1, 2], "verdict": "unsustainable"} in catalog["rejected"]
+
+
 def test_render_of_a_directory_without_a_label_raster(tmp_path, capsys):
     render = tmp_path / "render"
     assert cli.main(["render", "--input", str(tmp_path),

@@ -4,6 +4,7 @@ makes no BLAS or LAPACK call (a first one raises peak RSS, and a forked
 worker must not touch OpenBLAS's threads), raises no bare ValueError (a
 deliberate input check raises InvalidInput, which the CLI reports, and every
 input-check error derives from it) and makes no read-only array writable, it
+forms the weight system's factor s·γ1 only in ``composite_params``, it
 carries no public name or import that nothing uses, and a forked enumerate
 prints what the parent prints, once."""
 
@@ -51,6 +52,27 @@ def _source_lines_matching(pattern):
 
 def test_package_source_makes_no_blas_or_lapack_call():
     assert _source_lines_matching(BLAS_CALL) == []
+
+
+# a product with γ1, such as weight_scale·γ1 or weight_scale·|γ1|, or of δ
+# and σ̃: the factor λ̃ = weight_factor·λ re-derived by hand
+WEIGHT_FACTOR = re.compile(
+    r"\*\s*(abs\()?(\w+\.)?gamma1\b|\bgamma1\s*\*"
+    r"|\bdelta\s*\*\s*(\w+\.)?sigma_tilde\b|\bsigma_tilde\s*\*\s*(\w+\.)?delta\b")
+
+
+def test_only_composite_params_forms_the_weight_factor():
+    # every conversion between λ̃ and λ, and every knife-edge margin, reads
+    # CompositeParams.weight_factor; re-deriving it is how a margin once
+    # took δσ̃σ, the factor of the baseline variant only
+    path = SRC / "hinterland" / "equilibrium.py"
+    [owner] = [node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "composite_params"]
+    inside = {f"{path.name}:{number}:" for number in
+              range(owner.lineno, owner.end_lineno + 1)}
+    assert [line for line in _source_lines_matching(WEIGHT_FACTOR)
+            if line.split(" ")[0] not in inside] == []
 
 
 def test_package_source_raises_no_bare_value_error():

@@ -19,8 +19,10 @@ from hinterland.analysis import (
 )
 from hinterland.config import parse_config
 from hinterland.equilibrium import (
+    HomeConsumption,
     ModelParams,
     SolverOptions,
+    TwoSector,
     fixed_point_solve,
     solve_knife_edge_system,
     subset_geography,
@@ -28,6 +30,7 @@ from hinterland.equilibrium import (
 from hinterland.errors import (
     HinterlandError,
     InvalidInput,
+    InvalidVariantParams,
     NotConverged,
     SiteNotVacant,
     SiteOutsideDomain,
@@ -408,6 +411,46 @@ def test_margins_are_the_deviation_inequality_and_lambda_star_the_weights(
         geo_of = geo.positions_of(sol.site_ids)
         np.testing.assert_allclose(lam_star[[geo_of[i] for i in active]],
                                    sol.weights[active], rtol=0, atol=1e-10)
+
+
+# home consumption at the knife edge, whose weight system's factor is
+# (δ + τ)σ̃σ = 5.111, not δσ̃σ = 4.444: scaled by δσ̃σ, λ* missed the solved
+# weights by 0.0139 and subset 0;1;2 read sustainable at +0.0304
+HOME_KNIFE = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0, tau=0.3,
+                         variant=HomeConsumption())
+HOME_SITES = (((0.2, 0.3), 1.0), ((0.8, 0.3), 1.05), ((0.5, 0.8), 0.95),
+              ((0.5, 0.4), 0.5))
+
+
+def test_home_consumption_margins_read_the_weight_systems_factor():
+    geo = geo_with_sites(HOME_SITES)
+    sol = fixed_point_solve(geo, HOME_KNIFE, y_star=(0, 1, 2))
+    lam_star, factor = _potential_weights(sol, geo, HOME_KNIFE)
+    assert factor == pytest.approx((2.0 + 0.3) * 5.0 * 4.0 / 9.0, rel=1e-14)
+    np.testing.assert_allclose(lam_star[:3], sol.weights, rtol=0, atol=1e-10)
+    report = sustainability_check(sol, geo, HOME_KNIFE)
+    assert report.verdict == "unsustainable"
+    assert report.margins[3] == pytest.approx(-0.1804409950665, rel=0, abs=1e-9)
+
+
+TWO_SECTOR_KNIFE = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0,
+                               variant=TwoSector(mu=0.6, beta=-0.4))
+
+
+def test_two_sector_knife_edge_checks_raise_invalid_variant_params():
+    # the two-sector recovery does not solve the weight system's row, so
+    # knife-edge potential weights are not defined for it
+    geo = geo_with_sites(THREE)
+    sol = fixed_point_solve(geo, TWO_SECTOR_KNIFE, y_star=(0, 1))
+    with pytest.raises(InvalidVariantParams, match="two_sector"):
+        sustainability_check(sol, geo, TWO_SECTOR_KNIFE)
+    with pytest.raises(InvalidVariantParams, match="two_sector"):
+        potential_weight(sol, geo, TWO_SECTOR_KNIFE, 2)
+    catalog = enumerate_urban_systems(geo, TWO_SECTOR_KNIFE, sizes=(2,))
+    assert catalog.entries == () and catalog.rejected == ()
+    assert [subset for subset, _ in catalog.failures] == [(0, 1), (0, 2), (1, 2)]
+    assert all(error.startswith("InvalidVariantParams: ")
+               for _, error in catalog.failures)
 
 
 @pytest.fixture

@@ -151,6 +151,7 @@ class EffectiveSystem:
     welfare_exponent: float
     log_labor_prefactor: float
     level_shift: float            # recovery adds level_shift·(log L − log S) to λ
+    original_rows: bool           # recovered λ solves the untransformed weight rows
     variant_kind: str
 
 
@@ -162,9 +163,9 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
         return EffectiveSystem(
             kernel=KernelSpec(beta_eff=params.beta, distance_coeff=decay),
             beta_eff=params.beta, weight_decay=decay,
-            congestion_weight=params.beta,
+            congestion_weight=params.beta, variant_kind=v.kind,
             welfare_exponent=1.0 / params.beta, log_labor_prefactor=0.0,
-            level_shift=params.alpha / decay, variant_kind=v.kind)
+            level_shift=params.alpha / decay, original_rows=True)
     if v.kind == "two_sector":
         mu, beta_t = v.mu, v.beta
         return EffectiveSystem(
@@ -174,7 +175,7 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
             congestion_weight=(1 - mu) / mu * beta_t,
             welfare_exponent=-1.0 / beta_t,
             log_labor_prefactor=math.log(mu / (1 - mu)),
-            level_shift=0.0, variant_kind=v.kind)
+            level_shift=0.0, original_rows=False, variant_kind=v.kind)
     raise InvalidVariantParams(f"unknown variant {v!r}")
 
 
@@ -484,7 +485,7 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
                                           market.wages, market.prices,
                                           labor[active]),
     }
-    if eff.variant_kind != "two_sector":
+    if eff.original_rows:
         residuals["weights"] = _original_system_residual(
             lam, log_V, comp, agg, active)
 

@@ -81,9 +81,9 @@ def _potential_weights(solution: EquilibriumSolution, geography: Geography,
     the solution's active sites j: the weight system's row q, so at an active
     site λ* is its solved weight. two_sector: InvalidVariantParams.
     """
-    if params.variant.kind == "two_sector":
-        raise InvalidVariantParams("two_sector has no knife-edge potential weights")
     comp = composite_params(params, geography.productivities, geography.trade)
+    if not comp.effective.original_rows:
+        raise InvalidVariantParams(f"{params.variant.kind} has no knife-edge potential weights")
     sol_idx = list(solution.tessellation.active_set)
     geo_idx = geography.positions_of(solution.active_ids)
     beta = comp.effective.beta_eff
@@ -296,8 +296,9 @@ def enumerate_urban_systems(geography: Geography, params: ModelParams,
     Exhausts all subsets of the requested sizes up to ``max_subsets``, then
     falls back to seeded sampling. Entries are distinct by construction: the
     subsets are, and a restricted solve returns only with all its sites
-    active. Solver errors are recorded per subset, never fatal. ``threads``
-    processes share the subsets; the catalog does not depend on how many.
+    active. Solver and sustainability errors are recorded per subset, never
+    fatal; a two_sector knife edge solves every subset, then fails it. The
+    catalog does not depend on ``threads``, the processes sharing subsets.
     """
     check_subset_request(sizes=sizes, max_subsets=max_subsets, seed=seed)
     ids = tuple(s.id for s in geography.sites)

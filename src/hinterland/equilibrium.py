@@ -94,6 +94,9 @@ class ModelParams:
     variant: Baseline | HomeConsumption | TwoSector = Baseline()
 
     def __post_init__(self):
+        for name in ("sigma", "alpha", "beta", "delta", "tau", "total_labor"):
+            if math.isinf(value := getattr(self, name)):
+                raise InvalidInput(f"{name} must be finite, got {value}")
         check_sigma(self.sigma)
         if not self.alpha > -1:
             raise InvalidInput(f"alpha must be > -1, got {self.alpha}")
@@ -112,9 +115,9 @@ class ModelParams:
         if kind == "two_sector":
             if not 0 < self.variant.mu < 1:
                 raise InvalidVariantParams(f"mu must be in (0, 1), got {self.variant.mu}")
-            if not self.variant.beta < 0:
+            if not -math.inf < self.variant.beta < 0:
                 raise InvalidVariantParams(
-                    f"agricultural beta must be < 0, got {self.variant.beta}")
+                    f"agricultural beta must be finite and < 0, got {self.variant.beta}")
 
 
 #: Distance from the cutoff 1/(sigma-1) within which alpha is the knife edge.
@@ -137,22 +140,27 @@ def is_knife_edge(alpha: float, sigma: float) -> bool:
 
 @dataclass(frozen=True)
 class EffectiveSystem:
-    """Variant-resolved constants the solver consumes.
+    """Variant-resolved constants the solver consumes; ``variant_transform``
+    is their one owner.
 
-    ``weight_decay`` multiplies the weight inside labor-supply exponents;
-    ``welfare_exponent`` and ``log_labor_prefactor`` define the labor rule
-    log L_i = log_pref + welfare_exponent*log V - (log B_i + decay*λ_i)/β_eff.
+    ``weight_decay`` multiplies the weight inside labor-supply exponents.
+    The lift gives district i the population share of its term
+    t_i = −(log B_i + weight_decay·ν_i)/β_eff, so labor is L·exp(t_i − log S)
+    with log S the log-sum-exp of the terms; with x = log L − log S it sets
+    λ = ν + level_shift·x and log V = welfare_slope·x + welfare_offset.
+    ``welfare_weights`` weigh log B_i, log(w_i/p_i) and log L_i in district
+    i's log V, up to a constant.
     """
 
     kernel: KernelSpec
     beta_eff: float
     weight_decay: float
     congestion_weight: float      # the slot the composite formulas use for β
-    welfare_exponent: float
-    log_labor_prefactor: float
-    level_shift: float            # recovery adds level_shift·(log L − log S) to λ
+    level_shift: float
+    welfare_slope: float
+    welfare_offset: float
+    welfare_weights: tuple[float, float, float]
     original_rows: bool           # recovered λ solves the untransformed weight rows
-    variant_kind: str
 
 
 def variant_transform(params: ModelParams) -> EffectiveSystem:
@@ -163,19 +171,18 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
         return EffectiveSystem(
             kernel=KernelSpec(beta_eff=params.beta, distance_coeff=decay),
             beta_eff=params.beta, weight_decay=decay,
-            congestion_weight=params.beta, variant_kind=v.kind,
-            welfare_exponent=1.0 / params.beta, log_labor_prefactor=0.0,
-            level_shift=params.alpha / decay, original_rows=True)
+            congestion_weight=params.beta, level_shift=params.alpha / decay,
+            welfare_slope=params.alpha + params.beta, welfare_offset=0.0,
+            welfare_weights=(1.0, 1.0, params.beta), original_rows=True)
     if v.kind == "two_sector":
         mu, beta_t = v.mu, v.beta
         return EffectiveSystem(
             kernel=KernelSpec(beta_eff=beta_t,
                               distance_coeff=params.delta * (mu - beta_t * (1 - mu))),
             beta_eff=beta_t, weight_decay=params.delta * mu,
-            congestion_weight=(1 - mu) / mu * beta_t,
-            welfare_exponent=-1.0 / beta_t,
-            log_labor_prefactor=math.log(mu / (1 - mu)),
-            level_shift=0.0, original_rows=False, variant_kind=v.kind)
+            congestion_weight=(1 - mu) / mu * beta_t, level_shift=0.0,
+            welfare_slope=-beta_t, welfare_offset=beta_t * math.log(mu / (1 - mu)),
+            welfare_weights=(1 - mu, mu, beta_t * (1 - mu)), original_rows=False)
     raise InvalidVariantParams(f"unknown variant {v!r}")
 
 
@@ -404,6 +411,8 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidInput(f"tol must be > 0, got {self.tol}")
+        if math.isinf(self.tol):
+            raise InvalidInput("tol must be finite, got inf")
         if not self.max_iter >= 1:
             raise InvalidInput(f"max_iter must be >= 1, got {self.max_iter}")
         check_k_shrink(self.k_shrink)
@@ -447,33 +456,27 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
                       params: ModelParams, tess: Tessellation,
                       agg: CellAggregates, *, iterations, exited_feasible,
                       transformed_residual: float) -> EquilibriumSolution:
-    """Lift a fixed point of the anchored map back to original variables."""
+    """Lift a fixed point of the anchored map back to original variables:
+    labor is each active district's share of the population constraint."""
     eff = comp.effective
     active = agg.active
     nu = lam_t / comp.weight_factor
     L_total = params.total_labor
 
-    # population-constraint sums run over active districts only
-    log_terms = -(agg.log_B[active] + eff.weight_decay * nu[active]) / eff.beta_eff
+    log_terms = np.full(len(nu), -np.inf)
+    log_terms[active] = -(agg.log_B[active] + eff.weight_decay * nu[active]) / eff.beta_eff
     log_S = float(_logsumexp(log_terms))
-    shift = eff.level_shift * (math.log(L_total) - log_S)
-    lam = nu + shift
-    log_S_final = log_S - (eff.weight_decay / eff.beta_eff) * shift
-    log_V = (math.log(L_total) - eff.log_labor_prefactor - log_S_final) \
-        / eff.welfare_exponent
-
-    log_L = np.full(len(lam), -np.inf)
-    log_L[active] = (eff.log_labor_prefactor + eff.welfare_exponent * log_V
-                     - (agg.log_B[active] + eff.weight_decay * lam[active])
-                     / eff.beta_eff)
-    labor = np.exp(log_L)
+    x = math.log(L_total) - log_S
+    labor = L_total * np.exp(log_terms - log_S)
+    lam = nu + eff.level_shift * x
+    log_V = eff.welfare_slope * x + eff.welfare_offset
 
     wages, prices = np.full((2, len(lam)), np.nan)
-    act_idx = np.flatnonzero(active)
-    sub_trade = TradeCostMatrix(values=geography.trade.values[np.ix_(act_idx, act_idx)],
-                                origin=geography.trade.origin, tau=geography.trade.tau)
+    # plain bools: iterating the mask's NumPy scalars raised the probe's peak RSS
+    market_geo = subset_geography(
+        geography, [s.id for s, on in zip(geography.sites, active.tolist()) if on])
     market = market_equilibrium_solve(
-        labor[active], geography.productivities[active], sub_trade, params)
+        labor[active], market_geo.productivities, market_geo.trade, params)
     wages[active], prices[active] = market.wages, market.prices
 
     residuals = {
@@ -481,13 +484,11 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
         "weights_transformed": transformed_residual,
         "market": market.residual,
         "population": abs(float(labor[active].sum()) - L_total) / L_total,
-        "welfare_spread": _welfare_spread(eff, params, agg.B[active],
-                                          market.wages, market.prices,
-                                          labor[active]),
+        "welfare_spread": _welfare_spread(eff, agg.B[active], market.wages,
+                                          market.prices, labor[active]),
     }
     if eff.original_rows:
-        residuals["weights"] = _original_system_residual(
-            lam, log_V, comp, agg, active)
+        residuals["weights"] = _original_system_residual(lam, log_V, comp, agg)
 
     return EquilibriumSolution(
         site_ids=tuple(s.id for s in geography.sites),
@@ -496,34 +497,25 @@ def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
         residuals=residuals, iterations=iterations,
         market_iterations=market.iterations, converged=True,
         exited_feasible=exited_feasible,
-        variant_kind=eff.variant_kind, tessellation=tess, aggregates=agg)
+        variant_kind=params.variant.kind, tessellation=tess, aggregates=agg)
 
 
 def _original_system_residual(lam, log_V, comp: CompositeParams,
-                              agg: CellAggregates, active) -> float:
-    """Sup-norm log residual of the untransformed weight system."""
-    eff = comp.effective
-    st = comp.sigma_tilde
-    lhs = comp.weight_factor * lam[active]
-    v_power = (comp.sigma - 1.0) * comp.alpha / eff.beta_eff
-    sub = np.ix_(active, active)
-    terms = (comp.log_K[sub] + st * comp.phi2 * agg.log_B[None, active]
-             + comp.weight_scale * comp.gamma2 * lam[None, active])
-    rhs = (v_power * log_V + st * comp.phi1 * agg.log_B[active]
-           + _logsumexp(terms, axis=1))
-    return float(np.abs(lhs - rhs).max())
+                              agg: CellAggregates) -> float:
+    """Sup-norm log residual of the untransformed weight system's active
+    rows, whose terms are the map's at λ̃ = weight_factor·λ."""
+    active = agg.active
+    lam_t = comp.weight_factor * lam
+    rhs = ((comp.sigma - 1.0) * comp.alpha / comp.effective.beta_eff * log_V
+           + comp.sigma_tilde * comp.phi1 * agg.log_B[active]
+           + _logsumexp(_weight_terms(lam_t, comp, agg)[active], axis=1))
+    return float(np.abs(lam_t[active] - rhs).max())
 
 
-def _welfare_spread(eff: EffectiveSystem, params: ModelParams, B, wages,
-                    prices, labor) -> float:
+def _welfare_spread(eff: EffectiveSystem, B, wages, prices, labor) -> float:
     """Relative spread of per-district welfare implied by the market block."""
-    if eff.variant_kind == "two_sector":
-        mu, beta_t = params.variant.mu, params.variant.beta
-        ratio = (1 - mu) / mu
-        log_Vi = (ratio * beta_t * math.log(ratio) + (1 - mu) * np.log(B)
-                  + mu * np.log(wages / prices) + beta_t * (1 - mu) * np.log(labor))
-    else:
-        log_Vi = np.log(B) + np.log(wages / prices) + eff.beta_eff * np.log(labor)
+    w_B, w_real, w_L = eff.welfare_weights
+    log_Vi = w_B * np.log(B) + w_real * np.log(wages / prices) + w_L * np.log(labor)
     return float(log_Vi.max() - log_Vi.min())
 
 

@@ -215,8 +215,9 @@ class DistanceSystem:
         if self.kind not in ("euclidean", "scaled_euclidean"):
             raise InvalidInput(f"unknown distance system kind {self.kind!r}")
         if self.kind == "scaled_euclidean":
-            if self.scales is None or any(not (s > 0) for s in self.scales):
-                raise InvalidInput("scaled_euclidean needs positive per-site scales")
+            if self.scales is None or not all(0 < s < math.inf for s in self.scales):
+                raise InvalidInput("scaled_euclidean needs positive per-site "
+                                   f"scales, each finite, got {self.scales}")
         elif self.scales is not None:
             raise InvalidInput("scales apply only to the scaled_euclidean metric")
 

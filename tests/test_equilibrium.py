@@ -467,6 +467,65 @@ def test_home_consumption_positive_tau_shifts_weights():
                            home.weights - home.weights[0], atol=1e-6)
 
 
+THREE = ((0.2, 0.3), (0.75, 0.4), (0.45, 0.8))
+
+
+def _labor_rule(sol, pref, welfare_exponent, decay, beta_eff):
+    """exp(log L_i) of the labor-supply rule
+    log L_i = pref + welfare_exponent·log V − (log B_i + decay·λ_i)/β_eff at
+    the solution's active districts."""
+    active = list(sol.tessellation.active_set)
+    return np.exp(pref + welfare_exponent * math.log(sol.welfare)
+                  - (np.log(sol.B[active]) + decay * sol.weights[active]) / beta_eff)
+
+
+@pytest.mark.parametrize("variant", ["baseline", "home_consumption", "two_sector"])
+def test_recovered_solution_satisfies_each_variants_labor_supply_rule(variant):
+    geo = make_geography(THREE, productivities=[1.0, 1.1, 0.95],
+                         amenity_fn=lambda x, y: 1.0 + 0.5 * x * y)
+    sigma, alpha, beta, delta, tau, mu, beta_ag = 5.0, 0.1, -0.3, 2.0, 0.5, 0.6, -0.25
+    p, constants = {
+        "baseline": (ModelParams(sigma=sigma, alpha=alpha, beta=beta, delta=delta),
+                     (0.0, 1.0 / beta, delta, beta)),
+        "home_consumption": (
+            ModelParams(sigma=sigma, alpha=alpha, beta=beta, delta=delta, tau=tau,
+                        variant=HomeConsumption()),
+            (0.0, 1.0 / beta, delta + tau, beta)),
+        "two_sector": (
+            ModelParams(sigma=sigma, alpha=alpha, beta=beta, delta=delta,
+                        variant=TwoSector(mu=mu, beta=beta_ag)),
+            (math.log(mu / (1.0 - mu)), -1.0 / beta_ag, delta * mu, beta_ag)),
+    }[variant]
+    sol = fixed_point_solve(geo, p, y_star=[2, 0])
+    assert sol.converged and sol.site_ids == (2, 0)
+    assert np.allclose(sol.labor, _labor_rule(sol, *constants),
+                       rtol=1e-12, atol=0.0)
+    assert sol.labor.sum() == pytest.approx(p.total_labor, rel=1e-14)
+
+
+def test_knife_edge_recovery_satisfies_the_labor_supply_rule_with_an_empty_cell():
+    # the anchor's cell is empty at the knife edge: its labor is exactly 0
+    geo = make_geography(((0.5078125, 0.5078125), (0.3, 0.5), (0.7, 0.5)),
+                         [0.5, 1.0, 1.0])
+    p = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0)
+    sol = solve_knife_edge_system(geo, p)
+    assert sol.active_ids == (1, 2)
+    assert sol.labor[0] == 0.0
+    assert np.allclose(sol.labor[1:], _labor_rule(sol, 0.0, 1.0 / p.beta,
+                                                  p.delta, p.beta),
+                       rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["sigma", "alpha", "beta", "delta", "tau",
+                                  "total_labor"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_model_params_name_an_infinite_parameter(name, value):
+    fields = dict(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0,
+                  variant=HomeConsumption())
+    with pytest.raises(InvalidInput, match=f"^{name} must be finite, got {value}$"):
+        ModelParams(**{**fields, name: value})
+
+
 def test_two_sector_solve():
     geo = make_geography(SYM2, productivities=[1.0, 1.1])
     p = ModelParams(sigma=5.0, alpha=0.1, beta=-0.3, delta=2.0,

@@ -1,12 +1,19 @@
 """Each library input check raises its own InvalidInput subclass and message."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hinterland.analysis import multistart_probe, uniqueness_condition
-from hinterland.equilibrium import ModelParams, composite_params, variant_transform
+from hinterland.equilibrium import (
+    ModelParams,
+    SolverOptions,
+    TwoSector,
+    composite_params,
+    variant_transform,
+)
 from hinterland.errors import InvalidInput, InvalidVariantParams
 from hinterland.fields import (
     Geography,
@@ -104,6 +111,17 @@ CHECKS = {
         lambda tmp: ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0,
                                 total_labor=0.0),
         InvalidInput, r"total_labor must be > 0, got 0.0"),
+    "equilibrium.ModelParams.finite": (
+        lambda tmp: ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0,
+                                total_labor=math.inf),
+        InvalidInput, r"total_labor must be finite, got inf"),
+    "equilibrium.ModelParams.agricultural_beta": (
+        lambda tmp: ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0,
+                                variant=TwoSector(mu=0.5, beta=-math.inf)),
+        InvalidVariantParams, r"agricultural beta must be finite and < 0, got -inf"),
+    "equilibrium.SolverOptions.tol_finite": (
+        lambda tmp: SolverOptions(tol=math.inf),
+        InvalidInput, r"tol must be finite, got inf"),
     "equilibrium.variant_transform.kind": (
         lambda tmp: variant_transform(ModelParams(
             sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0,
@@ -126,6 +144,10 @@ CHECKS = {
     "geometry.DistanceSystem.kind": (
         lambda tmp: DistanceSystem("manhattan"),
         InvalidInput, r"unknown distance system kind 'manhattan'"),
+    "geometry.DistanceSystem.scales": (
+        lambda tmp: DistanceSystem("scaled_euclidean", (1.0, math.inf)),
+        InvalidInput, r"scaled_euclidean needs positive per-site scales, each "
+                      r"finite, got \(1\.0, inf\)"),
     "geometry.assign_labels.no_sites": (
         lambda tmp: assign_labels(build_grid(BBOX, (8, 8)), (), SYSTEM, []),
         InvalidInput, r"assign_labels needs at least one site"),

@@ -19,13 +19,12 @@ from .equilibrium import (
     alpha_cutoff,
     check_sigma,
     composite_params,
-    fixed_point_solve,
+    solve_weight_system,
     spillover_regime,
-    subset_geography,
     variant_transform,
 )
 from .errors import HinterlandError, InvalidInput
-from .fields import Geography
+from .fields import Geography, subset_geography
 from .geometry import assign_labels, cross_distances, sample_feasible_weights
 from .integrals import aggregate_amenities, semielasticity_sup
 
@@ -317,6 +316,9 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
 
     The starts are drawn from the same shrunk set Λ^k as the solver's
     reprojection, ``options.k_shrink``; one site starts every solve at [0.0].
+    Each start stops at the weight fixed point (``solve_weight_system``), so
+    a converged start is one whose weight system converged; no market is
+    solved, and a market that cannot converge fails no start.
 
     Clustering compares anchored weight differences in sup norm at
     CLUSTER_TOL; a single cluster is evidence (not proof) of uniqueness.
@@ -331,8 +333,8 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     failures = []
     for idx, w0 in enumerate(starts):
         try:
-            sol = fixed_point_solve(sub, params,
-                                    options=replace(options, weights_init=w0))
+            sol = solve_weight_system(sub, params,
+                                      options=replace(options, weights_init=w0))
         except HinterlandError as e:
             failures.append((idx, f"{type(e).__name__}: {e}"))
             continue

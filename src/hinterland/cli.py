@@ -33,11 +33,10 @@ from .equilibrium import (
     fixed_point_solve,
     is_knife_edge,
     solve_knife_edge_system,
-    subset_geography,
     variant_transform,
 )
 from .errors import ConfigError, HinterlandError, LeftFeasibleSet, NotConverged
-from .fields import Geography
+from .fields import Geography, subset_geography
 from .integrals import resident_density
 from .io_formats import (
     read_label_raster,
@@ -228,6 +227,14 @@ def _id_list(ids) -> str:
     return ";".join(str(i) for i in ids)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the CPU count where the platform cannot
+    tell (macOS has no ``os.sched_getaffinity``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_enumerate(args) -> int:
     if args.threads < 0:
         raise ConfigError("hinterland enumerate",
@@ -237,7 +244,7 @@ def cmd_enumerate(args) -> int:
     params = config.require_params()
     catalog = enumerate_urban_systems(
         geography, params, **vars(config.enumerate), options=config.solver,
-        threads=args.threads or len(os.sched_getaffinity(0)))
+        threads=args.threads or _usable_cpus())
     out = _out_dir(args)
     records = [{"subset": list(entry.subset),
                 "active_ids": list(entry.active_ids),

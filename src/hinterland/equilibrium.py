@@ -27,7 +27,7 @@ from .errors import (
     NotConverged,
     ZeroLabor,
 )
-from .fields import Geography, TradeCostMatrix
+from .fields import Geography, TradeCostMatrix, subset_geography
 from .geometry import Tessellation, assign_labels, check_k_shrink, cross_distances
 from .integrals import (
     CellAggregates,
@@ -243,25 +243,6 @@ def composite_params(params: ModelParams, productivities,
 # ---------------------------------------------------------------------------
 # transformed weight map
 
-def subset_geography(geography: Geography, site_ids=None) -> Geography:
-    """Restrict a geography to the given site ids (order preserved); None,
-    or all ids in order, returns it. Ids are checked by ``positions_of``."""
-    if site_ids is None:
-        return geography
-    idx = geography.positions_of(site_ids)
-    if idx == list(range(geography.n_sites)):
-        return geography
-    sites = tuple(geography.sites[p] for p in idx)
-    take = np.ix_(idx, idx)
-    trade = TradeCostMatrix(values=geography.trade.values[take],
-                            origin=geography.trade.origin, tau=geography.trade.tau)
-    system = geography.system
-    if system.kind == "scaled_euclidean":
-        system = replace(system, scales=tuple(system.scales[p] for p in idx))
-    return Geography(grid=geography.grid, sites=sites, system=system,
-                     amenity=geography.amenity, trade=trade)
-
-
 def _tessellate(lam_t, comp: CompositeParams, geography: Geography) -> Tessellation:
     """Labels at the original-variable weights λ̃ / weight_factor."""
     return assign_labels(geography.grid, geography.sites, geography.system,
@@ -333,10 +314,7 @@ def _solve_linear(A, b):
     n = len(rows)
     floor = PIVOT_DROP * float(np.abs(A).max())
     for k in range(n):
-        p = k
-        for i in range(k + 1, n):
-            if abs(rows[i][k]) > abs(rows[p][k]):
-                p = i
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))   # the first largest
         rows[k], rows[p] = rows[p], rows[k]
         pivot = rows[k]
         if not abs(pivot[k]) > floor:
@@ -419,85 +397,103 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class EquilibriumSolution:
-    """A converged weight system with all recovered equilibrium objects.
-
-    Arrays are aligned with ``site_ids``. For all-site solves, inactive
-    districts carry zero labor and NaN wages/prices; ``active_ids`` lists
-    the districts with positive commuting areas.
-    """
+class WeightSolution:
+    """A converged weight system lifted to original variables, no market.
+    Arrays align with ``site_ids``; inactive districts of an all-site solve
+    carry zero labor; ``active_ids`` lists those with positive cells."""
 
     site_ids: tuple[int, ...]
     weights: np.ndarray
     welfare: float
     labor: np.ndarray
-    wages: np.ndarray
-    prices: np.ndarray
     B: np.ndarray
-    residuals: dict
+    residuals: dict      # "weights", "weights_transformed"
     iterations: int
-    market_iterations: int
-    converged: bool
     exited_feasible: bool
     variant_kind: str
     tessellation: Tessellation
     aggregates: CellAggregates
+    converged: bool
 
     @property
     def active_ids(self) -> tuple[int, ...]:
         return tuple(self.site_ids[i] for i in self.tessellation.active_set)
+
+
+@dataclass(frozen=True)
+class EquilibriumSolution(WeightSolution):
+    """A weight solution with the market block's wages and prices (NaN at
+    inactive districts); ``residuals`` adds "market", "population" and
+    "welfare_spread", the relative spread of per-district welfare."""
+
+    wages: np.ndarray
+    prices: np.ndarray
+    market_iterations: int
 
     @property
     def real_wages(self) -> np.ndarray:
         return self.wages / self.prices
 
 
-def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
-                      params: ModelParams, tess: Tessellation,
-                      agg: CellAggregates, *, iterations, exited_feasible,
-                      transformed_residual: float) -> EquilibriumSolution:
+def _lift_weights(lam_t, comp: CompositeParams, geography: Geography,
+                  params: ModelParams, tess: Tessellation, agg: CellAggregates,
+                  *, iterations, exited_feasible,
+                  transformed_residual: float) -> WeightSolution:
     """Lift a fixed point of the anchored map back to original variables:
     labor is each active district's share of the population constraint."""
     eff = comp.effective
     active = agg.active
     nu = lam_t / comp.weight_factor
-    L_total = params.total_labor
 
     log_terms = np.full(len(nu), -np.inf)
     log_terms[active] = -(agg.log_B[active] + eff.weight_decay * nu[active]) / eff.beta_eff
     log_S = float(_logsumexp(log_terms))
-    x = math.log(L_total) - log_S
-    labor = L_total * np.exp(log_terms - log_S)
+    x = math.log(params.total_labor) - log_S
     lam = nu + eff.level_shift * x
     log_V = eff.welfare_slope * x + eff.welfare_offset
-
-    wages, prices = np.full((2, len(lam)), np.nan)
-    # plain bools: iterating the mask's NumPy scalars raised the probe's peak RSS
-    market_geo = subset_geography(
-        geography, [s.id for s, on in zip(geography.sites, active.tolist()) if on])
-    market = market_equilibrium_solve(
-        labor[active], market_geo.productivities, market_geo.trade, params)
-    wages[active], prices[active] = market.wages, market.prices
-
-    residuals = {
-        "weights": transformed_residual,
-        "weights_transformed": transformed_residual,
-        "market": market.residual,
-        "population": abs(float(labor[active].sum()) - L_total) / L_total,
-        "welfare_spread": _welfare_spread(eff, agg.B[active], market.wages,
-                                          market.prices, labor[active]),
-    }
+    residuals = {"weights": transformed_residual,
+                 "weights_transformed": transformed_residual}
     if eff.original_rows:
         residuals["weights"] = _original_system_residual(lam, log_V, comp, agg)
+    return WeightSolution(
+        site_ids=tuple(s.id for s in geography.sites), weights=lam,
+        welfare=math.exp(log_V), labor=params.total_labor * np.exp(log_terms - log_S),
+        B=agg.B, residuals=residuals, iterations=iterations,
+        exited_feasible=exited_feasible, variant_kind=params.variant.kind,
+        tessellation=tess, aggregates=agg, converged=True)
 
-    return EquilibriumSolution(
-        site_ids=tuple(s.id for s in geography.sites),
-        weights=lam, welfare=math.exp(log_V), labor=labor,
-        wages=wages, prices=prices, B=agg.B,
-        residuals=residuals, iterations=iterations,
-        market_iterations=market.iterations, converged=True,
-        exited_feasible=exited_feasible,
-        variant_kind=params.variant.kind, tessellation=tess, aggregates=agg)
+
+def _solve_market(sol: WeightSolution, geography: Geography,
+                  params: ModelParams) -> EquilibriumSolution:
+    """``sol`` with the market block solved on its active sites, which
+    ``subset_geography`` picks from ``geography`` by id."""
+    active = sol.aggregates.active
+    labor, L_total = sol.labor[active], params.total_labor
+    # plain bools: picking ids through the mask's NumPy scalars raised the
+    # peak RSS of a 16-start probe, when it still solved markets, by 0.125 MB
+    market_geo = subset_geography(
+        geography, [i for i, on in zip(sol.site_ids, active.tolist()) if on])
+    m = market_equilibrium_solve(labor, market_geo.productivities,
+                                 market_geo.trade, params)
+    wages, prices = np.full((2, len(sol.labor)), np.nan)
+    wages[active], prices[active] = m.wages, m.prices
+    w_B, w_real, w_L = variant_transform(params).welfare_weights
+    log_Vi = (w_B * np.log(sol.B[active]) + w_real * np.log(m.wages / m.prices)
+              + w_L * np.log(labor))
+    residuals = {**sol.residuals, "market": m.residual,
+                 "population": abs(float(labor.sum()) - L_total) / L_total,
+                 "welfare_spread": float(log_Vi.max() - log_Vi.min())}
+    return EquilibriumSolution(**{**vars(sol), "residuals": residuals},
+                               wages=wages, prices=prices,
+                               market_iterations=m.iterations)
+
+
+def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
+                      params: ModelParams, tess: Tessellation,
+                      agg: CellAggregates, **stage) -> EquilibriumSolution:
+    """``_lift_weights``'s solution (``stage`` its keywords) with its market."""
+    return _solve_market(_lift_weights(lam_t, comp, geography, params, tess,
+                                       agg, **stage), geography, params)
 
 
 def _original_system_residual(lam, log_V, comp: CompositeParams,
@@ -512,13 +508,6 @@ def _original_system_residual(lam, log_V, comp: CompositeParams,
     return float(np.abs(lam_t[active] - rhs).max())
 
 
-def _welfare_spread(eff: EffectiveSystem, B, wages, prices, labor) -> float:
-    """Relative spread of per-district welfare implied by the market block."""
-    w_B, w_real, w_L = eff.welfare_weights
-    log_Vi = w_B * np.log(B) + w_real * np.log(wages / prices) + w_L * np.log(labor)
-    return float(log_Vi.max() - log_Vi.min())
-
-
 def _reproject(lam_t, comp: CompositeParams, geography: Geography,
                k_shrink: float) -> np.ndarray:
     """Scale weight differences back inside the k-shrunk feasible set."""
@@ -530,8 +519,8 @@ def _reproject(lam_t, comp: CompositeParams, geography: Geography,
 
 
 def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
-                    active_only: bool, what: str) -> EquilibriumSolution:
-    """The weight solve on ``sub``, anchored at its first site.
+                    active_only: bool, what: str) -> WeightSolution:
+    """The weight stage on ``sub``, anchored at its first site.
 
     ``_iterate`` runs the anchored map G(λ̃) = g(λ̃) − g_0(λ̃), whose G_0 = 0
     keeps the anchor at 0, with ``_weight_jacobian``. When |γ2/γ1| > 1 the
@@ -539,8 +528,8 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
     leave a rounding error there, which the projection removes. An exit
     reprojects onto the shrunk feasible set. With ``active_only`` empty
     cells drop out of the sums, so no exit happens. The last evaluation's
-    cells are labelled once; then the normalization constant, welfare,
-    labor masses and market are recovered.
+    cells are labelled once; then the normalization constant, welfare and
+    labor masses are recovered (``_lift_weights``), but no market.
     """
     comp = composite_params(params, sub.productivities, sub.trade)
     w0 = np.asarray(options.weights_init if options.weights_init is not None
@@ -567,19 +556,28 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
     c = g[0] / denom
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
-    return _recover_solution(
+    return _lift_weights(
         lam_t_abs, comp, sub, params, _tessellate(lam_t, comp, sub), agg,
         iterations=iterations, exited_feasible=exits > 0,
         transformed_residual=residual)
 
 
+def solve_weight_system(geography: Geography, params: ModelParams,
+                        y_star=None, options: SolverOptions = SolverOptions()
+                        ) -> WeightSolution:
+    """The lifted weight system on the active set ``y_star`` (all sites when
+    None), anchored at its first site; an empty cell is an exit. No market."""
+    return _anchored_solve(subset_geography(geography, y_star), params, options,
+                           active_only=False, what="weights")
+
+
 def fixed_point_solve(geography: Geography, params: ModelParams,
                       y_star=None, options: SolverOptions = SolverOptions()
                       ) -> EquilibriumSolution:
-    """Solve the weight system restricted to the active set ``y_star`` (all
-    sites when None), anchored at its first site; an empty cell is an exit."""
-    return _anchored_solve(subset_geography(geography, y_star), params, options,
-                           active_only=False, what="weights")
+    """``solve_weight_system``'s solution with its market solved."""
+    sub = subset_geography(geography, y_star)
+    sol = _anchored_solve(sub, params, options, active_only=False, what="weights")
+    return _solve_market(sol, sub, params)
 
 
 def solve_knife_edge_system(geography: Geography, params: ModelParams,
@@ -596,8 +594,10 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
     if not is_knife_edge(params.alpha, params.sigma):
         raise InvalidVariantParams(
             f"alpha must equal 1/(sigma-1) = {cutoff!r}, got {params.alpha!r}")
-    return _anchored_solve(geography, replace(params, alpha=cutoff), options,
-                           active_only=True, what="knife-edge weights")
+    params = replace(params, alpha=cutoff)
+    sol = _anchored_solve(geography, params, options, active_only=True,
+                          what="knife-edge weights")
+    return _solve_market(sol, geography, params)
 
 
 # ---------------------------------------------------------------------------

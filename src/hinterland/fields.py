@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -169,6 +169,25 @@ class Geography:
         if len(set(ids)) != len(ids):
             raise InvalidInput(f"duplicate site ids in {ids}")
         return [position[i] for i in ids]
+
+
+def subset_geography(geography: Geography, site_ids=None) -> Geography:
+    """Restrict a geography to the given site ids (order preserved); None,
+    or all ids in order, returns it. Ids are checked by ``positions_of``."""
+    if site_ids is None:
+        return geography
+    idx = geography.positions_of(site_ids)
+    if idx == list(range(geography.n_sites)):
+        return geography
+    sites = tuple(geography.sites[p] for p in idx)
+    take = np.ix_(idx, idx)
+    trade = TradeCostMatrix(values=geography.trade.values[take],
+                            origin=geography.trade.origin, tau=geography.trade.tau)
+    system = geography.system
+    if system.kind == "scaled_euclidean":
+        system = replace(system, scales=tuple(system.scales[p] for p in idx))
+    return Geography(grid=geography.grid, sites=sites, system=system,
+                     amenity=geography.amenity, trade=trade)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,7 @@ class NarrowBand:
             second -= best
             block = band[rows]
             np.logical_and(second <= self.width, inside[rows], out=block)
+            del best, second, cost   # raster-sized when one block covers the grid
             labels = tess.labels[rows][inside[rows] & ~block]
             rest = ~block[inside[rows]]
             cells = slice(first[r], first[min(r + step, grid.ny)])

@@ -25,8 +25,8 @@ from .equilibrium import (
     SolverOptions,
     composite_params,
     fixed_point_solve,
+    solve_weight_system,
     spillover_regime,
-    subset_geography,
 )
 from .errors import (
     HinterlandError,
@@ -35,7 +35,7 @@ from .errors import (
     SiteNotVacant,
     SiteOutsideDomain,
 )
-from .fields import Geography
+from .fields import Geography, subset_geography
 from .geometry import cross_distances
 from .integrals import _logsumexp
 
@@ -256,12 +256,15 @@ def _map_subsets(solve, subsets, threads: int) -> list:
     spawned worker imports NumPy and the package again, which takes longer
     than a whole 64² enumeration. The CLI runs no Python threads and the
     package makes no BLAS call, so a forked child never touches OpenBLAS's
-    idle threads.
+    idle threads. Where the platform cannot fork, this process solves all.
     """
     k = min(threads, len(subsets))
+    if k > 1:
+        import multiprocessing   # only here: solve and multistart never load it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            k = 1
     if k <= 1:
         return [solve(subset) for subset in subsets]
-    import multiprocessing   # only here: solve and multistart never load it
     context = multiprocessing.get_context("fork")
     workers = []
     try:
@@ -337,7 +340,9 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
                          options: SolverOptions = SolverOptions()) -> SwapReport:
     """Rerun existence margins and the solver after swapping y_c for y_p.
 
-    The margins take the solver's shrunk set Λ^k, ``options.k_shrink``.
+    The margins take the solver's shrunk set Λ^k, ``options.k_shrink``. A
+    side is converged when its weight system converges
+    (``solve_weight_system``); no market is solved.
     """
     y_star = tuple(y_star)
     if y_c not in y_star:
@@ -358,7 +363,7 @@ def site_swap_experiment(geography: Geography, params: ModelParams, y_star,
         margin = existence_margins(sub, params,
                                    k_shrink=options.k_shrink).min_margin
         try:
-            fixed_point_solve(sub, params, options=options)
+            solve_weight_system(sub, params, options=options)
             return margin, True, ""
         except HinterlandError as e:
             return margin, False, f"{type(e).__name__}: {e}"

@@ -346,7 +346,7 @@ def test_probe_starts_are_the_seeded_feasible_draws(monkeypatch):
         starts.append(options.weights_init)
         raise HinterlandError("start recorded")
 
-    monkeypatch.setattr(analysis, "fixed_point_solve", record)
+    monkeypatch.setattr(analysis, "solve_weight_system", record)
     probe = multistart_probe(geo, PARAMS, n_starts=6, seed=11)
     assert probe.n_converged == 0 and len(probe.failures) == 6
     expected = loop_feasible_starts(geo.sites, geo.system, 0.5, 6, 11)
@@ -366,7 +366,7 @@ def test_probe_draws_its_starts_from_the_solver_shrunk_set(monkeypatch):
         starts.append(options.weights_init)
         raise HinterlandError("start recorded")
 
-    monkeypatch.setattr(analysis, "fixed_point_solve", record)
+    monkeypatch.setattr(analysis, "solve_weight_system", record)
     multistart_probe(geo, PARAMS, n_starts=6, seed=11,
                      options=SolverOptions(k_shrink=0.3))
     expected = sample_feasible_weights(geo.sites, geo.system, 0.3, 6, 11)

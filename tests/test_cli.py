@@ -937,6 +937,26 @@ def test_enumerate_resolves_zero_threads_to_the_usable_cpus(tmp_path,
     assert seen == [3, len(os.sched_getaffinity(0))]
 
 
+def test_enumerate_counts_the_cpus_where_affinity_is_unknown(tmp_path,
+                                                             monkeypatch):
+    # macOS has no os.sched_getaffinity
+    seen = []
+    real = cli.enumerate_urban_systems
+
+    def spy(*args, threads, **kwargs):
+        seen.append(threads)
+        return real(*args, threads=1, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_urban_systems", spy)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    config = write_config(tmp_path, ENUMERATE_SQUARE)
+    for cpus in (3, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.main(["enumerate", "--config", str(config), "--out",
+                         str(tmp_path / "out")]) == 0
+    assert seen == [3, 1]
+
+
 def test_render_round_trips_solve_output(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

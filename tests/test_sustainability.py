@@ -10,7 +10,7 @@ from helpers import (
     loop_potential_weight,
 )
 
-from hinterland import fields, sustainability
+from hinterland import equilibrium, fields, sustainability
 from hinterland.analysis import (
     existence_margins,
     multistart_probe,
@@ -36,7 +36,7 @@ from hinterland.errors import (
     SiteOutsideDomain,
 )
 from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
-from hinterland.geometry import DistanceSystem, Site, build_grid
+from hinterland.geometry import DistanceSystem, Site, build_grid, sample_feasible_weights
 from hinterland.io_formats import write_matrix_csv
 from hinterland.sustainability import (
     BOUNDARY_TOL,
@@ -483,6 +483,32 @@ def test_swap_builds_one_distance_stack_per_active_set(stack_builds):
     assert len(stack_builds) == 2
 
 
+def test_probe_and_swap_never_solve_a_market(monkeypatch):
+    geo = geo_with_sites(THREE, n=48)
+    sub = subset_geography(geo, [0, 2])
+    starts = sample_feasible_weights(sub.sites, sub.system, 0.5, 16, 3)
+    solved = [fixed_point_solve(sub, STRONG, options=SolverOptions(weights_init=w))
+              for w in starts]
+
+    def no_market(*args, **kwargs):
+        raise NotConverged("market", 1, 1.0)
+
+    monkeypatch.setattr(equilibrium, "market_equilibrium_solve", no_market)
+    report = multistart_probe(geo, STRONG, y_star=[0, 2], n_starts=16, seed=3)
+    assert report.n_converged == 16 and report.failures == ()
+    diffs = [(s.weights - s.weights[0]).tobytes() for s in solved]
+    for c in report.clusters:
+        start = diffs.index(c.representative.tobytes())   # the cluster's first
+        assert c.welfare == solved[start].welfare
+    assert report.clusters[0].representative.tobytes() == diffs[0]
+
+    specs = (((0.2, 0.5), 1.0), ((0.8, 0.5), 1.0), ((0.81, 0.5), 1.0))
+    p = ModelParams(sigma=5.0, alpha=0.3, beta=-0.5, delta=6.0)
+    swap = site_swap_experiment(geo_with_sites(specs, tau=0.2, n=48), p, [0, 1],
+                                y_c=1, y_p=2)
+    assert swap.base_converged and swap.swapped_converged
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -614,6 +640,17 @@ def test_a_worker_error_reaches_the_parent(monkeypatch):
 def test_an_error_in_the_parent_share_stops_the_workers(monkeypatch):
     geo = geo_with_sites(THREE, n=32)
     _solver_raising_for(monkeypatch, PARENT_SUBSET, KeyError("patched"))
+    with pytest.raises(KeyError, match="patched"):
+        enumerate_urban_systems(geo, WEAK, sizes=ALL_SIZES, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_without_fork_the_parent_solves_every_subset(monkeypatch):
+    # a worker's subset raises in this process: no worker was started
+    geo = geo_with_sites(THREE, n=32)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    _solver_raising_for(monkeypatch, WORKER_SUBSET, KeyError("patched"))
     with pytest.raises(KeyError, match="patched"):
         enumerate_urban_systems(geo, WEAK, sizes=ALL_SIZES, threads=2)
     assert multiprocessing.active_children() == []

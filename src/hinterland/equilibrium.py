@@ -268,8 +268,10 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
                            active_only: bool = False, band: NarrowBand | None = None):
     """One evaluation of the transformed weight map g at λ̃.
 
-    Returns (g, aggregates), the sums over ``_tessellate(lam_t, ...)``. With
-    ``active_only`` the sums skip terms of empty cells (the all-sites
+    Returns (g, aggregates, S): the sums over ``_tessellate(lam_t, ...)``,
+    and S the row softmax of g's log-sum-exp terms (``_weight_terms``) on
+    the active columns and zero on the others, for ``_weight_jacobian``.
+    With ``active_only`` the sums skip terms of empty cells (the all-sites
     system); otherwise an empty cell raises EmptyCellInSum. Without a
     ``band`` (a NarrowBand of this geography and kernel), a full pass.
     """
@@ -286,16 +288,14 @@ def transformed_weight_map(lam_t, comp: CompositeParams, geography: Geography,
             "the current weights")
     own = np.zeros(len(lam_t))
     own[active] = comp.sigma_tilde * comp.phi1 * agg.log_B[active]
-    g = own + _logsumexp(_weight_terms(lam_t, comp, agg), axis=1)
-    return g, agg
-
-
-def _weight_jacobian(lam_t, comp: CompositeParams, agg: CellAggregates):
-    """∂G of the anchored map G = g − g_0 at λ̃ with the labels held, where
-    the map is smooth: (γ2/γ1)·(S − 1·S_0ᵀ), with S the row softmax of
-    ``_weight_terms`` on the active columns and zero on the others."""
     S = np.zeros((len(lam_t), len(lam_t)))
-    S[:, agg.active] = _lse_softmax(_weight_terms(lam_t, comp, agg))[1]
+    lse, S[:, active] = _lse_softmax(_weight_terms(lam_t, comp, agg))
+    return own + lse, agg, S
+
+
+def _weight_jacobian(S, comp: CompositeParams):
+    """∂G of the anchored map G = g − g_0 at λ̃ with the labels held, where
+    the map is smooth: (γ2/γ1)·(S − 1·S_0ᵀ), with S the map's row softmax."""
     return comp.gamma_ratio * (S - S[0])
 
 
@@ -527,9 +527,9 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
     elimination of a Newton step may pivot away from the anchor's row and
     leave a rounding error there, which the projection removes. An exit
     reprojects onto the shrunk feasible set. With ``active_only`` empty
-    cells drop out of the sums, so no exit happens. The last evaluation's
-    cells are labelled once; then the normalization constant, welfare and
-    labor masses are recovered (``_lift_weights``), but no market.
+    cells drop out of the sums, so no exit happens. The band gives the last
+    evaluation's cells; then the normalization constant, welfare and labor
+    masses are recovered (``_lift_weights``), but no market.
     """
     comp = composite_params(params, sub.productivities, sub.trade)
     w0 = np.asarray(options.weights_init if options.weights_init is not None
@@ -542,22 +542,25 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
     band = NarrowBand(sub, comp.effective.kernel)
 
     def evaluate(x):
-        g, agg = transformed_weight_map(x, comp, sub, active_only=active_only,
-                                        band=band)
-        return g - g[0], g, agg, x
+        g, agg, S = transformed_weight_map(x, comp, sub, active_only=active_only,
+                                           band=band)
+        return g - g[0], g, agg, S
 
     lam_t, (_, g, agg, _), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * comp.weight_factor,
         options.tol, options.max_iter, what,
-        jacobian=lambda out: _weight_jacobian(out[3], comp, out[2]),
+        jacobian=lambda out: _weight_jacobian(out[3], comp),
         project=lambda x: x - x[0],
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
-    del band  # its columns go before the labelling pass
+    labels = band.last_labels()   # at lam_t, the last evaluation
+    del band   # its columns and reference labels go before the own distances
+    tess = Tessellation.from_labels(sub.grid, sub.sites, sub.system, labels,
+                                    sub.distances)
     c = g[0] / denom
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
     return _lift_weights(
-        lam_t_abs, comp, sub, params, _tessellate(lam_t, comp, sub), agg,
+        lam_t_abs, comp, sub, params, tess, agg,
         iterations=iterations, exited_feasible=exits > 0,
         transformed_residual=residual)
 

@@ -275,6 +275,20 @@ class Tessellation:
     cell_measure: np.ndarray     # (n,)
     own_distance: np.ndarray = field(repr=False)  # (n_inside,)
 
+    @classmethod
+    def from_labels(cls, grid: DomainGrid, sites, system: DistanceSystem,
+                    labels, distances) -> Tessellation:
+        """The tessellation whose cells carry ``labels`` (OUTSIDE off the
+        domain), with own distances read from the ``distance_stack``
+        ``distances``; ``labels`` is made read-only."""
+        inside_labels = labels[grid.inside]
+        cell_measure = np.bincount(inside_labels, minlength=len(sites)) * grid.cell_area
+        own_distance = _own_distance(inside_labels, grid, distances)
+        labels.setflags(write=False)
+        own_distance.setflags(write=False)
+        return cls(grid=grid, sites=tuple(sites), system=system, labels=labels,
+                   cell_measure=cell_measure, own_distance=own_distance)
+
     @property
     def active_set(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.flatnonzero(self.cell_measure > 0))
@@ -333,20 +347,48 @@ def distance_stack(grid: DomainGrid, sites, system: DistanceSystem) -> np.ndarra
     return stack
 
 
-def _first_min_labels(distances, weights) -> np.ndarray:
-    """Per column of ``distances[i]``, the first i minimizing d_i - w_i (int32).
+def _own_distance(inside_labels, grid: DomainGrid, distances) -> np.ndarray:
+    """d_label of each inside cell, in raster order, from the
+    ``distance_stack`` ``distances`` and the inside cells' labels."""
+    return np.take(distances, inside_labels.astype(np.intp) * grid.inside.size
+                   + np.flatnonzero(grid.inside))
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """``weights`` as floats: InvalidInput unless one per site,
+    NonFiniteWeight unless all finite."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise InvalidInput(f"expected {n} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise NonFiniteWeight(f"weights contain non-finite entries: {weights}")
+    return weights
+
+
+def _first_min_labels(distances, weights, gap=False):
+    """Per column of ``distances[i]``, the first i minimizing d_i - w_i
+    (int32); with ``gap``, also the column's cost gap from that minimum to
+    the runner-up (inf for one site).
 
     A running minimum whose strict < keeps ties with the lowest index,
-    exactly as argmin over the stacked costs would.
+    exactly as argmin over the stacked costs would; the runner-up is the
+    running second minimum of the same costs.
     """
     labels = np.zeros(distances.shape[1:], dtype=np.int32)
     best = distances[0] - weights[0]
     cost = np.empty_like(best)
+    second = np.full_like(best, np.inf) if gap else None
     for i in range(1, len(distances)):
         np.subtract(distances[i], weights[i], out=cost)
         np.copyto(labels, i, where=cost < best)
+        if gap:
+            np.minimum(second, cost, out=second)
+            np.maximum(second, best, out=second)
         np.minimum(best, cost, out=best)
-    return labels
+    if not gap:
+        return labels
+    second -= best
+    return labels, second
 
 
 def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
@@ -362,24 +404,10 @@ def assign_labels(grid: DomainGrid, sites, system: DistanceSystem, weights,
         raise InvalidInput("assign_labels needs at least one site")
     if distances is None:
         distances = distance_stack(grid, sites, system)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(sites),):
-        raise InvalidInput(f"expected {len(sites)} weights, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise NonFiniteWeight(f"weights contain non-finite entries: {weights}")
-
+    weights = _checked_weights(weights, len(sites))
     labels = _first_min_labels(distances, weights)
     labels[~grid.inside] = OUTSIDE
-
-    inside_labels = labels[grid.inside]
-    cell_measure = np.bincount(inside_labels, minlength=len(sites)) * grid.cell_area
-    own_distance = np.take(distances, inside_labels.astype(np.intp) * labels.size
-                           + np.flatnonzero(grid.inside))
-
-    labels.setflags(write=False)
-    own_distance.setflags(write=False)
-    return Tessellation(grid=grid, sites=sites, system=system, labels=labels,
-                        cell_measure=cell_measure, own_distance=own_distance)
+    return Tessellation.from_labels(grid, sites, system, labels, distances)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,11 @@ import numpy as np
 from .errors import InactiveSiteWithMass, InvalidInput
 from .fields import AmenityField, Geography
 from .geometry import (
+    OUTSIDE,
     Tessellation,
+    _checked_weights,
     _first_min_labels,
+    _own_distance,
     assign_labels,
     raster_interfaces,
     sample_feasible_weights,
@@ -92,12 +95,20 @@ class CellAggregates:
         return cls(log_raw=log_raw, B=B, log_B=log_B, active=active)
 
 
-def _group_log_sum(labels, log_f, n: int) -> np.ndarray:
-    """Per label in range(n), log sum(exp(log_f)) shifted by the group's own
-    maximum; -inf for a label with no entries."""
+def _group_max(labels, log_f, n: int) -> np.ndarray:
+    """Per label in range(n), the maximum of its ``log_f``; -inf for none."""
     peak = np.full(n, -np.inf)
     np.maximum.at(peak, labels, log_f)
-    total = np.bincount(labels, weights=np.exp(log_f - peak[labels]), minlength=n)
+    return peak
+
+
+def _group_log_sum(labels, log_f, n: int, peak=None) -> np.ndarray:
+    """Per label in range(n), log sum(exp(log_f)) shifted by the group's own
+    maximum ``peak``, found here when not given; -inf for a label with no
+    entries."""
+    if peak is None:
+        peak = _group_max(labels, log_f, n)
+    total = np.bincount(labels, weights=np.exp(log_f - peak.take(labels)), minlength=n)
     with np.errstate(divide="ignore"):
         return peak + np.log(total)
 
@@ -112,6 +123,14 @@ def _inside_log_kernel(tess: Tessellation, amenity: AmenityField,
             kernel.log_values(amenity.log_inside, tess.own_distance))
 
 
+def _aggregate(labels, log_f, n: int, grid, kernel: KernelSpec,
+               peak=None) -> CellAggregates:
+    """Aggregates of the inside cells with site ``labels`` and log kernel
+    values ``log_f``, in raster order; ``peak`` as in ``_group_log_sum``."""
+    log_raw = _group_log_sum(labels, log_f, n, peak) + math.log(grid.cell_area)
+    return CellAggregates.from_log_raw(log_raw, kernel)
+
+
 def aggregate_amenities(tess: Tessellation, amenity: AmenityField,
                         kernel: KernelSpec) -> CellAggregates:
     """Integrate the commuting kernel over every site's cell.
@@ -119,30 +138,30 @@ def aggregate_amenities(tess: Tessellation, amenity: AmenityField,
     I_i sums kernel values over the cells labeled i (midpoint rule);
     B_i = I_i^(-beta_eff). Empty cells yield flagged entries.
     """
-    labels, log_f = _inside_log_kernel(tess, amenity, kernel)
-    log_raw = _group_log_sum(labels, log_f, tess.n_sites) + math.log(tess.grid.cell_area)
-    return CellAggregates.from_log_raw(log_raw, kernel)
+    return _aggregate(*_inside_log_kernel(tess, amenity, kernel), tess.n_sites,
+                      tess.grid, kernel)
 
 
 #: Band half-width, in cells along the steepest slope of a cost difference.
 BAND_CELLS = 4
-#: Cells per block of rows when a band is built.
-BLOCK_CELLS = 8192
 
 
 class NarrowBand:
     """Per-solve state that re-sums only the cells near interfaces.
 
-    A full pass (``assign_labels`` + ``aggregate_amenities``) sets the
-    reference weights w_ref. The band holds every inside cell where another
-    site's cost d_i − w_ref_i is within T = BAND_CELLS·max(dx, dy)·(largest
-    metric scale) of the cell's best. While w stays near w_ref, with
-    max(w − w_ref) − min(w − w_ref) + slack < T (the slack bounds the cost
-    rounding), no cell outside the band can change label, so only the band is
-    relabelled and re-summed: the log integrals equal a full pass's to
-    rounding. Otherwise a full pass becomes the new reference.
-    The reference tessellation is never written, and it is dropped once
-    the band is built from it.
+    A full pass at weights w_ref, the reference, labels every cell in one
+    running-minimum scan over the sites, which also gives each cell's cost
+    gap to its runner-up. From that scan it sums the aggregates, equal to
+    ``aggregate_amenities`` bit for bit, keeps the labels read-only, and
+    builds the band: every inside cell whose gap is at most
+    T = BAND_CELLS·max(dx, dy)·(largest metric scale), with the band's
+    distance columns and each site's sum over its cells outside the band.
+    While w stays near w_ref, with max(w − w_ref) − min(w − w_ref) + slack
+    < T (the slack bounds the cost rounding), no cell outside the band can
+    change label, so only the band is relabelled and re-summed: the log
+    integrals equal a full pass's to rounding. Otherwise a full pass becomes
+    the new reference. ``last_labels`` gives the labels at the last
+    evaluated weights.
     """
 
     def __init__(self, geography: Geography, kernel: KernelSpec):
@@ -151,74 +170,76 @@ class NarrowBand:
         self.width = (BAND_CELLS * max(grid.dx, grid.dy)
                       * geography.system.lipschitz_constants()[1])
         self.d_max = float(geography.distances.max())
-        self.w_ref = None  # weights of the last full pass
-        self.tess = None   # its tessellation, until the band is built from it
-        self.cells = None  # the band, built at the first evaluation near w_ref
+        self.w_ref = None       # weights of the last full pass
+        self.labels = None      # its label raster, read-only
+        self.where = None       # its band's cells, flat raster indices
+        self.cells = None       # their distance columns and the fixed sums
+        self.relabelled = None  # the band's labels, when a band evaluation came last
 
     def aggregates(self, weights) -> CellAggregates:
         """Aggregates at ``weights``: the band re-summed near the reference,
         else a full pass that becomes the new reference."""
+        weights = _checked_weights(weights, self.geography.n_sites)
         if self.w_ref is not None:
             shift = weights - self.w_ref
             slack = 16 * np.finfo(float).eps * (
                 self.d_max + np.abs(weights).max() + np.abs(self.w_ref).max())
-            if shift.max() - shift.min() + slack < self.width:  # False on NaN
-                if self.cells is None:
-                    self.cells, self.tess = self._build(self.tess), None
+            if shift.max() - shift.min() + slack < self.width:
                 return self._resum(weights)
-        self.tess = self.cells = None  # free the old rasters before the pass
-        geo = self.geography
-        self.tess = assign_labels(geo.grid, geo.sites, geo.system, weights,
-                                  geo.distances)
-        self.w_ref = weights
-        return aggregate_amenities(self.tess, geo.amenity, self.kernel)
+        return self._full_pass(weights)
 
-    def _build(self, tess: Tessellation):
-        """Band distance columns and amenities, and the fixed sums outside
-        them, from the reference tessellation ``tess``.
-
-        Works through blocks of about BLOCK_CELLS cells, whole rows each, so
-        its temporaries stay a small fraction of a labeling pass's.
-        """
-        w_ref = self.w_ref
-        geo, grid, n = self.geography, self.geography.grid, self.geography.n_sites
-        d, inside, log_amenity = geo.distances, grid.inside, geo.amenity.log_inside
-        band = np.zeros(inside.shape, dtype=bool)
-        log_rest = np.full(n, -np.inf)
-        first = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])  # per row
-        step = max(1, BLOCK_CELLS // grid.nx)
-        for r in range(0, grid.ny, step):
-            rows = slice(r, r + step)
-            best = d[0, rows] - w_ref[0]
-            second, cost = np.full_like(best, np.inf), np.empty_like(best)
-            for i in range(1, n):  # running first and second minimum
-                np.subtract(d[i, rows], w_ref[i], out=cost)
-                np.minimum(second, cost, out=second)
-                np.maximum(second, best, out=second)
-                np.minimum(best, cost, out=best)
-            second -= best
-            block = band[rows]
-            np.logical_and(second <= self.width, inside[rows], out=block)
-            del best, second, cost   # raster-sized when one block covers the grid
-            labels = tess.labels[rows][inside[rows] & ~block]
-            rest = ~block[inside[rows]]
-            cells = slice(first[r], first[min(r + step, grid.ny)])
-            log_f = self.kernel.log_values(log_amenity[cells][rest],
-                                           tess.own_distance[cells][rest])
-            log_rest = np.logaddexp(log_rest, _group_log_sum(labels, log_f, n))
+    def _full_pass(self, weights) -> CellAggregates:
+        """Label every cell, sum the aggregates and build the band at the
+        new reference ``weights``."""
+        # free the old rasters before the pass
+        self.w_ref = self.labels = self.where = self.cells = self.relabelled = None
+        geo, grid = self.geography, self.geography.grid
+        labels, gap = _first_min_labels(geo.distances, weights, gap=True)
+        labels[~grid.inside] = OUTSIDE
+        band = gap <= self.width
+        band &= grid.inside
+        del gap
+        inside_labels = labels[grid.inside]
+        log_f = self.kernel.log_values(
+            geo.amenity.log_inside, _own_distance(inside_labels, grid, geo.distances))
+        n, in_band = geo.n_sites, band[grid.inside]
+        split = in_band * np.int32(n)
+        split += inside_labels   # site i's band cells form group n + i
+        peak = _group_max(split, log_f, 2 * n)
+        log_rest = _group_log_sum(split, log_f, 2 * n, peak)[:n]
+        del split
+        agg = _aggregate(inside_labels, log_f, n, grid, self.kernel,
+                         np.maximum(peak[:n], peak[n:]))
         sites = np.flatnonzero(np.isfinite(log_rest))
-        return d[:, band], log_amenity[band[inside]], sites, log_rest[sites]
+        self.where = np.flatnonzero(band)
+        self.cells = (geo.distances.reshape(n, -1).take(self.where, axis=1),
+                      geo.amenity.log_inside[in_band], sites, log_rest[sites])
+        labels.setflags(write=False)
+        self.w_ref, self.labels = weights, labels
+        return agg
 
     def _resum(self, weights) -> CellAggregates:
         """Relabel the band cells and add their kernel to the fixed sums."""
         d, log_amenity, sites, log_rest = self.cells
-        labels = _first_min_labels(d, weights)
+        self.relabelled = labels = _first_min_labels(d, weights)
         own = d[labels, np.arange(d.shape[1])]
         log_raw = _group_log_sum(
             np.concatenate([sites, labels]),
             np.concatenate([log_rest, self.kernel.log_values(log_amenity, own)]),
             len(d)) + math.log(self.geography.grid.cell_area)
         return CellAggregates.from_log_raw(log_raw, self.kernel)
+
+    def last_labels(self) -> np.ndarray:
+        """The label raster at the last evaluated weights, read-only: the
+        last full pass's labels, copied with the band cells relabelled when
+        a band evaluation came after it. ``Tessellation.from_labels`` of it
+        is ``assign_labels`` at those weights, bit for bit."""
+        labels = self.labels
+        if self.relabelled is not None:
+            labels = labels.copy()
+            labels.flat[self.where] = self.relabelled
+            labels.setflags(write=False)
+        return labels
 
 
 def resident_density(tess: Tessellation, aggregates: CellAggregates,

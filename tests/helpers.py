@@ -297,8 +297,8 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
 # solvers, without their Newton steps, with their stop rule (the damped step
 # below tol) and their final evaluation at the fixed point. They call
 # ``equilibrium.transformed_weight_map`` through the module, so a test can
-# count their map evaluations, label the fixed point with the solvers' own
-# ``_tessellate`` and lift the result with their ``_recover_solution``.
+# count their map evaluations, label the fixed point with the map's own
+# ``_tessellate`` and lift the result with the solvers' ``_recover_solution``.
 
 def damped_fixed_point_solve(geography, params, y_star=None,
                              options=SolverOptions()):
@@ -317,7 +317,7 @@ def damped_fixed_point_solve(geography, params, y_star=None,
     theta = equilibrium.DAMPING
     for iteration in range(1, options.max_iter + 1):
         try:
-            g, _ = equilibrium.transformed_weight_map(lam_t, comp, sub)
+            g, _, _ = equilibrium.transformed_weight_map(lam_t, comp, sub)
         except EmptyCellInSum:
             exits += 1
             if exits > 1:
@@ -334,7 +334,7 @@ def damped_fixed_point_solve(geography, params, y_star=None,
             break
     else:
         raise NotConverged("weights", options.max_iter, step)
-    g, agg = equilibrium.transformed_weight_map(lam_t, comp, sub)
+    g, agg, _ = equilibrium.transformed_weight_map(lam_t, comp, sub)
     c = g[0] / (1.0 - comp.gamma_ratio)
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
@@ -355,8 +355,8 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
         lam_t = np.zeros(geography.n_sites)
     theta = equilibrium.DAMPING
     for iteration in range(1, options.max_iter + 1):
-        g, _ = equilibrium.transformed_weight_map(lam_t, comp, geography,
-                                                  active_only=True)
+        g, _, _ = equilibrium.transformed_weight_map(lam_t, comp, geography,
+                                                     active_only=True)
         new = (1.0 - theta) * lam_t + theta * g
         step = float(np.abs(new - lam_t).max())
         lam_t = new
@@ -364,8 +364,8 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
             break
     else:
         raise NotConverged("knife-edge weights", options.max_iter, step)
-    g, agg = equilibrium.transformed_weight_map(lam_t, comp, geography,
-                                                active_only=True)
+    g, agg, _ = equilibrium.transformed_weight_map(lam_t, comp, geography,
+                                                   active_only=True)
     residual = float(np.abs(lam_t - g).max())
     return _recover_solution(
         lam_t, comp, geography, params, _tessellate(lam_t, comp, geography),

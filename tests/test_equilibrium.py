@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hinterland.equilibrium as equilibrium
 import hinterland.integrals as integrals
-from hinterland import cli, sustainability
+from hinterland import cli, geometry, sustainability
 from hinterland.analysis import classify_point, existence_margins
 from helpers import (
     damped_fixed_point_solve,
@@ -56,12 +56,13 @@ from hinterland.fields import (
 from hinterland.geometry import (
     DistanceSystem,
     Site,
+    Tessellation,
     assign_labels,
     build_grid,
     lambda_feasibility,
     sample_feasible_weights,
 )
-from hinterland.integrals import NarrowBand
+from hinterland.integrals import NarrowBand, aggregate_amenities
 
 EUCLID = DistanceSystem()
 
@@ -257,9 +258,9 @@ def test_transformed_map_shift_covariance():
     geo = make_geography(SYM2, productivities=[1.0, 1.2])
     comp = composite_params(PARAMS, geo.productivities, geo.trade)
     lam_t = np.array([0.1, -0.2])
-    g0, _ = transformed_weight_map(lam_t, comp, geo)
+    g0, _, _ = transformed_weight_map(lam_t, comp, geo)
     c = 0.7
-    g1, _ = transformed_weight_map(lam_t + c, comp, geo)
+    g1, _, _ = transformed_weight_map(lam_t + c, comp, geo)
     assert np.allclose(g1, g0 + comp.gamma_ratio * c, rtol=0, atol=1e-12)
 
 
@@ -758,8 +759,8 @@ def test_rejected_newton_iterate_that_empties_a_cell_falls_back(
     # set; ∂G = I after it leaves ∂G − I singular, so damped steps follow
     jacobians = iter([0.98])
     monkeypatch.setattr(equilibrium, "transformed_weight_map", recording)
-    monkeypatch.setattr(equilibrium, "_weight_jacobian", lambda lam_t, comp, agg:
-                        next(jacobians, 1.0) * np.eye(len(lam_t)))
+    monkeypatch.setattr(equilibrium, "_weight_jacobian", lambda S, comp:
+                        next(jacobians, 1.0) * np.eye(len(S)))
     sol = fixed_point_solve(geo, p)
     assert emptied == [1]          # one rejected evaluation, and no exit
     # Newton, rejected and fallback iterates keep the anchor at 0
@@ -807,10 +808,10 @@ def _jacobian_error(lam_t, comp, geo, active_only, h=1e-7):
     differences of the anchored map g − g_0 at λ̃, or None when a step of h
     relabels a cell (the map is smooth only between relabellings)."""
     def anchored(x):
-        g, agg = transformed_weight_map(x, comp, geo, active_only=active_only)
-        return g - g[0], agg, equilibrium._tessellate(x, comp, geo).labels
+        g, _, S = transformed_weight_map(x, comp, geo, active_only=active_only)
+        return g - g[0], S, equilibrium._tessellate(x, comp, geo).labels
 
-    _, agg, labels = anchored(lam_t)
+    _, S, labels = anchored(lam_t)
     columns = []
     for e in h * np.eye(len(lam_t)):
         (up, _, up_labels), (down, _, down_labels) = anchored(lam_t + e), \
@@ -819,7 +820,7 @@ def _jacobian_error(lam_t, comp, geo, active_only, h=1e-7):
                 and np.array_equal(down_labels, labels)):
             return None
         columns.append((up - down) / (2 * h))
-    J = equilibrium._weight_jacobian(lam_t, comp, agg)
+    J = equilibrium._weight_jacobian(S, comp)
     return np.abs(J - np.column_stack(columns)).max() / np.abs(J).max()
 
 
@@ -971,14 +972,21 @@ def _assert_band_matches_full_pass(lam, comp, geo, band):
     """Evaluate with the band and statelessly; True when the band relabelled.
 
     A wrong label or tie-break in the band moves a cell's kernel term to
-    another site's sum, which shifts ``log_raw`` far past 1e-13."""
-    (g, agg), raised = _evaluate(lam, comp, geo, band)
-    relabelled = band.cells is not None
-    (g_ref, agg_ref), raised_ref = _evaluate(lam, comp, geo)
+    another site's sum, which shifts ``log_raw`` far past 1e-13. The band's
+    tessellation is ``assign_labels``' at the evaluated weights bit for bit."""
+    (g, agg, _), raised = _evaluate(lam, comp, geo, band)
+    relabelled = band.relabelled is not None
+    (g_ref, agg_ref, _), raised_ref = _evaluate(lam, comp, geo)
     assert raised == raised_ref
     assert np.array_equal(agg.active, agg_ref.active)
     assert np.allclose(agg.log_raw, agg_ref.log_raw, rtol=0, atol=1e-13)
     assert np.allclose(g, g_ref, rtol=0, atol=1e-12)
+    weights = lam * (comp.weight_scale * comp.gamma1) / comp.weight_factor
+    tess = assign_labels(geo.grid, geo.sites, geo.system, weights, geo.distances)
+    banded = Tessellation.from_labels(geo.grid, geo.sites, geo.system,
+                                      band.last_labels(), geo.distances)
+    for raster in ("labels", "own_distance", "cell_measure"):
+        assert np.array_equal(getattr(banded, raster), getattr(tess, raster)), raster
     return relabelled
 
 
@@ -995,14 +1003,11 @@ def _tie_through_a_cell_center(lam, geo):
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.integers(2, 8), scaled=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       block=st.sampled_from([37, 111, integrals.BLOCK_CELLS]))
-def test_band_evaluations_match_full_passes(n, scaled, seed, block):
+@given(n=st.integers(2, 8), scaled=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_band_evaluations_match_full_passes(n, scaled, seed):
     # a weight walk with steps shrinking geometrically to 1e-14, every third
-    # step moved so that an interface runs exactly through a cell center; the
-    # band is built in blocks of one row, three rows or the whole grid
-    with mock.patch.object(integrals, "BLOCK_CELLS", block):
-        _band_walk(n, scaled, seed)
+    # step moved so that an interface runs exactly through a cell center
+    _band_walk(n, scaled, seed)
 
 
 def _band_walk(n, scaled, seed):
@@ -1018,6 +1023,22 @@ def _band_walk(n, scaled, seed):
                     trade=trade_costs_from_metric(sites, EUCLID, tau=0.5))
     comp = composite_params(PARAMS, geo.productivities, geo.trade)
     band = NarrowBand(geo, comp.effective.kernel)
+    full_pass, full_passes = band._full_pass, []
+
+    def checked(weights):
+        # every full pass sums what aggregate_amenities sums, bit for bit,
+        # including those whose map evaluation then raises EmptyCellInSum
+        agg = full_pass(weights)
+        expected = aggregate_amenities(
+            assign_labels(geo.grid, geo.sites, geo.system, weights, geo.distances),
+            geo.amenity, comp.effective.kernel)
+        for name in ("log_raw", "B", "log_B", "active"):
+            assert np.array_equal(getattr(agg, name), getattr(expected, name),
+                                  equal_nan=True), name
+        full_passes.append(1)
+        return agg
+
+    band._full_pass = checked
     lam = rng.uniform(-0.1, 0.1, n)
     steps = 0.2 * (1e-14 / 0.2) ** (np.arange(60) / 59)   # from about 7 cells
     relabelled = 0
@@ -1027,6 +1048,22 @@ def _band_walk(n, scaled, seed):
             lam = _tie_through_a_cell_center(lam, geo)
         relabelled += _assert_band_matches_full_pass(lam, comp, geo, band)
     assert relabelled > 0
+    assert full_passes
+
+
+def test_band_checks_its_weights_as_assign_labels_does():
+    # a full pass labels without assign_labels, yet a non-finite weight still
+    # raises NonFiniteWeight, before and after the first reference, and a
+    # weight vector of the wrong length InvalidInput
+    geo = make_geography(SPREAD3, n=32)
+    band = NarrowBand(geo, variant_transform(PARAMS).kernel)
+    with pytest.raises(InvalidInput, match="expected 3 weights"):
+        band.aggregates(np.zeros(4))
+    with pytest.raises(NonFiniteWeight):
+        band.aggregates(np.array([0.0, np.nan, 0.0]))
+    band.aggregates(np.zeros(3))   # the first full pass, the reference
+    with pytest.raises(NonFiniteWeight):
+        band.aggregates(np.array([0.0, np.nan, 0.0]))
 
 
 def test_band_follows_a_cell_that_empties_at_the_knife_edge():
@@ -1044,12 +1081,12 @@ def test_band_follows_a_cell_that_empties_at_the_knife_edge():
     emptied = False
     for k in range(1, 12):
         lam_k = lam - np.array([0.0, 0.0, 0.25 * k * h])
-        g, agg = transformed_weight_map(
+        g, agg, _ = transformed_weight_map(
             lam_k * (comp.weight_scale * comp.gamma1), comp, geo,
             active_only=True, band=band)
-        g_ref, agg_ref = transformed_weight_map(
+        g_ref, agg_ref, _ = transformed_weight_map(
             lam_k * (comp.weight_scale * comp.gamma1), comp, geo, active_only=True)
-        assert band.cells is not None   # every step is a band evaluation
+        assert band.relabelled is not None   # every step is a band evaluation
         assert np.array_equal(agg.active, agg_ref.active)
         assert np.allclose(agg.log_raw, agg_ref.log_raw, rtol=0, atol=1e-13)
         assert np.allclose(g, g_ref, rtol=0, atol=1e-12)
@@ -1078,9 +1115,16 @@ def test_band_adds_no_raster_to_the_solve_peak(monkeypatch):
             tracemalloc.stop()
 
     with_band, sol = peak()
-    full_pass = equilibrium.transformed_weight_map
-    monkeypatch.setattr(equilibrium, "transformed_weight_map",
-                        lambda *args, band=None, **kwargs: full_pass(*args, **kwargs))
+    full_pass, last = equilibrium.transformed_weight_map, []
+
+    def stateless_map(lam_t, comp, geography, *args, band=None, **kwargs):
+        last[:] = [lam_t, comp, geography]
+        return full_pass(lam_t, comp, geography, *args, **kwargs)
+
+    # full passes without a band, and the cells labelled at the last weights
+    monkeypatch.setattr(equilibrium, "transformed_weight_map", stateless_map)
+    monkeypatch.setattr(integrals.NarrowBand, "last_labels",
+                        lambda band: equilibrium._tessellate(*last).labels)
     stateless, stateless_sol = peak()
     assert sol.iterations == stateless_sol.iterations == expected.iterations
     assert np.array_equal(sol.tessellation.labels, stateless_sol.tessellation.labels)
@@ -1089,10 +1133,10 @@ def test_band_adds_no_raster_to_the_solve_peak(monkeypatch):
     assert with_band <= stateless + 4096
 
     full_passes = []
-    assign = integrals.assign_labels
+    band_pass = integrals.NarrowBand._full_pass
     monkeypatch.setattr(equilibrium, "transformed_weight_map", full_pass)
-    monkeypatch.setattr(integrals, "assign_labels",
-                        lambda *args: full_passes.append(1) or assign(*args))
+    monkeypatch.setattr(integrals.NarrowBand, "_full_pass",
+                        lambda *args: full_passes.append(1) or band_pass(*args))
     assert fixed_point_solve(geo, p).iterations == expected.iterations
     assert 0 < len(full_passes) < expected.iterations
 
@@ -1100,15 +1144,15 @@ def test_band_adds_no_raster_to_the_solve_peak(monkeypatch):
 @pytest.mark.parametrize("knife_edge", [False, True], ids=["anchored", "knife-edge"])
 def test_a_solve_labels_its_cells_once_at_the_last_evaluation(monkeypatch,
                                                               knife_edge):
-    # the band sums aggregates only, so a solve whose last evaluation was a
-    # band evaluation labels with assign_labels at that evaluation's weights
+    # a solve whose last evaluation was a band evaluation takes its cells
+    # from the band: assign_labels' at that evaluation's weights
     geo = make_geography(SPREAD3, productivities=[1.0, 1.1, 0.95], n=96)
     last = []
     evaluate = equilibrium.transformed_weight_map
 
     def recording(lam_t, comp, geography, *args, band=None, **kwargs):
         out = evaluate(lam_t, comp, geography, *args, band=band, **kwargs)
-        last[:] = [np.array(lam_t), comp, geography, band.cells is not None]
+        last[:] = [np.array(lam_t), comp, geography, band.relabelled is not None]
         return out
 
     monkeypatch.setattr(equilibrium, "transformed_weight_map", recording)
@@ -1126,6 +1170,51 @@ def test_a_solve_labels_its_cells_once_at_the_last_evaluation(monkeypatch,
                               getattr(tess, raster))
     assert not sol.tessellation.labels.flags.writeable
     assert not sol.tessellation.own_distance.flags.writeable
+
+
+@pytest.mark.parametrize("knife_edge", [False, True], ids=["anchored", "knife-edge"])
+def test_a_converged_solve_labels_and_sums_only_in_its_band(monkeypatch,
+                                                            knife_edge):
+    # the band's full passes label and sum the raster, and it gives the
+    # solution's cells: no assign_labels or aggregate_amenities call at all;
+    # each Newton step's Jacobian comes from the softmax of its evaluation
+    geo = make_geography(SPREAD3, productivities=[1.0, 1.1, 0.95], n=96)
+    calls = []
+    for module, name in ((geometry, "assign_labels"), (integrals, "assign_labels"),
+                         (equilibrium, "assign_labels"),
+                         (integrals, "aggregate_amenities"),
+                         (equilibrium, "aggregate_amenities")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name,
+                            **kwargs: calls.append(name) or real(*args, **kwargs))
+    last, jacobians = [], []
+    evaluate, jacobian = equilibrium.transformed_weight_map, equilibrium._weight_jacobian
+
+    def recording(lam_t, comp, *args, **kwargs):
+        out = evaluate(lam_t, comp, *args, **kwargs)
+        last[:] = [np.array(lam_t), comp, out[1]]
+        return out
+
+    def checked(S, comp):
+        lam_t, comp, agg = last
+        expected = np.zeros_like(S)
+        expected[:, agg.active] = equilibrium._lse_softmax(
+            equilibrium._weight_terms(lam_t, comp, agg))[1]
+        J = jacobian(S, comp)
+        assert np.array_equal(J, comp.gamma_ratio * (expected - expected[0]))
+        jacobians.append(J)
+        return J
+
+    monkeypatch.setattr(equilibrium, "transformed_weight_map", recording)
+    monkeypatch.setattr(equilibrium, "_weight_jacobian", checked)
+    if knife_edge:
+        sol = solve_knife_edge_system(geo, ModelParams(sigma=5.0, alpha=0.25,
+                                                       beta=-0.5, delta=2.0))
+    else:
+        sol = fixed_point_solve(geo, PARAMS)
+    assert sol.converged
+    assert calls == []
+    assert 0 < len(jacobians) <= sol.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ the solved weight at every site. Reordering the sites, which moves the
 pinned first site, permutes the solution per site id, and at α = 0 scaling
 total labor by k scales welfare by k^β and leaves labels and labor shares
 alone. On one fixed geography, shifting the start by a constant leaves the
-weights as they were.
+weights as they were. On draws of 2–3 sites where ``uniqueness_condition``
+holds, at δ ∈ [6, 16], seeded starts in Λ^k all reach the same weight
+differences, within one cell width.
 
 On a raster the weight system can have two fixed points whose cells differ
 at an interface: a reordered solve may settle on the other one. Where the
@@ -29,18 +31,23 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from hinterland.analysis import uniqueness_condition
 from hinterland.cli import _is_knife_edge
 from hinterland.equilibrium import (
     HomeConsumption,
     ModelParams,
     SolverOptions,
+    composite_params,
     fixed_point_solve,
     is_knife_edge,
     solve_knife_edge_system,
+    solve_weight_system,
+    variant_transform,
 )
 from hinterland.errors import LeftFeasibleSet, NotConverged
 from hinterland.fields import Geography, amenity_from_function, trade_costs_from_metric
-from hinterland.geometry import DistanceSystem, Site, build_grid
+from hinterland.geometry import DistanceSystem, Site, build_grid, sample_feasible_weights
+from hinterland.integrals import semielasticity_sup
 from hinterland.sustainability import _potential_weights
 
 EUCLID = DistanceSystem()
@@ -60,10 +67,10 @@ def _geography(sites, amenity):
 
 
 @st.composite
-def geographies(draw):
+def geographies(draw, n_sites=st.integers(2, 4)):
     """Sites on distinct cells of a 4×4 lattice of pitch 0.25, each moved by
     at most 0.025 per axis, so any two lie at least 0.2 apart."""
-    cells = draw(st.permutations(range(16)))[:draw(st.integers(2, 4))]
+    cells = draw(st.permutations(range(16)))[:draw(n_sites)]
     jitter = st.floats(-0.025, 0.025)
     sites = tuple(
         Site(i, (0.125 + 0.25 * (c % 4) + draw(jitter),
@@ -200,3 +207,29 @@ def test_at_alpha_zero_total_labor_scales_welfare_by_its_power_beta(
     assert abs(big.welfare / sol.welfare - law) <= 1e-8 * law
     assert np.array_equal(big.tessellation.labels, sol.tessellation.labels)
     np.testing.assert_allclose(big.labor / scale, sol.labor, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(geography=geographies(n_sites=st.integers(2, 3)), alpha=ALPHAS,
+       delta=st.floats(6.0, 16.0), seed=st.integers(0, 2**32 - 1))
+def test_where_the_uniqueness_condition_holds_every_start_reaches_one_fixed_point(
+        geography, alpha, delta, seed):
+    params = ModelParams(sigma=9.0, alpha=alpha, beta=-0.3, delta=delta)
+    comp = composite_params(params, geography.productivities, geography.trade)
+    eta = semielasticity_sup(geography, variant_transform(params).kernel).value
+    if not uniqueness_condition(comp, geography.n_sites, eta).holds:
+        event("uniqueness condition fails")
+        return
+    differences = []
+    for start in sample_feasible_weights(geography.sites, geography.system,
+                                         0.5, 4, seed):
+        try:
+            sol = solve_weight_system(geography, params,
+                                      options=SolverOptions(weights_init=start))
+        except SOLVE_FAILURES as e:
+            event(f"start skipped: {type(e).__name__}")
+            continue
+        differences.append(sol.weights - sol.weights[0])
+    event(f"uniqueness condition holds, {len(differences)} of 4 starts converged")
+    for other in differences[1:]:
+        assert np.abs(other - differences[0]).max() <= CELL_WIDTH

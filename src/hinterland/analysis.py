@@ -25,7 +25,12 @@ from .equilibrium import (
 )
 from .errors import HinterlandError, InvalidInput
 from .fields import Geography, subset_geography
-from .geometry import assign_labels, cross_distances, sample_feasible_weights
+from .geometry import (
+    assign_labels,
+    check_count,
+    cross_distances,
+    sample_feasible_weights,
+)
 from .integrals import aggregate_amenities, semielasticity_sup
 
 
@@ -88,8 +93,7 @@ def uniqueness_condition(comp: CompositeParams, n_star: int,
     amenity semielasticity; lhs < 1 certifies (up to the sampling of
     eta_hat) a unique labor distribution on the active set.
     """
-    if n_star < 1:
-        raise InvalidInput(f"n_star must be >= 1, got {n_star}")
+    check_count("n_star", n_star, 1)
     if eta_hat < 0:
         raise InvalidInput(f"eta_hat must be >= 0, got {eta_hat}")
     lhs = abs(comp.gamma_ratio) + comp.sigma_tilde * (
@@ -323,8 +327,7 @@ def multistart_probe(geography: Geography, params: ModelParams, y_star=None,
     Clustering compares anchored weight differences in sup norm at
     CLUSTER_TOL; a single cluster is evidence (not proof) of uniqueness.
     """
-    if n_starts < 1:
-        raise InvalidInput("n_starts must be >= 1")
+    check_count("n_starts", n_starts, 1)
     sub = subset_geography(geography, y_star)
     starts = sample_feasible_weights(sub.sites, sub.system,
                                      options.k_shrink, n_starts, seed)

@@ -30,9 +30,7 @@ from .config import RunConfig, load_config
 from .equilibrium import (
     EquilibriumSolution,
     ModelParams,
-    fixed_point_solve,
-    is_knife_edge,
-    solve_knife_edge_system,
+    solve_equilibrium,
     variant_transform,
 )
 from .errors import ConfigError, HinterlandError, LeftFeasibleSet, NotConverged
@@ -93,11 +91,6 @@ def _solver_echo(config: RunConfig) -> dict:
             "k_shrink": opts.k_shrink}
 
 
-def _is_knife_edge(params: ModelParams) -> bool:
-    return (params.variant.kind == "baseline"
-            and is_knife_edge(params.alpha, params.sigma))
-
-
 def _solution_document(solution: EquilibriumSolution, config: RunConfig) -> dict:
     return {
         "command": "solve",
@@ -145,9 +138,8 @@ def cmd_solve(args) -> int:
     _log(args, f"solving {geography.n_sites}-site geography "
                f"({params.variant.kind})")
     work = subset_geography(geography, config.active_sites)
-    solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
     try:
-        solution = solve(work, params, options=config.solver)
+        solution = solve_equilibrium(work, params, options=config.solver)
     except (NotConverged, LeftFeasibleSet) as exc:
         diagnostics = {
             "command": "solve",

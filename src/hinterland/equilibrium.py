@@ -28,7 +28,14 @@ from .errors import (
     ZeroLabor,
 )
 from .fields import Geography, TradeCostMatrix, subset_geography
-from .geometry import Tessellation, assign_labels, check_k_shrink, cross_distances
+from .geometry import (
+    Tessellation,
+    assign_labels,
+    check_count,
+    check_k_shrink,
+    check_positive,
+    cross_distances,
+)
 from .integrals import (
     CellAggregates,
     KernelSpec,
@@ -387,12 +394,8 @@ class SolverOptions:
     weights_init: np.ndarray | None = None   # original-variable differences
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise InvalidInput(f"tol must be > 0, got {self.tol}")
-        if math.isinf(self.tol):
-            raise InvalidInput("tol must be finite, got inf")
-        if not self.max_iter >= 1:
-            raise InvalidInput(f"max_iter must be >= 1, got {self.max_iter}")
+        check_positive("tol", self.tol)
+        check_count("max_iter", self.max_iter, 1)
         check_k_shrink(self.k_shrink)
 
 
@@ -464,17 +467,15 @@ def _lift_weights(lam_t, comp: CompositeParams, geography: Geography,
 
 
 def _solve_market(sol: WeightSolution, geography: Geography,
-                  params: ModelParams) -> EquilibriumSolution:
-    """``sol`` with the market block solved on its active sites, which
-    ``subset_geography`` picks from ``geography`` by id."""
+                  params: ModelParams, tol: float) -> EquilibriumSolution:
+    """``sol`` with the market block solved to ``tol`` on its active sites,
+    which ``subset_geography`` picks from ``geography`` by id."""
     active = sol.aggregates.active
     labor, L_total = sol.labor[active], params.total_labor
-    # plain bools: picking ids through the mask's NumPy scalars raised the
-    # peak RSS of a 16-start probe, when it still solved markets, by 0.125 MB
     market_geo = subset_geography(
         geography, [i for i, on in zip(sol.site_ids, active.tolist()) if on])
     m = market_equilibrium_solve(labor, market_geo.productivities,
-                                 market_geo.trade, params)
+                                 market_geo.trade, params, tol=tol)
     wages, prices = np.full((2, len(sol.labor)), np.nan)
     wages[active], prices[active] = m.wages, m.prices
     w_B, w_real, w_L = variant_transform(params).welfare_weights
@@ -486,14 +487,6 @@ def _solve_market(sol: WeightSolution, geography: Geography,
     return EquilibriumSolution(**{**vars(sol), "residuals": residuals},
                                wages=wages, prices=prices,
                                market_iterations=m.iterations)
-
-
-def _recover_solution(lam_t, comp: CompositeParams, geography: Geography,
-                      params: ModelParams, tess: Tessellation,
-                      agg: CellAggregates, **stage) -> EquilibriumSolution:
-    """``_lift_weights``'s solution (``stage`` its keywords) with its market."""
-    return _solve_market(_lift_weights(lam_t, comp, geography, params, tess,
-                                       agg, **stage), geography, params)
 
 
 def _original_system_residual(lam, log_V, comp: CompositeParams,
@@ -519,7 +512,7 @@ def _reproject(lam_t, comp: CompositeParams, geography: Geography,
 
 
 def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
-                    active_only: bool, what: str) -> WeightSolution:
+                    active_only: bool) -> WeightSolution:
     """The weight stage on ``sub``, anchored at its first site.
 
     ``_iterate`` runs the anchored map G(λ̃) = g(λ̃) − g_0(λ̃), whose G_0 = 0
@@ -548,7 +541,8 @@ def _anchored_solve(sub: Geography, params: ModelParams, options: SolverOptions,
 
     lam_t, (_, g, agg, _), _, iterations, exits = _iterate(
         evaluate, (w0 - w0[0]) * comp.weight_factor,
-        options.tol, options.max_iter, what,
+        options.tol, options.max_iter,
+        "knife-edge weights" if active_only else "weights",
         jacobian=lambda out: _weight_jacobian(out[3], comp),
         project=lambda x: x - x[0],
         leave=lambda x: _reproject(x, comp, sub, options.k_shrink))
@@ -571,7 +565,7 @@ def solve_weight_system(geography: Geography, params: ModelParams,
     """The lifted weight system on the active set ``y_star`` (all sites when
     None), anchored at its first site; an empty cell is an exit. No market."""
     return _anchored_solve(subset_geography(geography, y_star), params, options,
-                           active_only=False, what="weights")
+                           active_only=False)
 
 
 def fixed_point_solve(geography: Geography, params: ModelParams,
@@ -579,8 +573,13 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
                       ) -> EquilibriumSolution:
     """``solve_weight_system``'s solution with its market solved."""
     sub = subset_geography(geography, y_star)
-    sol = _anchored_solve(sub, params, options, active_only=False, what="weights")
-    return _solve_market(sol, sub, params)
+    sol = _anchored_solve(sub, params, options, active_only=False)
+    return _solve_market(sol, sub, params, options.tol)
+
+
+def _solves_all_sites(params: ModelParams) -> bool:
+    """The baseline at the knife edge, where the urban system is an outcome."""
+    return params.variant.kind == "baseline" and is_knife_edge(params.alpha, params.sigma)
 
 
 def solve_knife_edge_system(geography: Geography, params: ModelParams,
@@ -588,19 +587,28 @@ def solve_knife_edge_system(geography: Geography, params: ModelParams,
                             ) -> EquilibriumSolution:
     """Solve the all-sites weight system at the knife-edge spillover level.
 
-    Requires ``is_knife_edge(alpha, sigma)``; alpha is snapped to the cutoff.
-    Districts whose cells empty simply drop out of the sums, so the active
-    set is an outcome, not an input; the first site stays the anchor."""
-    if params.variant.kind != "baseline":
-        raise InvalidVariantParams("the all-sites solver supports the baseline variant")
+    Requires the baseline variant with ``is_knife_edge(alpha, sigma)``; alpha
+    is snapped to the cutoff. Districts whose cells empty simply drop out of
+    the sums, so the active set is an outcome, not an input; the first site
+    stays the anchor."""
     cutoff = alpha_cutoff(params.sigma)
-    if not is_knife_edge(params.alpha, params.sigma):
+    if not _solves_all_sites(params):
         raise InvalidVariantParams(
-            f"alpha must equal 1/(sigma-1) = {cutoff!r}, got {params.alpha!r}")
+            f"the all-sites solver needs the baseline at alpha = 1/(sigma-1) = "
+            f"{cutoff!r}, got {params.variant.kind} at alpha = {params.alpha!r}")
     params = replace(params, alpha=cutoff)
-    sol = _anchored_solve(geography, params, options, active_only=True,
-                          what="knife-edge weights")
-    return _solve_market(sol, geography, params)
+    sol = _anchored_solve(geography, params, options, active_only=True)
+    return _solve_market(sol, geography, params, options.tol)
+
+
+def solve_equilibrium(geography: Geography, params: ModelParams,
+                      options: SolverOptions = SolverOptions()
+                      ) -> EquilibriumSolution:
+    """The equilibrium ``params`` ask for on all of ``geography``'s sites: the
+    all-sites system (``solve_knife_edge_system``) for the baseline at the
+    knife edge, else city sizes on the given sites (``fixed_point_solve``)."""
+    solve = solve_knife_edge_system if _solves_all_sites(params) else fixed_point_solve
+    return solve(geography, params, options=options)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +643,10 @@ def market_equilibrium_solve(labor, productivities, trade: TradeCostMatrix,
     the numeraire sum(w_i L_i) = 1 pins the scale after each step.
     Productivities enter through the spillover A_i = productivities_i * L_i^alpha.
     """
+    check_positive("tol", tol)
     labor = np.asarray(labor, dtype=float)
+    if not np.isfinite(labor).all():
+        raise InvalidInput(f"labor masses must be finite, got {labor}")
     if np.any(labor <= 0):
         raise ZeroLabor(f"labor masses must be positive, got {labor}")
     sigma = params.sigma

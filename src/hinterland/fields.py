@@ -12,6 +12,8 @@ from .geometry import (
     DistanceSystem,
     DomainGrid,
     Site,
+    check_count,
+    check_positive,
     cross_distances,
     distance_stack,
     site_productivities,
@@ -94,8 +96,7 @@ def trade_costs_from_metric(sites, system: DistanceSystem, tau: float) -> TradeC
     The shipped metrics give d_i(y_j) = d_j(y_i) unless per-site scales
     differ, in which case the matrix would be asymmetric and is rejected.
     """
-    if not tau > 0:
-        raise InvalidInput(f"tau must be > 0, got {tau}")
+    check_positive("tau", tau)
     sites = tuple(sites)
     system.check_site_count(len(sites))
     d = cross_distances(sites, system)
@@ -138,7 +139,7 @@ class Geography:
             raise InvalidInput(
                 f"{len(self.sites)} sites but {self.trade.n}x{self.trade.n} trade matrix")
         self.system.check_site_count(len(self.sites))
-        if self.amenity.grid is not self.grid and self.amenity.grid != self.grid:
+        if self.amenity.grid != self.grid:
             raise InvalidInput("amenity field was sampled on a different grid")
         ids = [s.id for s in self.sites]
         if repeated := sorted({i for i in ids if ids.count(i) > 1}):
@@ -220,6 +221,7 @@ def validate_geography(geography: Geography, seed: int = 0) -> GeographyReport:
     cells drawn by a generator seeded by ``seed``. It reads
     ``geography.distances``, so coincident sites raise ``CoincidentSites``.
     """
+    check_count("seed", seed, 0)
     checks = []
     g = geography
 

@@ -9,6 +9,7 @@ domain shape or amenity fields.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,18 +27,26 @@ from .errors import (
 OUTSIDE = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainGrid:
     """A bounded planar domain sampled on a regular cell grid.
 
     ``inside`` marks the cells (by center) that belong to the domain; the
-    inside region must be non-empty and 4-connected.
+    inside region must be non-empty and 4-connected. Two grids are equal
+    when their bbox, shape and inside mask are.
     """
 
     bbox: tuple[float, float, float, float]
     nx: int
     ny: int
     inside: np.ndarray  # bool, shape (ny, nx)
+
+    def __eq__(self, other):
+        if not isinstance(other, DomainGrid):
+            return NotImplemented
+        return self is other or (
+            (self.bbox, self.nx, self.ny) == (other.bbox, other.nx, other.ny)
+            and np.array_equal(self.inside, other.inside))
 
     @property
     def dx(self) -> float:
@@ -426,6 +435,23 @@ class FeasibilityReport:
     _STATUSES = ("interior", "boundary", "infeasible")   # best to worst
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise InvalidInput unless ``value`` is an integer >= ``least``: the
+    rule for seeds (``least`` 0) and counts (sites, starts, samples, steps)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if not value >= least:
+        raise InvalidInput(f"{name} must be >= {least}, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise InvalidInput unless ``value`` is finite and > 0."""
+    if not value > 0:
+        raise InvalidInput(f"{name} must be > 0, got {value}")
+    if math.isinf(value):
+        raise InvalidInput(f"{name} must be finite, got {value}")
+
+
 def check_k_shrink(k: float) -> None:
     """Raise InvalidInput unless k is in (0, 1), as the shrunk set Λ^k needs."""
     if not 0 < k < 1:
@@ -464,10 +490,12 @@ def sample_feasible_weights(sites, system: DistanceSystem, k_shrink: float,
     smallest off-diagonal ``cross_distances`` entry or 0 with no pair (one
     site draws [0.0]), and rejects vectors that are not interior; the draws
     and their order depend only on ``seed``. A ``k_shrink`` outside (0, 1)
-    raises InvalidInput before any draw; coincident sites, which no draw
-    could separate, raise CoincidentSites.
+    raises InvalidInput before any draw, as does a ``seed`` that
+    ``check_count`` rejects; coincident sites, which no draw could separate,
+    raise CoincidentSites.
     """
     check_k_shrink(k_shrink)
+    check_count("seed", seed, 0)
     sites = tuple(sites)
     _check_distinct_positions(sites)
     d = cross_distances(sites, system)

@@ -23,6 +23,7 @@ from .geometry import (
     _first_min_labels,
     _own_distance,
     assign_labels,
+    check_count,
     raster_interfaces,
     sample_feasible_weights,
     site_positions,
@@ -117,7 +118,7 @@ def _inside_log_kernel(tess: Tessellation, amenity: AmenityField,
                        kernel: KernelSpec):
     """Labels and log kernel values of the inside cells, in raster order."""
     grid = tess.grid
-    if amenity.grid is not grid and amenity.grid != grid:
+    if amenity.grid != grid:
         raise InvalidInput("tessellation and amenity live on different grids")
     return (tess.labels[grid.inside],
             kernel.log_values(amenity.log_inside, tess.own_distance))
@@ -335,8 +336,7 @@ def semielasticity_sup(geography: Geography, kernel: KernelSpec,
     ``unweighted`` is the zero-weight ``(tessellation, aggregates)`` pair of
     a caller that already holds it; otherwise it is computed here.
     """
-    if n_samples < 1:
-        raise InvalidInput("n_samples must be >= 1")
+    check_count("n_samples", n_samples, 1)
     n = geography.n_sites
     draws = sample_feasible_weights(geography.sites, geography.system,
                                     k_shrink, n_samples - 1, seed)

@@ -36,7 +36,7 @@ from .errors import (
     SiteOutsideDomain,
 )
 from .fields import Geography, subset_geography
-from .geometry import cross_distances
+from .geometry import check_count, cross_distances
 from .integrals import _logsumexp
 
 STRONG_SPILLOVER = "strong_spillover"   # alpha above cutoff: deviations never pay
@@ -198,17 +198,16 @@ class EquilibriumCatalog:
 
 
 def check_subset_request(*, sizes=(1,), max_subsets=1, seed=0) -> None:
-    """Raise InvalidInput unless every subset size and ``max_subsets`` are
-    >= 1 and ``seed`` is >= 0. Each argument left out takes its least valid
-    value, so one can be checked alone; a size above the site count is
-    ``_candidate_subsets``' to reject, since only the geography knows it.
+    """Raise InvalidInput unless every subset size is >= 1, ``max_subsets``
+    an integer >= 1 and ``seed`` an integer >= 0 (``check_count``). Each
+    argument left out takes its least valid value, so one can be checked
+    alone; a size above the site count is ``_candidate_subsets``' to reject,
+    since only the geography knows it.
     """
     if not all(size >= 1 for size in sizes):
         raise InvalidInput(f"subset sizes must be >= 1, got {list(sizes)}")
-    if not max_subsets >= 1:
-        raise InvalidInput(f"max_subsets must be >= 1, got {max_subsets}")
-    if not seed >= 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    check_count("max_subsets", max_subsets, 1)
+    check_count("seed", seed, 0)
 
 
 def _candidate_subsets(ids, sizes, max_subsets, seed):

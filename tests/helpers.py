@@ -18,8 +18,9 @@ from scipy.special import logsumexp
 from hinterland import equilibrium
 from hinterland.equilibrium import (
     SolverOptions,
-    _recover_solution,
+    _lift_weights,
     _reproject,
+    _solve_market,
     _tessellate,
     alpha_cutoff,
     composite_params,
@@ -298,7 +299,8 @@ def damped_market_solve(labor, productivities, trade, params, tol=1e-12,
 # below tol) and their final evaluation at the fixed point. They call
 # ``equilibrium.transformed_weight_map`` through the module, so a test can
 # count their map evaluations, label the fixed point with the map's own
-# ``_tessellate`` and lift the result with the solvers' ``_recover_solution``.
+# ``_tessellate`` and lift the result and solve its market as the solvers do
+# (``_lift_weights``, then ``_solve_market``).
 
 def damped_fixed_point_solve(geography, params, y_star=None,
                              options=SolverOptions()):
@@ -338,10 +340,10 @@ def damped_fixed_point_solve(geography, params, y_star=None,
     c = g[0] / (1.0 - comp.gamma_ratio)
     lam_t_abs = lam_t + c
     residual = float(np.abs(lam_t_abs - (g + comp.gamma_ratio * c)).max())
-    return _recover_solution(
+    return _solve_market(_lift_weights(
         lam_t_abs, comp, sub, params, _tessellate(lam_t, comp, sub), agg,
         iterations=iteration, exited_feasible=exits > 0,
-        transformed_residual=residual)
+        transformed_residual=residual), sub, params, options.tol)
 
 
 def damped_knife_edge_solve(geography, params, options=SolverOptions()):
@@ -367,10 +369,10 @@ def damped_knife_edge_solve(geography, params, options=SolverOptions()):
     g, agg, _ = equilibrium.transformed_weight_map(lam_t, comp, geography,
                                                    active_only=True)
     residual = float(np.abs(lam_t - g).max())
-    return _recover_solution(
+    return _solve_market(_lift_weights(
         lam_t, comp, geography, params, _tessellate(lam_t, comp, geography),
         agg, iterations=iteration, exited_feasible=False,
-        transformed_residual=residual)
+        transformed_residual=residual), geography, params, options.tol)
 
 
 def loop_reproject_scale(lam, geography, k_shrink):

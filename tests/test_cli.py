@@ -806,7 +806,7 @@ def test_left_feasible_set_exit_code(tmp_path, monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise LeftFeasibleSet("weights left the feasible set twice")
 
-    monkeypatch.setattr(cli, "fixed_point_solve", explode)
+    monkeypatch.setattr(cli, "solve_equilibrium", explode)
     config = write_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["solve", "--config", str(config),

@@ -570,7 +570,7 @@ def test_knife_edge_call_sites_agree_near_the_cutoff(sigma):
             "predicate": equilibrium.is_knife_edge(p.alpha, p.sigma),
             "spillover_regime": equilibrium.spillover_regime(p.alpha, p.sigma)
                                 == "knife_edge",
-            "cli": cli._is_knife_edge(p),
+            "solves_all_sites": equilibrium._solves_all_sites(p),
             "classify_point": classify_point(p.alpha, p.beta, p.sigma)
                               .location_multiplicity == "knife_edge",
             "sustainability": sustainability._spillover_regime(p)
@@ -580,11 +580,58 @@ def test_knife_edge_call_sites_agree_near_the_cutoff(sigma):
         assert len(set(sites.values())) == 1, (offset, sites)
         verdicts[offset] = sites["predicate"]
     assert verdicts[0.0] and not verdicts[2e-12] and not verdicts[-2e-12]
-    # the CLI routes only the baseline variant to the all-sites solver
+    # only the baseline variant is routed to the all-sites solver
     two = ModelParams(sigma=sigma, alpha=cutoff, beta=-0.5, delta=2.0,
                       variant=TwoSector(mu=0.5, beta=-0.2))
     assert equilibrium.is_knife_edge(two.alpha, two.sigma)
-    assert not cli._is_knife_edge(two)
+    assert not equilibrium._solves_all_sites(two)
+
+
+ROUTE_VARIANTS = {
+    "baseline": {},
+    "home_consumption": {"tau": 0.3, "variant": HomeConsumption()},
+    "two_sector": {"variant": TwoSector(mu=0.5, beta=-0.2)},
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 2e-12, -2e-12])
+@pytest.mark.parametrize("kind", sorted(ROUTE_VARIANTS))
+def test_solve_equilibrium_sends_only_the_baseline_knife_edge_to_all_sites(
+        monkeypatch, kind, offset):
+    geo = make_geography(SYM2, productivities=[1.0, 1.05], n=16)
+    p = ModelParams(sigma=5.0, alpha=0.25 + offset, beta=-0.5, delta=2.0,
+                    **ROUTE_VARIANTS[kind])
+    ran = []
+    for name in ("fixed_point_solve", "solve_knife_edge_system"):
+        def spy(*args, _name=name, _real=getattr(equilibrium, name), **kwargs):
+            ran.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(equilibrium, name, spy)
+    sol = equilibrium.solve_equilibrium(geo, p)
+    knife = kind == "baseline" and offset == 0.0
+    assert ran == ["solve_knife_edge_system" if knife else "fixed_point_solve"]
+    if knife:
+        expected = solve_knife_edge_system(geo, p)
+        for name in ("weights", "labor", "wages", "prices", "B"):
+            assert getattr(sol, name).tobytes() == getattr(expected, name).tobytes()
+        assert (sol.welfare, sol.iterations) == (expected.welfare, expected.iterations)
+
+
+def test_solver_tol_reaches_the_market(monkeypatch):
+    geo = make_geography(SYM2, productivities=[1.0, 1.05], n=16)
+    knife = ModelParams(sigma=5.0, alpha=0.25, beta=-0.5, delta=2.0)
+    seen = []
+    real = equilibrium.market_equilibrium_solve
+
+    def spy(labor, productivities, trade, params, tol=1e-12):
+        seen.append(tol)
+        return real(labor, productivities, trade, params, tol)
+
+    monkeypatch.setattr(equilibrium, "market_equilibrium_solve", spy)
+    options = SolverOptions(tol=1e-10)
+    fixed_point_solve(geo, PARAMS, options=options)
+    solve_knife_edge_system(geo, knife, options=options)
+    assert seen == [1e-10, 1e-10]
 
 
 @pytest.mark.parametrize("sigma", [5.0, 4.0, 9.0])

@@ -12,7 +12,8 @@ from hinterland.fields import (
     trade_costs_from_metric,
     validate_geography,
 )
-from hinterland.geometry import DistanceSystem, Site, build_grid
+from hinterland.geometry import DistanceSystem, Site, assign_labels, build_grid
+from hinterland.integrals import KernelSpec, aggregate_amenities, resident_density
 
 from helpers import loop_triangle_check
 
@@ -158,6 +159,23 @@ def test_geography_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         Geography(grid=g, sites=sites, system=EUCLID, amenity=amenity,
                   trade=explicit_trade_costs(np.ones((3, 3))))
+
+
+def test_equal_grids_built_apart_make_a_geography_and_its_aggregates():
+    grid, twin = unit_square(8), unit_square(8)
+    assert grid == twin and grid is not twin
+    sites = (Site(0, (0.25, 0.5)), Site(1, (0.75, 0.5)))
+    kernel = KernelSpec(beta_eff=-0.3, distance_coeff=2.0)
+    results = []
+    for amenity_grid in (grid, twin):
+        amenity = amenity_from_function(amenity_grid, lambda X, Y: 1.0 + X)
+        geo = Geography(grid=grid, sites=sites, system=EUCLID, amenity=amenity,
+                        trade=trade_costs_from_metric(sites, EUCLID, tau=0.5))
+        tess = assign_labels(geo.grid, sites, EUCLID, np.zeros(2))
+        agg = aggregate_amenities(tess, amenity, kernel)
+        density = resident_density(tess, agg, amenity, kernel, [0.4, 0.6])
+        results.append((agg.log_B.tobytes(), density.tobytes()))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("scales", [(1.0, 2.0, 3.0), (1.0,)])

@@ -12,6 +12,7 @@ from hinterland.equilibrium import (
     SolverOptions,
     TwoSector,
     composite_params,
+    market_equilibrium_solve,
     variant_transform,
 )
 from hinterland.errors import InvalidInput, InvalidVariantParams
@@ -20,8 +21,15 @@ from hinterland.fields import (
     TradeCostMatrix,
     amenity_from_function,
     trade_costs_from_metric,
+    validate_geography,
 )
-from hinterland.geometry import DistanceSystem, Site, assign_labels, build_grid
+from hinterland.geometry import (
+    DistanceSystem,
+    Site,
+    assign_labels,
+    build_grid,
+    sample_feasible_weights,
+)
 from hinterland.integrals import (
     KernelSpec,
     aggregate_amenities,
@@ -63,11 +71,21 @@ def _tessellation():
                          np.zeros(2))
 
 
-def _other_grid_geography():
+def _other_grid_geography(amenity_grid):
     grid = build_grid(BBOX, (16, 16))
     return Geography(grid=grid, sites=SITES, system=SYSTEM,
-                     amenity=_uniform(build_grid(BBOX, (8, 8))),
+                     amenity=_uniform(amenity_grid),
                      trade=trade_costs_from_metric(SITES, SYSTEM, 0.5))
+
+
+def _other_mask_grid():
+    """A 16×16 grid of BBOX, like ``_geography``'s, without its right column."""
+    return build_grid(BBOX, (16, 16), lambda X, Y: X < 0.95)
+
+
+def _market(labor=(0.4, 0.6), tol=1e-12):
+    market_equilibrium_solve(labor, [1.0, 1.0], _geography().trade, PARAMS,
+                             tol=tol)
 
 
 def _resident_density_with_three_masses():
@@ -100,6 +118,15 @@ CHECKS = {
     "analysis.multistart_probe.n_starts": (
         lambda tmp: multistart_probe(_geography(), PARAMS, n_starts=0),
         InvalidInput, r"n_starts must be >= 1"),
+    "analysis.multistart_probe.n_starts_integer": (
+        lambda tmp: multistart_probe(_geography(), PARAMS, n_starts=2.5),
+        InvalidInput, r"^n_starts must be an integer, got 2\.5$"),
+    "analysis.multistart_probe.seed": (
+        lambda tmp: multistart_probe(_geography(), PARAMS, seed=-1),
+        InvalidInput, r"^seed must be >= 0, got -1$"),
+    "analysis.multistart_probe.seed_integer": (
+        lambda tmp: multistart_probe(_geography(), PARAMS, seed=1.5),
+        InvalidInput, r"^seed must be an integer, got 1\.5$"),
     "equilibrium.ModelParams.alpha": (
         lambda tmp: ModelParams(sigma=9.0, alpha=-1.0, beta=-0.3, delta=2.0),
         InvalidInput, r"alpha must be > -1, got -1.0"),
@@ -122,6 +149,24 @@ CHECKS = {
     "equilibrium.SolverOptions.tol_finite": (
         lambda tmp: SolverOptions(tol=math.inf),
         InvalidInput, r"tol must be finite, got inf"),
+    "equilibrium.SolverOptions.max_iter_integer": (
+        lambda tmp: SolverOptions(max_iter=2.5),
+        InvalidInput, r"^max_iter must be an integer, got 2\.5$"),
+    "equilibrium.SolverOptions.max_iter_finite": (
+        lambda tmp: SolverOptions(max_iter=math.inf),
+        InvalidInput, r"^max_iter must be an integer, got inf$"),
+    "equilibrium.market_equilibrium_solve.tol_zero": (
+        lambda tmp: _market(tol=0.0),
+        InvalidInput, r"^tol must be > 0, got 0\.0$"),
+    "equilibrium.market_equilibrium_solve.tol_nan": (
+        lambda tmp: _market(tol=math.nan),
+        InvalidInput, r"^tol must be > 0, got nan$"),
+    "equilibrium.market_equilibrium_solve.labor_nan": (
+        lambda tmp: _market(labor=(0.4, math.nan)),
+        InvalidInput, r"^labor masses must be finite, got \[0\.4 +nan\]$"),
+    "equilibrium.market_equilibrium_solve.labor_inf": (
+        lambda tmp: _market(labor=(math.inf, 0.6)),
+        InvalidInput, r"^labor masses must be finite, got \[inf +0\.6\]$"),
     "equilibrium.variant_transform.kind": (
         lambda tmp: variant_transform(ModelParams(
             sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0,
@@ -135,8 +180,17 @@ CHECKS = {
         lambda tmp: TradeCostMatrix(values=np.ones((2, 2)), origin="guess"),
         InvalidInput, r"unknown trade cost origin 'guess'"),
     "fields.Geography.amenity_grid": (
-        lambda tmp: _other_grid_geography(),
+        lambda tmp: _other_grid_geography(build_grid(BBOX, (8, 8))),
         InvalidInput, r"amenity field was sampled on a different grid"),
+    "fields.Geography.amenity_mask": (
+        lambda tmp: _other_grid_geography(_other_mask_grid()),
+        InvalidInput, r"amenity field was sampled on a different grid"),
+    "fields.trade_costs_from_metric.tau_finite": (
+        lambda tmp: trade_costs_from_metric(SITES, SYSTEM, math.inf),
+        InvalidInput, r"^tau must be finite, got inf$"),
+    "fields.validate_geography.seed": (
+        lambda tmp: validate_geography(_geography(), seed=-1),
+        InvalidInput, r"^seed must be >= 0, got -1$"),
     "geometry.build_grid.predicate_shape": (
         lambda tmp: build_grid(BBOX, (8, 8), lambda X, Y: np.ones(3)),
         InvalidInput,
@@ -148,6 +202,9 @@ CHECKS = {
         lambda tmp: DistanceSystem("scaled_euclidean", (1.0, math.inf)),
         InvalidInput, r"scaled_euclidean needs positive per-site scales, each "
                       r"finite, got \(1\.0, inf\)"),
+    "geometry.sample_feasible_weights.seed": (
+        lambda tmp: sample_feasible_weights(SITES, SYSTEM, 0.5, 2, -1),
+        InvalidInput, r"^seed must be >= 0, got -1$"),
     "geometry.assign_labels.no_sites": (
         lambda tmp: assign_labels(build_grid(BBOX, (8, 8)), (), SYSTEM, []),
         InvalidInput, r"assign_labels needs at least one site"),
@@ -164,6 +221,10 @@ CHECKS = {
     "integrals.aggregate_amenities.grid": (
         lambda tmp: aggregate_amenities(
             _tessellation(), _uniform(build_grid(BBOX, (8, 8))), KERNEL),
+        InvalidInput, r"tessellation and amenity live on different grids"),
+    "integrals.aggregate_amenities.mask": (
+        lambda tmp: aggregate_amenities(
+            _tessellation(), _uniform(_other_mask_grid()), KERNEL),
         InvalidInput, r"tessellation and amenity live on different grids"),
     "integrals.resident_density.labor_shape": (
         lambda tmp: _resident_density_with_three_masses(),

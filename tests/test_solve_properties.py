@@ -3,9 +3,9 @@
 Each draw is a 48² unit square with 2–4 sites at least 0.2 apart,
 productivities in [0.9, 1.1] and a uniform or one-bump amenity, solved at
 σ = 9, β = −0.3, δ = 2 under the baseline variant or home consumption with
-τ ∈ [0.1, 1.0], and routed as ``hinterland solve`` routes it: the all-sites
-knife-edge system for the baseline at α = 1/(σ − 1) = 1/8, the restricted
-solve otherwise. A draw whose solve fails must raise one of the solver's
+τ ∈ [0.1, 1.0], and solved through ``solve_equilibrium``, as ``hinterland
+solve`` is: the all-sites knife-edge system for the baseline at
+α = 1/(σ − 1) = 1/8, the restricted solve otherwise. A draw whose solve fails must raise one of the solver's
 failure classes, and is then skipped (a pair of solves is skipped when
 either fails); no draw is filtered by its geography. Every draw that
 converges gives labor summing to ``total_labor``, the same arrays bit for
@@ -32,15 +32,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hinterland.analysis import uniqueness_condition
-from hinterland.cli import _is_knife_edge
 from hinterland.equilibrium import (
     HomeConsumption,
     ModelParams,
     SolverOptions,
     composite_params,
-    fixed_point_solve,
     is_knife_edge,
-    solve_knife_edge_system,
+    solve_equilibrium,
     solve_weight_system,
     variant_transform,
 )
@@ -95,15 +93,10 @@ def model_params(draw, alpha=ALPHAS):
     return ModelParams(sigma=9.0, alpha=draw(alpha), beta=-0.3, delta=2.0, **variant)
 
 
-def _solve(geography, params, options=SolverOptions()):
-    solve = solve_knife_edge_system if _is_knife_edge(params) else fixed_point_solve
-    return solve(geography, params, options=options)
-
-
 def _solves(geography, *runs):
     """One solve per (params, options) pair, or None when one of them fails."""
     try:
-        return [_solve(geography, *run) for run in runs]
+        return [solve_equilibrium(geography, *run) for run in runs]
     except SOLVE_FAILURES as e:
         event(f"skipped: {type(e).__name__}")
         return None
@@ -121,7 +114,7 @@ def test_a_converged_solve_conserves_labor_repeats_and_meets_its_potential_weigh
     total = params.total_labor
     assert abs(float(sol.labor.sum()) - total) <= 1e-10 * total
 
-    again = _solve(geography, params)
+    again = solve_equilibrium(geography, params)
     for name in ("weights", "labor", "wages", "prices"):
         assert getattr(again, name).tobytes() == getattr(sol, name).tobytes(), name
     assert again.welfare == sol.welfare
@@ -186,10 +179,11 @@ SHIFT_START = np.array([0.01, -0.015, 0.005])
 def test_a_common_shift_of_the_start_leaves_the_weights(params):
     geography = _geography(SHIFT_SITES, amenity_from_function(
         GRID, lambda x, y: np.ones_like(x)))
-    sol = _solve(geography, params, SolverOptions(weights_init=SHIFT_START))
+    sol = solve_equilibrium(geography, params,
+                            SolverOptions(weights_init=SHIFT_START))
     for shift in (-0.05, 0.0173, 0.05):
-        shifted = _solve(geography, params,
-                         SolverOptions(weights_init=SHIFT_START + shift))
+        shifted = solve_equilibrium(geography, params,
+                                    SolverOptions(weights_init=SHIFT_START + shift))
         np.testing.assert_allclose(shifted.weights, sol.weights, rtol=0, atol=1e-10)
 
 

@@ -96,6 +96,7 @@ from .geometry import (
     build_grid,
     check_bbox,
     check_resolution,
+    is_integer,
 )
 from .io_formats import read_field_raster, read_label_raster, read_matrix_csv
 from .sustainability import check_subset_request
@@ -106,10 +107,6 @@ _EMPTY = yaml.MappingNode("tag:yaml.org,2002:map", [])   # an absent block
 
 # ---------------------------------------------------------------------------
 # YAML node tree -> typed values
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 class _Section:
     """A YAML mapping node under validation: typed take(), then finish()
@@ -169,7 +166,7 @@ class _Section:
 
     def take_int(self, key, default=_MISSING):
         value = self._take(key, default)
-        if not _is_int(value):
+        if not is_integer(value):
             self.error(f"'{key}' must be an integer, got {value!r}", key)
         return value
 
@@ -346,7 +343,7 @@ def _build_geography(section, base_dir):
     _reported_at(section, "bbox", check_bbox, bbox)
     resolution = section.take_value("resolution", [128, 128])
     if not (isinstance(resolution, list) and len(resolution) == 2
-            and all(_is_int(v) for v in resolution)):
+            and all(is_integer(v) for v in resolution)):
         section.error(f"'resolution' must be [nx, ny] with integers, "
                       f"got {resolution!r}", "resolution")
     _reported_at(section, "resolution", check_resolution, resolution)
@@ -484,7 +481,7 @@ def _build_sweep(section):
 
 def _build_enumerate(section):
     sizes = section.take_value("sizes", [2])
-    if not (isinstance(sizes, list) and sizes and all(map(_is_int, sizes))):
+    if not (isinstance(sizes, list) and sizes and all(map(is_integer, sizes))):
         section.error(f"'sizes' must be a non-empty list of integers, "
                       f"got {sizes!r}", "sizes")
     values = {"sizes": tuple(sizes),
@@ -501,7 +498,7 @@ def _build_active_sites(section, geography):
     section.finish()
     if ids is None:
         return None
-    if not isinstance(ids, list) or not all(_is_int(v) for v in ids):
+    if not isinstance(ids, list) or not all(is_integer(v) for v in ids):
         section.error(f"'active_sites' must be a list of site ids or null, "
                       f"got {ids!r}", "active_sites")
     if geography is not None:

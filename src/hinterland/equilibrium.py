@@ -572,9 +572,8 @@ def fixed_point_solve(geography: Geography, params: ModelParams,
                       y_star=None, options: SolverOptions = SolverOptions()
                       ) -> EquilibriumSolution:
     """``solve_weight_system``'s solution with its market solved."""
-    sub = subset_geography(geography, y_star)
-    sol = _anchored_solve(sub, params, options, active_only=False)
-    return _solve_market(sol, sub, params, options.tol)
+    return _solve_market(solve_weight_system(geography, params, y_star, options),
+                         geography, params, options.tol)
 
 
 def _solves_all_sites(params: ModelParams) -> bool:

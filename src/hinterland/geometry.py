@@ -435,10 +435,15 @@ class FeasibilityReport:
     _STATUSES = ("interior", "boundary", "infeasible")   # best to worst
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_count(name: str, value, least: int) -> None:
     """Raise InvalidInput unless ``value`` is an integer >= ``least``: the
     rule for seeds (``least`` 0) and counts (sites, starts, samples, steps)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_integer(value):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if not value >= least:
         raise InvalidInput(f"{name} must be >= {least}, got {value}")

@@ -20,11 +20,10 @@ import numpy as np
 
 from .analysis import existence_margins
 from .equilibrium import (
-    EquilibriumSolution,
     ModelParams,
     SolverOptions,
+    WeightSolution,
     composite_params,
-    fixed_point_solve,
     solve_weight_system,
     spillover_regime,
 )
@@ -36,7 +35,7 @@ from .errors import (
     SiteOutsideDomain,
 )
 from .fields import Geography, subset_geography
-from .geometry import check_count, cross_distances
+from .geometry import check_count, cross_distances, is_integer
 from .integrals import _logsumexp
 
 STRONG_SPILLOVER = "strong_spillover"   # alpha above cutoff: deviations never pay
@@ -73,7 +72,7 @@ def _spillover_regime(params: ModelParams) -> str:
     return _REGIMES[spillover_regime(params.alpha, params.sigma)]
 
 
-def _potential_weights(solution: EquilibriumSolution, geography: Geography,
+def _potential_weights(solution: WeightSolution, geography: Geography,
                        params: ModelParams) -> tuple[np.ndarray, float]:
     """Every geography site's knife-edge potential weight λ*, and s·γ1.
 
@@ -94,7 +93,7 @@ def _potential_weights(solution: EquilibriumSolution, geography: Geography,
             + _logsumexp(terms, axis=1)) / comp.weight_factor, comp.weight_factor
 
 
-def potential_weight(solution: EquilibriumSolution, geography: Geography,
+def potential_weight(solution: WeightSolution, geography: Geography,
                      params: ModelParams, y_p: int) -> PotentialWeight:
     """Limit weight the vacant site ``y_p`` can sustain for a deviation."""
     if y_p in solution.active_ids:
@@ -123,7 +122,7 @@ class SustainabilityReport:
     host_ids: dict
 
 
-def sustainability_check(solution: EquilibriumSolution, geography: Geography,
+def sustainability_check(solution: WeightSolution, geography: Geography,
                          params: ModelParams) -> SustainabilityReport:
     """Decide whether the restricted equilibrium survives vacant-site entry.
 
@@ -172,7 +171,8 @@ def sustainability_check(solution: EquilibriumSolution, geography: Geography,
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """What the catalog keeps of one sustainable solve (not its rasters)."""
+    """What the catalog keeps of one sustainable weight solve (not its
+    rasters); ``residuals`` are the weight system's, as no market is solved."""
 
     subset: tuple[int, ...]
     active_ids: tuple[int, ...]
@@ -198,12 +198,15 @@ class EquilibriumCatalog:
 
 
 def check_subset_request(*, sizes=(1,), max_subsets=1, seed=0) -> None:
-    """Raise InvalidInput unless every subset size is >= 1, ``max_subsets``
-    an integer >= 1 and ``seed`` an integer >= 0 (``check_count``). Each
-    argument left out takes its least valid value, so one can be checked
-    alone; a size above the site count is ``_candidate_subsets``' to reject,
-    since only the geography knows it.
+    """Raise InvalidInput unless every subset size is an integer >= 1,
+    ``max_subsets`` an integer >= 1 and ``seed`` an integer >= 0
+    (``check_count``). Each argument left out takes its least valid value,
+    so one can be checked alone; a size above the site count is
+    ``_candidate_subsets``' to reject, since only the geography knows it.
     """
+    for size in sizes:
+        if not is_integer(size):
+            raise InvalidInput(f"subset sizes must be integers, got {size!r}")
     if not all(size >= 1 for size in sizes):
         raise InvalidInput(f"subset sizes must be >= 1, got {list(sizes)}")
     check_count("max_subsets", max_subsets, 1)
@@ -227,8 +230,8 @@ def _subset_outcome(geography, params, options, subset):
     """Solve one candidate active set: ("entries", CatalogEntry),
     ("rejected", (subset, verdict)) or ("failures", (subset, error))."""
     try:
-        sol = fixed_point_solve(geography, params, y_star=subset,
-                                options=options)
+        sol = solve_weight_system(geography, params, y_star=subset,
+                                  options=options)
         report = sustainability_check(sol, geography, params)
     except HinterlandError as e:
         return "failures", (subset, f"{type(e).__name__}: {e}")
@@ -295,12 +298,14 @@ def enumerate_urban_systems(geography: Geography, params: ModelParams,
                             threads: int = 1) -> EquilibriumCatalog:
     """Solve candidate active sets and keep the sustainable equilibria.
 
-    Exhausts all subsets of the requested sizes up to ``max_subsets``, then
-    falls back to seeded sampling. Entries are distinct by construction: the
-    subsets are, and a restricted solve returns only with all its sites
-    active. Solver and sustainability errors are recorded per subset, never
-    fatal; a two_sector knife edge solves every subset, then fails it. The
-    catalog does not depend on ``threads``, the processes sharing subsets.
+    Each subset solves its weight system (``solve_weight_system``), which
+    alone decides its verdict; no market is solved. Exhausts all subsets of
+    the requested sizes up to ``max_subsets``, then falls back to seeded
+    sampling. Entries are distinct by construction: the subsets are, and a
+    restricted solve returns only with all its sites active. Solver and
+    sustainability errors are recorded per subset, never fatal; a two_sector
+    knife edge solves every subset, then fails it. The catalog does not
+    depend on ``threads``, the processes sharing subsets.
     """
     check_subset_request(sizes=sizes, max_subsets=max_subsets, seed=seed)
     ids = tuple(s.id for s in geography.sites)

@@ -42,6 +42,7 @@ from hinterland.io_formats import (
     write_field_raster,
     write_label_raster,
 )
+from hinterland.sustainability import enumerate_urban_systems
 
 BBOX = (0.0, 0.0, 1.0, 1.0)
 PARAMS = ModelParams(sigma=9.0, alpha=0.2, beta=-0.3, delta=2.0)
@@ -245,6 +246,19 @@ CHECKS = {
     "io_formats.read_field_raster.size": (
         lambda tmp: _read_short_field_raster(tmp),
         InvalidInput, r"field.fld: expected 4 values, got 3"),
+    "sustainability.enumerate_urban_systems.sizes_fraction": (
+        lambda tmp: enumerate_urban_systems(_geography(), PARAMS, sizes=(1.5,)),
+        InvalidInput, r"^subset sizes must be integers, got 1\.5$"),
+    "sustainability.enumerate_urban_systems.sizes_float": (
+        lambda tmp: enumerate_urban_systems(_geography(), PARAMS, sizes=(2.0,)),
+        InvalidInput, r"^subset sizes must be integers, got 2\.0$"),
+    "sustainability.enumerate_urban_systems.sizes_string": (
+        lambda tmp: enumerate_urban_systems(_geography(), PARAMS, sizes=("2",)),
+        InvalidInput, r"^subset sizes must be integers, got '2'$"),
+    "sustainability.enumerate_urban_systems.sizes_bool": (
+        lambda tmp: enumerate_urban_systems(_geography(), PARAMS,
+                                            sizes=(True,)),
+        InvalidInput, r"^subset sizes must be integers, got True$"),
 }
 
 

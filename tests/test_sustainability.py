@@ -25,6 +25,7 @@ from hinterland.equilibrium import (
     TwoSector,
     fixed_point_solve,
     solve_knife_edge_system,
+    solve_weight_system,
     subset_geography,
 )
 from hinterland.errors import (
@@ -483,12 +484,16 @@ def test_swap_builds_one_distance_stack_per_active_set(stack_builds):
     assert len(stack_builds) == 2
 
 
-def test_probe_and_swap_never_solve_a_market(monkeypatch):
+def test_probe_swap_and_enumerate_never_solve_a_market(monkeypatch):
     geo = geo_with_sites(THREE, n=48)
     sub = subset_geography(geo, [0, 2])
     starts = sample_feasible_weights(sub.sites, sub.system, 0.5, 16, 3)
     solved = [fixed_point_solve(sub, STRONG, options=SolverOptions(weights_init=w))
               for w in starts]
+    square = geo_with_sites(square_candidates(), tau=0.3, n=32)
+    square_p = ModelParams(sigma=5.0, alpha=0.3, beta=-0.5, delta=4.0)
+    catalog = enumerate_urban_systems(square, square_p, sizes=(1, 2), seed=1)
+    assert catalog.entries
 
     def no_market(*args, **kwargs):
         raise NotConverged("market", 1, 1.0)
@@ -507,6 +512,10 @@ def test_probe_and_swap_never_solve_a_market(monkeypatch):
     swap = site_swap_experiment(geo_with_sites(specs, tau=0.2, n=48), p, [0, 1],
                                 y_c=1, y_p=2)
     assert swap.base_converged and swap.swapped_converged
+
+    patched = enumerate_urban_systems(square, square_p, sizes=(1, 2), seed=1)
+    assert patched.failures == ()
+    assert _catalog_facts(patched) == _catalog_facts(catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +563,7 @@ def test_catalog_entries_keep_the_facts_of_their_solve():
     catalog = enumerate_urban_systems(geo, p, sizes=(1, 2), seed=1)
     assert catalog.entries
     for e in catalog.entries:
-        sol = fixed_point_solve(geo, p, y_star=e.subset)
+        sol = solve_weight_system(geo, p, y_star=e.subset)
         # distinct by construction: a restricted solve keeps its whole subset
         assert e.active_ids == e.subset == sol.active_ids
         assert np.array_equal(e.weights, sol.weights)
@@ -601,14 +610,14 @@ def _catalog_facts(catalog):
 
 def _solver_raising_for(monkeypatch, subset, error):
     """Make the solve of ``subset`` raise; forked workers inherit the patch."""
-    real = sustainability.fixed_point_solve
+    real = sustainability.solve_weight_system
 
     def solve(geography, params, y_star=None, **kwargs):
         if tuple(y_star) == subset:
             raise error
         return real(geography, params, y_star=y_star, **kwargs)
 
-    monkeypatch.setattr(sustainability, "fixed_point_solve", solve)
+    monkeypatch.setattr(sustainability, "solve_weight_system", solve)
 
 
 def test_worker_processes_give_the_serial_catalog(monkeypatch):

@@ -106,7 +106,7 @@ def uniqueness_condition(comp: CompositeParams, n_star: int,
 # ---------------------------------------------------------------------------
 # existence margins
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistenceReport:
     """Per-pair margins of the feasible-set self-mapping condition.
 
@@ -194,7 +194,7 @@ SWEEP_CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Regime categories over a rectangular parameter grid.
 
@@ -289,7 +289,7 @@ def sweep_rows(result: SweepResult):
 # ---------------------------------------------------------------------------
 # multistart probe
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionCluster:
     representative: np.ndarray   # weight differences vs the first site
     count: int
@@ -297,7 +297,7 @@ class SolutionCluster:
     welfare: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeReport:
     clusters: tuple[SolutionCluster, ...]
     n_starts: int

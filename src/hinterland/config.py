@@ -239,7 +239,7 @@ class EnumerateConfig:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     source: str
     geography: Geography | None

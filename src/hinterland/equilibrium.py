@@ -193,7 +193,7 @@ def variant_transform(params: ModelParams) -> EffectiveSystem:
     raise InvalidVariantParams(f"unknown variant {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositeParams:
     """Derived constants of the weight system for one active-site set."""
 
@@ -399,7 +399,7 @@ class SolverOptions:
         check_k_shrink(self.k_shrink)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSolution:
     """A converged weight system lifted to original variables, no market.
     Arrays align with ``site_ids``; inactive districts of an all-site solve
@@ -423,7 +423,7 @@ class WeightSolution:
         return tuple(self.site_ids[i] for i in self.tessellation.active_set)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumSolution(WeightSolution):
     """A weight solution with the market block's wages and prices (NaN at
     inactive districts); ``residuals`` adds "market", "population" and
@@ -613,7 +613,7 @@ def solve_equilibrium(geography: Geography, params: ModelParams,
 # ---------------------------------------------------------------------------
 # market block
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketEquilibrium:
     wages: np.ndarray
     prices: np.ndarray

@@ -20,7 +20,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmenityField:
     """Residential-amenity samples at cell centers with recorded bounds."""
 
@@ -40,13 +40,16 @@ class AmenityField:
 def amenity_from_function(grid: DomainGrid, source) -> AmenityField:
     """Sample an amenity field at cell centers.
 
-    ``source`` is either a vectorized closure ``f(X, Y) -> array`` or a
-    ready-made raster of shape (ny, nx). Every inside sample must be finite
-    and strictly positive.
+    ``source`` is either a vectorized closure ``f(X, Y)`` returning a scalar
+    or an (ny, nx) array, or a ready-made raster of shape (ny, nx). Every
+    inside sample must be finite and strictly positive.
     """
     if callable(source):
         X, Y = grid.cell_centers()
         values = np.asarray(source(X, Y), dtype=float)
+        if values.ndim and values.shape != (grid.ny, grid.nx):
+            raise InvalidInput(f"amenity function returned shape {values.shape}, "
+                               f"expected a scalar or {(grid.ny, grid.nx)}")
         values = np.broadcast_to(values, (grid.ny, grid.nx)).copy()
     else:
         values = np.array(source, dtype=float)
@@ -65,7 +68,7 @@ def amenity_from_function(grid: DomainGrid, source) -> AmenityField:
                         b_max=float(inside_vals.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeCostMatrix:
     """Iceberg trade costs between district pairs.
 
@@ -117,14 +120,17 @@ def explicit_trade_costs(values) -> TradeCostMatrix:
     (symmetry, unit diagonal, triangle bound) are only diagnosed when
     ``validate_geography`` is called.
     """
-    values = np.array(values, dtype=float)
+    try:
+        values = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"trade matrix entries must be numbers: {exc}") from None
     if not ((values > 0) & (values < np.inf)).all():
         raise InvalidInput("trade matrix entries must be finite and > 0")
     values.setflags(write=False)
     return TradeCostMatrix(values=values, origin="explicit")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geography:
     """Everything exogenous: domain, districts, metric, amenities, trade costs."""
 

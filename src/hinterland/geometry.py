@@ -133,7 +133,9 @@ def build_grid(bbox, resolution, inside_predicate=None) -> DomainGrid:
 
 
 def check_resolution(resolution) -> None:
-    """Raise InvalidInput unless ``(nx, ny)`` has at least 2 cells per axis."""
+    """Raise InvalidInput unless ``(nx, ny)`` are two integers, each at least 2."""
+    if not (np.shape(resolution) == (2,) and all(map(is_integer, resolution))):
+        raise InvalidInput(f"resolution must be two integers (nx, ny), got {resolution!r}")
     nx, ny = resolution
     if nx < 2 or ny < 2:
         raise InvalidInput(f"resolution must be at least 2 per axis, got {nx}x{ny}")
@@ -195,7 +197,10 @@ class Site:
     def __post_init__(self):
         if not (math.isfinite(self.productivity) and self.productivity > 0):
             raise InvalidInput(f"site {self.id}: productivity must be finite and > 0, got {self.productivity}")
-        if not all(math.isfinite(c) for c in self.position):
+        position = tuple(self.position) if np.iterable(self.position) else ()
+        if not (len(position) == 2 and all(isinstance(c, numbers.Real) for c in position)):
+            raise InvalidInput(f"site {self.id}: position must be two numbers, got {self.position!r}")
+        if not all(math.isfinite(c) for c in position):
             raise InvalidInput(f"site {self.id}: non-finite position {self.position}")
 
 
@@ -268,7 +273,7 @@ def cross_distances(sites, system: DistanceSystem) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tessellation:
     """Additively weighted Voronoi tessellation on a raster grid.
 
@@ -476,11 +481,12 @@ def _band_status(d, weights, k: float) -> np.ndarray:
 
 
 def lambda_feasibility(sites, system: DistanceSystem, weights, k: float) -> FeasibilityReport:
-    """Classify weight differences against the active-cell feasibility bands."""
+    """Classify weight differences against the active-cell feasibility bands;
+    ``weights`` are checked as ``assign_labels`` checks them."""
     check_k_shrink(k)
     sites = tuple(sites)
     status = _band_status(cross_distances(sites, system),
-                          np.asarray(weights, dtype=float), k)
+                          _checked_weights(weights, len(sites)), k)
     names = FeasibilityReport._STATUSES
     pairs = {(i, j): names[code] for i, row in enumerate(status.tolist())
              for j, code in enumerate(row) if i != j}
@@ -495,11 +501,12 @@ def sample_feasible_weights(sites, system: DistanceSystem, k_shrink: float,
     smallest off-diagonal ``cross_distances`` entry or 0 with no pair (one
     site draws [0.0]), and rejects vectors that are not interior; the draws
     and their order depend only on ``seed``. A ``k_shrink`` outside (0, 1)
-    raises InvalidInput before any draw, as does a ``seed`` that
-    ``check_count`` rejects; coincident sites, which no draw could separate,
-    raise CoincidentSites.
+    raises InvalidInput before any draw, as does a ``count`` or ``seed``
+    that ``check_count`` rejects; coincident sites, which no draw could
+    separate, raise CoincidentSites.
     """
     check_k_shrink(k_shrink)
+    check_count("count", count, 0)
     check_count("seed", seed, 0)
     sites = tuple(sites)
     _check_distinct_positions(sites)

@@ -68,7 +68,7 @@ class KernelSpec:
         return (-1.0 / b) * log_amenity + (self.distance_coeff / b) * distances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellAggregates:
     """Per-site amenity aggregates B_i over the current tessellation.
 
@@ -96,19 +96,11 @@ class CellAggregates:
         return cls(log_raw=log_raw, B=B, log_B=log_B, active=active)
 
 
-def _group_max(labels, log_f, n: int) -> np.ndarray:
-    """Per label in range(n), the maximum of its ``log_f``; -inf for none."""
+def _group_log_sum(labels, log_f, n: int) -> np.ndarray:
+    """Per label in range(n), log sum(exp(log_f)) shifted by the group's own
+    maximum; -inf for a label with no entries."""
     peak = np.full(n, -np.inf)
     np.maximum.at(peak, labels, log_f)
-    return peak
-
-
-def _group_log_sum(labels, log_f, n: int, peak=None) -> np.ndarray:
-    """Per label in range(n), log sum(exp(log_f)) shifted by the group's own
-    maximum ``peak``, found here when not given; -inf for a label with no
-    entries."""
-    if peak is None:
-        peak = _group_max(labels, log_f, n)
     total = np.bincount(labels, weights=np.exp(log_f - peak.take(labels)), minlength=n)
     with np.errstate(divide="ignore"):
         return peak + np.log(total)
@@ -124,11 +116,10 @@ def _inside_log_kernel(tess: Tessellation, amenity: AmenityField,
             kernel.log_values(amenity.log_inside, tess.own_distance))
 
 
-def _aggregate(labels, log_f, n: int, grid, kernel: KernelSpec,
-               peak=None) -> CellAggregates:
-    """Aggregates of the inside cells with site ``labels`` and log kernel
-    values ``log_f``, in raster order; ``peak`` as in ``_group_log_sum``."""
-    log_raw = _group_log_sum(labels, log_f, n, peak) + math.log(grid.cell_area)
+def _aggregate(labels, log_f, n: int, grid, kernel: KernelSpec) -> CellAggregates:
+    """Aggregates of the cells with site ``labels`` and log kernel values
+    ``log_f``."""
+    log_raw = _group_log_sum(labels, log_f, n) + math.log(grid.cell_area)
     return CellAggregates.from_log_raw(log_raw, kernel)
 
 
@@ -152,17 +143,17 @@ class NarrowBand:
 
     A full pass at weights w_ref, the reference, labels every cell in one
     running-minimum scan over the sites, which also gives each cell's cost
-    gap to its runner-up. From that scan it sums the aggregates, equal to
-    ``aggregate_amenities`` bit for bit, keeps the labels read-only, and
-    builds the band: every inside cell whose gap is at most
-    T = BAND_CELLS·max(dx, dy)·(largest metric scale), with the band's
-    distance columns and each site's sum over its cells outside the band.
-    While w stays near w_ref, with max(w − w_ref) − min(w − w_ref) + slack
-    < T (the slack bounds the cost rounding), no cell outside the band can
-    change label, so only the band is relabelled and re-summed: the log
-    integrals equal a full pass's to rounding. Otherwise a full pass becomes
-    the new reference. ``last_labels`` gives the labels at the last
-    evaluated weights.
+    gap to its runner-up, and sums the aggregates as ``aggregate_amenities``
+    does. It keeps the labels read-only, the band mask (every inside cell
+    whose gap is at most T = BAND_CELLS·max(dx, dy)·(largest metric scale)),
+    the inside labels and the log kernel values. The first evaluation that
+    reads the band builds it from them: the band's distance columns and each
+    site's sum over its cells outside the band. While w stays near w_ref,
+    with max(w − w_ref) − min(w − w_ref) + slack < T (the slack bounds the
+    cost rounding), no cell outside the band can change label, so only the
+    band is relabelled and re-summed: the log integrals equal a full pass's
+    to rounding. Otherwise a full pass becomes the new reference.
+    ``last_labels`` gives the labels at the last evaluated weights.
     """
 
     def __init__(self, geography: Geography, kernel: KernelSpec):
@@ -173,7 +164,8 @@ class NarrowBand:
         self.d_max = float(geography.distances.max())
         self.w_ref = None       # weights of the last full pass
         self.labels = None      # its label raster, read-only
-        self.where = None       # its band's cells, flat raster indices
+        self.scan = None        # its band mask, inside labels and log kernel
+        self.where = None       # its band's cells, flat raster indices, once built
         self.cells = None       # their distance columns and the fixed sums
         self.relabelled = None  # the band's labels, when a band evaluation came last
 
@@ -186,14 +178,16 @@ class NarrowBand:
             slack = 16 * np.finfo(float).eps * (
                 self.d_max + np.abs(weights).max() + np.abs(self.w_ref).max())
             if shift.max() - shift.min() + slack < self.width:
+                if self.cells is None:
+                    self._build_band()
                 return self._resum(weights)
         return self._full_pass(weights)
 
     def _full_pass(self, weights) -> CellAggregates:
-        """Label every cell, sum the aggregates and build the band at the
-        new reference ``weights``."""
+        """Label every cell and sum the aggregates at the new reference
+        ``weights``; keep what the band is built from."""
         # free the old rasters before the pass
-        self.w_ref = self.labels = self.where = self.cells = self.relabelled = None
+        self.w_ref = self.labels = self.scan = self.where = self.cells = self.relabelled = None
         geo, grid = self.geography, self.geography.grid
         labels, gap = _first_min_labels(geo.distances, weights, gap=True)
         labels[~grid.inside] = OUTSIDE
@@ -203,32 +197,34 @@ class NarrowBand:
         inside_labels = labels[grid.inside]
         log_f = self.kernel.log_values(
             geo.amenity.log_inside, _own_distance(inside_labels, grid, geo.distances))
-        n, in_band = geo.n_sites, band[grid.inside]
+        labels.setflags(write=False)
+        self.w_ref, self.labels, self.scan = weights, labels, (band, inside_labels, log_f)
+        return _aggregate(inside_labels, log_f, geo.n_sites, grid, self.kernel)
+
+    def _build_band(self):
+        """Build the band of the last full pass: its cells, their distance
+        columns and each site's sum over its cells outside the band."""
+        band, inside_labels, log_f = self.scan
+        self.scan = None
+        geo, grid, n = self.geography, self.geography.grid, self.geography.n_sites
+        in_band = band[grid.inside]
         split = in_band * np.int32(n)
         split += inside_labels   # site i's band cells form group n + i
-        peak = _group_max(split, log_f, 2 * n)
-        log_rest = _group_log_sum(split, log_f, 2 * n, peak)[:n]
+        log_rest = _group_log_sum(split, log_f, 2 * n)[:n]
         del split
-        agg = _aggregate(inside_labels, log_f, n, grid, self.kernel,
-                         np.maximum(peak[:n], peak[n:]))
         sites = np.flatnonzero(np.isfinite(log_rest))
         self.where = np.flatnonzero(band)
         self.cells = (geo.distances.reshape(n, -1).take(self.where, axis=1),
                       geo.amenity.log_inside[in_band], sites, log_rest[sites])
-        labels.setflags(write=False)
-        self.w_ref, self.labels = weights, labels
-        return agg
 
     def _resum(self, weights) -> CellAggregates:
         """Relabel the band cells and add their kernel to the fixed sums."""
         d, log_amenity, sites, log_rest = self.cells
         self.relabelled = labels = _first_min_labels(d, weights)
         own = d[labels, np.arange(d.shape[1])]
-        log_raw = _group_log_sum(
-            np.concatenate([sites, labels]),
-            np.concatenate([log_rest, self.kernel.log_values(log_amenity, own)]),
-            len(d)) + math.log(self.geography.grid.cell_area)
-        return CellAggregates.from_log_raw(log_raw, self.kernel)
+        return _aggregate(np.concatenate([sites, labels]),
+                          np.concatenate([log_rest, self.kernel.log_values(log_amenity, own)]),
+                          len(d), self.geography.grid, self.kernel)
 
     def last_labels(self) -> np.ndarray:
         """The label raster at the last evaluated weights, read-only: the

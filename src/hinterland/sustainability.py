@@ -169,7 +169,7 @@ def sustainability_check(solution: WeightSolution, geography: Geography,
 # ---------------------------------------------------------------------------
 # enumeration
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
     """What the catalog keeps of one sustainable weight solve (not its
     rasters); ``residuals`` are the weight system's, as no market is solved."""
@@ -184,7 +184,7 @@ class CatalogEntry:
     min_margin: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumCatalog:
     """Sustainable equilibria found by subset enumeration, one per subset."""
 

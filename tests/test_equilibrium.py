@@ -1113,6 +1113,37 @@ def test_band_checks_its_weights_as_assign_labels_does():
         band.aggregates(np.array([0.0, np.nan, 0.0]))
 
 
+def test_band_is_built_by_the_first_evaluation_that_reads_it():
+    # a full pass only labels and sums; the next evaluation within reach
+    # builds the band, and a full pass out of reach frees it again
+    geo = make_geography(SPREAD3, n=32)
+    band = NarrowBand(geo, variant_transform(PARAMS).kernel)
+    band.aggregates(np.zeros(3))
+    assert band.cells is None and band.labels is not None
+    band.aggregates(np.array([0.0, 1e-3, 0.0]))   # within reach of w_ref
+    assert band.cells is not None and band.relabelled is not None
+    band.aggregates(np.array([0.0, 0.3, 0.0]))    # beyond it: a full pass
+    assert band.cells is None and band.relabelled is None
+    assert np.array_equal(band.w_ref, [0.0, 0.3, 0.0])
+
+
+def test_a_solve_of_full_passes_only_builds_no_band(monkeypatch):
+    # the solve leaves the feasible set twice, each step out of the band's
+    # reach of the last, as 256² inputs that end in LeftFeasibleSet do
+    geo = make_geography(SYM2, productivities=[1.0, 2.0])
+    p = ModelParams(sigma=9.0, alpha=0.32, beta=-0.3, delta=2.0)
+    calls = {"_full_pass": [], "_build_band": []}
+    for name, log in calls.items():
+        method = getattr(integrals.NarrowBand, name)
+        monkeypatch.setattr(integrals.NarrowBand, name,
+                            lambda *args, method=method, log=log:
+                            log.append(1) or method(*args))
+    with pytest.raises(LeftFeasibleSet):
+        fixed_point_solve(geo, p)
+    assert len(calls["_full_pass"]) > 1
+    assert calls["_build_band"] == []
+
+
 def test_band_follows_a_cell_that_empties_at_the_knife_edge():
     # site 2 sits between the others with a cell of a few raster cells; a
     # lower weight empties it while the weights stay within the band's reach

@@ -29,6 +29,12 @@ def test_constant_amenity_bounds():
     assert field.b_min == field.b_max == 1.0
 
 
+def test_amenity_function_may_return_a_scalar():
+    field = amenity_from_function(unit_square(8), lambda X, Y: 2.5)
+    assert field.values.shape == (8, 8) and field.b_min == field.b_max == 2.5
+    assert field.values.flags.writeable is False
+
+
 def test_linear_amenity_bounds_at_cell_centers():
     g = unit_square(64)
     field = amenity_from_function(g, lambda X, Y: 1.0 + X)
@@ -96,6 +102,15 @@ def make_geography(system=EUCLID, trade=None, sites=None, n=32):
     if trade is None:
         trade = trade_costs_from_metric(sites, EUCLID, 0.1)
     return Geography(grid=g, sites=sites, system=system, amenity=amenity, trade=trade)
+
+
+def test_geographies_compare_by_identity():
+    # records that hold arrays compare by identity: an equal copy is
+    # unequal, without NumPy's ambiguous-truth error
+    geo = make_geography()
+    assert geo == geo
+    assert (geo == make_geography()) is False
+    assert len({geo, geo, make_geography()}) == 2
 
 
 def test_validate_clean_geography_passes():

@@ -15,11 +15,12 @@ from hinterland.equilibrium import (
     market_equilibrium_solve,
     variant_transform,
 )
-from hinterland.errors import InvalidInput, InvalidVariantParams
+from hinterland.errors import InvalidInput, InvalidVariantParams, NonFiniteWeight
 from hinterland.fields import (
     Geography,
     TradeCostMatrix,
     amenity_from_function,
+    explicit_trade_costs,
     trade_costs_from_metric,
     validate_geography,
 )
@@ -28,6 +29,7 @@ from hinterland.geometry import (
     Site,
     assign_labels,
     build_grid,
+    lambda_feasibility,
     sample_feasible_weights,
 )
 from hinterland.integrals import (
@@ -174,6 +176,15 @@ CHECKS = {
             variant=SimpleNamespace(kind="three_sector"))),
         InvalidVariantParams,
         r"unknown variant namespace\(kind='three_sector'\)"),
+    "fields.amenity_from_function.shape": (
+        lambda tmp: amenity_from_function(build_grid(BBOX, (8, 8)),
+                                          lambda X, Y: np.ones(3)),
+        InvalidInput,
+        r"^amenity function returned shape \(3,\), expected a scalar or \(8, 8\)$"),
+    "fields.explicit_trade_costs.numbers": (
+        lambda tmp: explicit_trade_costs([["a"]]),
+        InvalidInput, r"^trade matrix entries must be numbers: "
+                      r"could not convert string to float: 'a'$"),
     "fields.TradeCostMatrix.square": (
         lambda tmp: TradeCostMatrix(values=np.ones((2, 3)), origin="explicit"),
         InvalidInput, r"trade cost matrix must be square, got \(2, 3\)"),
@@ -196,6 +207,22 @@ CHECKS = {
         lambda tmp: build_grid(BBOX, (8, 8), lambda X, Y: np.ones(3)),
         InvalidInput,
         r"inside predicate returned shape \(3,\), expected \(8, 8\)"),
+    "geometry.build_grid.resolution_fraction": (
+        lambda tmp: build_grid(BBOX, (8.5, 8)),
+        InvalidInput, r"^resolution must be two integers \(nx, ny\), got \(8\.5, 8\)$"),
+    "geometry.build_grid.resolution_string": (
+        lambda tmp: build_grid(BBOX, ("8", 8)),
+        InvalidInput, r"^resolution must be two integers \(nx, ny\), got \('8', 8\)$"),
+    "geometry.build_grid.resolution_length": (
+        lambda tmp: build_grid(BBOX, (8, 8, 8)),
+        InvalidInput, r"^resolution must be two integers \(nx, ny\), got \(8, 8, 8\)$"),
+    "geometry.Site.position_length": (
+        lambda tmp: Site(0, (0.1, 0.2, 0.3)),
+        InvalidInput,
+        r"^site 0: position must be two numbers, got \(0\.1, 0\.2, 0\.3\)$"),
+    "geometry.Site.position_string": (
+        lambda tmp: Site(0, "ab"),
+        InvalidInput, r"^site 0: position must be two numbers, got 'ab'$"),
     "geometry.DistanceSystem.kind": (
         lambda tmp: DistanceSystem("manhattan"),
         InvalidInput, r"unknown distance system kind 'manhattan'"),
@@ -206,6 +233,21 @@ CHECKS = {
     "geometry.sample_feasible_weights.seed": (
         lambda tmp: sample_feasible_weights(SITES, SYSTEM, 0.5, 2, -1),
         InvalidInput, r"^seed must be >= 0, got -1$"),
+    "geometry.sample_feasible_weights.count_fraction": (
+        lambda tmp: sample_feasible_weights(SITES, SYSTEM, 0.5, 2.5, 0),
+        InvalidInput, r"^count must be an integer, got 2\.5$"),
+    "geometry.sample_feasible_weights.count_negative": (
+        lambda tmp: sample_feasible_weights(SITES, SYSTEM, 0.5, -1, 0),
+        InvalidInput, r"^count must be >= 0, got -1$"),
+    "geometry.sample_feasible_weights.count_bool": (
+        lambda tmp: sample_feasible_weights(SITES, SYSTEM, 0.5, True, 0),
+        InvalidInput, r"^count must be an integer, got True$"),
+    "geometry.lambda_feasibility.weights_shape": (
+        lambda tmp: lambda_feasibility(SITES, SYSTEM, [0.0, 0.0, 0.0], 0.5),
+        InvalidInput, r"^expected 2 weights, got shape \(3,\)$"),
+    "geometry.lambda_feasibility.weights_nan": (
+        lambda tmp: lambda_feasibility(SITES, SYSTEM, [0.0, math.nan], 0.5),
+        NonFiniteWeight, r"^weights contain non-finite entries: \[ *0\. +nan\]$"),
     "geometry.assign_labels.no_sites": (
         lambda tmp: assign_labels(build_grid(BBOX, (8, 8)), (), SYSTEM, []),
         InvalidInput, r"assign_labels needs at least one site"),
